@@ -103,8 +103,8 @@ func TestStatsViewFromRegistry(t *testing.T) {
 }
 
 // TestRunReport: the -report payload carries per-scheme phase times, LP
-// pivot totals and the oracle's Ziv escalation histograms for every
-// generated function, and survives a JSON round-trip.
+// pivot totals and the oracle's rung counters and Ziv escalation
+// histograms for every generated function, and survives a JSON round-trip.
 func TestRunReport(t *testing.T) {
 	in := fp.Format{Bits: 12, ExpBits: 8}
 	reg := obs.NewRegistry()
@@ -151,9 +151,13 @@ func TestRunReport(t *testing.T) {
 		}
 	}
 	for _, fn := range []string{"exp2", "log2"} {
+		// The double-double rung answers almost every query; the Ziv
+		// escalation histogram counts the big.Float path only, so the
+		// oracle's work shows up as rung hits plus Ziv-path rounds.
 		h, ok := back.Metrics.Histograms["oracle/"+fn+"/ziv_depth"]
-		if !ok || h.Count == 0 {
-			t.Errorf("report lacks oracle/%s/ziv_depth escalation histogram (ok=%v count=%d)", fn, ok, h.Count)
+		hits := back.Metrics.Counters["oracle/"+fn+"/fast_rung_hits"]
+		if !ok || h.Count+hits == 0 {
+			t.Errorf("report lacks oracle/%s/ziv_depth escalation histogram or rung hits (ok=%v count=%d hits=%d)", fn, ok, h.Count, hits)
 		}
 		if back.Metrics.Counters["core/"+fn+"/horner/lp_solves"] == 0 {
 			t.Errorf("report lacks core/%s/horner/lp_solves", fn)
@@ -170,5 +174,23 @@ func TestRunReport(t *testing.T) {
 	}
 	if !strings.Contains(rep.Results[len(rep.Results)-1].Error, "EOF") {
 		t.Error("failure cause not recorded")
+	}
+}
+
+// TestRunReportCacheRung: the cache section carries the oracle's
+// double-double rung totals and their hit rate.
+func TestRunReportCacheRung(t *testing.T) {
+	oracle.Correct(oracle.Exp, 0.5, fp.FP34, fp.RTO) // a query the rung answers
+	rep := NewRunReport("core-test")
+	rep.AttachCache(oracle.StoreStats{}, 3, 1)
+	c := rep.Cache
+	if c.HitRate != 0.75 {
+		t.Errorf("hit rate %v, want 0.75", c.HitRate)
+	}
+	if c.RungHits == 0 || c.RungHitRate <= 0 || c.RungHitRate > 1 {
+		t.Errorf("rung totals missing: hits %d declines %d rate %v", c.RungHits, c.RungDeclines, c.RungHitRate)
+	}
+	if want := float64(c.RungHits) / float64(c.RungHits+c.RungDeclines); c.RungHitRate != want {
+		t.Errorf("rung hit rate %v, want %v", c.RungHitRate, want)
 	}
 }

@@ -121,21 +121,30 @@ func (r *RunReport) AddCheck(fn, scheme string, checked, wrong int, first string
 
 // CacheReport is the run report's persistent-cache section: the store's
 // disk-side stats plus the oracle cache's in-memory hit/miss split and the
-// derived hit rate of the whole run.
+// derived hit rate of the whole run, and how many of the misses' rounding
+// queries the oracle's double-double rung answered without big.Float.
 type CacheReport struct {
 	oracle.StoreStats
 	OracleHits   int64   `json:"oracle_hits"`
 	OracleMisses int64   `json:"oracle_misses"`
 	HitRate      float64 `json:"hit_rate"`
+	RungHits     int64   `json:"fast_rung_hits"`
+	RungDeclines int64   `json:"fast_rung_declines"`
+	RungHitRate  float64 `json:"fast_rung_hit_rate"`
 }
 
 // AttachCache records the persistent-cache outcome of the run: st is the
 // store's final stats, hits/misses the oracle cache's cumulative counters
-// across every generation of the run.
+// across every generation of the run. The rung counts are the oracle's
+// process-wide fast_rung_hits and fast_rung_declines totals.
 func (r *RunReport) AttachCache(st oracle.StoreStats, hits, misses int64) {
 	cr := &CacheReport{StoreStats: st, OracleHits: hits, OracleMisses: misses}
 	if hits+misses > 0 {
 		cr.HitRate = float64(hits) / float64(hits+misses)
+	}
+	cr.RungHits, cr.RungDeclines = oracle.RungTotals()
+	if n := cr.RungHits + cr.RungDeclines; n > 0 {
+		cr.RungHitRate = float64(cr.RungHits) / float64(n)
 	}
 	r.Cache = cr
 }

@@ -131,7 +131,9 @@ func (f Format) MinExp() int { return 1 - f.Bias() }
 
 // MaxFinite returns the largest finite value of the format.
 func (f Format) MaxFinite() float64 {
-	return math.Ldexp(float64(uint64(1)<<f.Prec()-1), f.MaxExp()-f.Prec()+1)
+	// Biased float64 exponent MaxExp, the top Prec-1 fraction bits set.
+	frac := uint64(1)<<52 - uint64(1)<<uint(53-f.Prec())
+	return math.Float64frombits(uint64(f.MaxExp()+1023)<<52 | frac)
 }
 
 // MinNormal returns the smallest positive normal value.

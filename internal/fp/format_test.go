@@ -174,6 +174,35 @@ func TestRoundAgainstRatReference(t *testing.T) {
 	}
 }
 
+// TestRoundWideExponentAgainstRat: formats with float64's 11-bit exponent
+// reach float64's subnormal range and a carry to 2^1024, where Round's
+// final scaling by a power of two underflows to a subnormal or overflows.
+func TestRoundWideExponentAgainstRat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, f := range []Format{{Bits: 40, ExpBits: 11}, {Bits: 63, ExpBits: 11}} {
+		edges := []float64{f.MaxFinite(), f.MinNormal(), f.MinSubnormal(), 0x1p-1074, 0x1p-1073, math.MaxFloat64}
+		for i := 0; i < 20000; i++ {
+			var x float64
+			if i < 2000 {
+				x = edges[i%len(edges)]
+				for k := rng.Intn(4); k > 0; k-- {
+					x = math.Nextafter(x, math.Inf(rng.Intn(2)*2-1))
+				}
+			} else {
+				x = math.Float64frombits(rng.Uint64())
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) || x == 0 {
+				continue // a big.Rat has no NaN, infinity or signed zero
+			}
+			for _, m := range AllModes {
+				if got, want := f.Round(x, m), f.RoundRat(ratFromFloat(x), m); !sameFloat(got, want) {
+					t.Fatalf("%v: Round(%x=%g, %v) = %g, reference %g", f, math.Float64bits(x), x, m, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRoundDirectedOrdering(t *testing.T) {
 	// RTN result <= RTZ-magnitude result <= value <= RTP result, and the
 	// nearest results sit between the directed ones.

@@ -78,7 +78,9 @@ func (f Format) Round(x float64, m Mode) float64 {
 	if inc {
 		q++
 	}
-	res := math.Ldexp(float64(q), lsb)
+	// q*2^lsb is a format value (or 2^(MaxExp+1) after a carry), hence a
+	// float64: one multiplication by the exact power of two yields it.
+	res := float64(q) * pow2(lsb)
 	if res > f.MaxFinite() {
 		res = math.Inf(1) // carry past the largest binade
 	}
@@ -133,4 +135,12 @@ func (f Format) roundOverflow(a float64, neg bool, m Mode) (over bool, res float
 		r = -r
 	}
 	return true, r
+}
+
+// pow2 returns 2^k exactly for -1074 <= k <= 1023.
+func pow2(k int) float64 {
+	if k < -1022 {
+		return math.Float64frombits(1 << uint(k+1074)) // subnormal
+	}
+	return math.Float64frombits(uint64(k+1023) << 52)
 }

@@ -136,7 +136,7 @@ func expCore(r *big.Float, wp uint) *big.Float {
 }
 
 // expBig computes exp(x) with relative error below 2^-(prec) at working
-// precision prec+64. |x| must be at most expArgLimit.
+// precision prec+48. |x| must be at most expArgLimit.
 func expBig(x *big.Float, prec uint) *big.Float {
 	wp := prec + 48
 	if x.Sign() == 0 {
@@ -157,7 +157,7 @@ func expBig(x *big.Float, prec uint) *big.Float {
 }
 
 // logBig computes ln(x) for x > 0 with relative error below 2^-(prec) at
-// working precision prec+64.
+// working precision prec+48.
 func logBig(x *big.Float, prec uint) *big.Float {
 	wp := prec + 48
 	ln2, _, _ := consts(wp)

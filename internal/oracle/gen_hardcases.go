@@ -7,6 +7,9 @@
 // replays those vectors, pinning both the 34-bit round-to-odd result bits
 // and the terminal precision, so any change to the Ziv loop, the precision
 // ladder or the big.Float evaluation that shifts either is caught at once.
+// Inputs the double-double rung answers never reach the Ziv loop
+// (TerminalPrec 0) and are not hard cases; every kept case was declined by
+// the rung, so its terminal precision is the big.Float path's.
 //
 // Regenerate with:
 //
@@ -64,6 +67,10 @@ func main() {
 				continue
 			}
 			v := oracle.Compute(fn, x)
+			v.Round(fp.FP34, fp.RTO)
+			if v.TerminalPrec() == 0 {
+				continue // exact, or answered by the rung
+			}
 			worst = append(worst, scored{math.Float64bits(x), v.TerminalPrec()})
 		}
 		// Hardest first; ties broken by input bits for a stable file.
@@ -94,6 +101,10 @@ func main() {
 		oracle.ResetLadders()
 
 		path := filepath.Join(*outDir, "hardcases_"+fn.String()+".json")
+		if len(out.Cases) == 0 {
+			fmt.Fprintf(os.Stderr, "%s: no input reached the Ziv loop; left unchanged\n", path)
+			continue
+		}
 		f, err := os.Create(path)
 		if err != nil {
 			fatal(err)

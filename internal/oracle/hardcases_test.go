@@ -25,11 +25,13 @@ type hardCaseFile struct {
 
 // TestHardCaseVectors replays the golden hard-to-round vectors — the
 // binary32 inputs whose Ziv loop escalated furthest in a full stride scan —
-// and pins both the 34-bit round-to-odd result bits and the terminal
-// precision reached from a fresh ladder. The result bits catch any change
-// that alters what the oracle computes; the terminal precision catches
-// changes to how hard it had to work (a silent Ziv regression would show up
-// here long before it shows up in wall clock).
+// and pins the 34-bit round-to-odd result bits through the public
+// Compute/Round path, and the terminal precision the big.Float path reaches
+// from a fresh ladder. The result bits catch any change that alters what
+// the oracle computes; the terminal precision catches changes to how hard
+// the Ziv loop had to work (a silent Ziv regression would show up here
+// long before it shows up in wall clock). The double-double rung must
+// either decline each case or agree with it.
 func TestHardCaseVectors(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "hardcases_*.json"))
 	if err != nil {
@@ -70,12 +72,21 @@ func TestHardCaseVectors(t *testing.T) {
 				// but the terminal precision it reaches depends on where it
 				// starts; reset it so the pinned value is reproducible.
 				ResetLadders()
-				v := Compute(fn, x)
-				if got := math.Float64bits(v.Round(fp.FP34, fp.RTO)); got != ybits {
+				if got := math.Float64bits(Compute(fn, x).Round(fp.FP34, fp.RTO)); got != ybits {
 					t.Errorf("case %d: %v(%g) = %#016x, golden %#016x", i, fn, x, got, ybits)
+				}
+				ResetLadders()
+				v := compute(fn, x, false)
+				if got := math.Float64bits(v.Round(fp.FP34, fp.RTO)); got != ybits {
+					t.Errorf("case %d: %v(%g) on the big.Float path = %#016x, golden %#016x", i, fn, x, got, ybits)
 				}
 				if got := v.TerminalPrec(); got != c.TerminalPrec {
 					t.Errorf("case %d: %v(%g) terminal precision %d, golden %d", i, fn, x, got, c.TerminalPrec)
+				}
+				if e, ok := rung(fn, x); ok {
+					if r, ok := e.round(fp.FP34, fp.RTO); ok && math.Float64bits(r) != ybits {
+						t.Errorf("case %d: %v(%g) rung accepts %#016x, golden %#016x", i, fn, x, math.Float64bits(r), ybits)
+					}
 				}
 			}
 			ResetLadders()
@@ -84,9 +95,9 @@ func TestHardCaseVectors(t *testing.T) {
 }
 
 // TestHardCaseLadderInvariance re-computes the hardest vector of each file
-// with a deliberately warmed ladder and checks the RESULT stays identical
-// even though the terminal precision may differ — the ladder is a pure
-// speed knob, never a correctness one.
+// on the big.Float path with a deliberately warmed ladder and checks the
+// RESULT stays identical even though the terminal precision may differ —
+// the ladder is a pure speed knob, never a correctness one.
 func TestHardCaseLadderInvariance(t *testing.T) {
 	paths, _ := filepath.Glob(filepath.Join("testdata", "hardcases_*.json"))
 	for _, path := range paths {
@@ -108,8 +119,8 @@ func TestHardCaseLadderInvariance(t *testing.T) {
 		x := math.Float64frombits(xbits)
 
 		ResetLadders()
-		Compute(fn, x) // warm the ladder to this case's terminal precision
-		warm := Compute(fn, x)
+		compute(fn, x, false).Round(fp.FP34, fp.RTO) // warm the ladder to this case's terminal precision
+		warm := compute(fn, x, false)
 		if got := math.Float64bits(warm.Round(fp.FP34, fp.RTO)); got != ybits {
 			t.Errorf("%v(%g) with warm ladder = %#016x, golden %#016x", fn, x, got, ybits)
 		}

@@ -34,8 +34,13 @@ type fnMetrics struct {
 	// ladderStart is the precision-ladder starting rung histogram: the
 	// working precision fresh evaluations begin at (basePrec when the
 	// ladder is cold). Together with zivDepth — the ladder-depth histogram —
-	// it shows how often the fast path skips escalations.
+	// it shows how often the fast path skips escalations. Like zivDepth and
+	// zivPrec it covers the big.Float path only.
 	ladderStart *obs.Histogram
+	// rungHits / rungDeclines count non-exact Round calls the double-double
+	// rung answered vs passed to the Ziv loop (input outside the rung's
+	// domain, or an enclosure straddling a rounding boundary).
+	rungHits, rungDeclines *obs.Counter
 }
 
 var (
@@ -51,13 +56,15 @@ func metricsFor(f Func) *fnMetrics {
 		for _, fn := range AllFuncs {
 			name := fn.String()
 			fnMetricsTab[fn] = fnMetrics{
-				zivDepth:    reg.Histogram("oracle/" + name + "/ziv_depth"),
-				zivPrec:     reg.Histogram("oracle/" + name + "/terminal_prec"),
-				zivPrecMax:  reg.Gauge("oracle/" + name + "/terminal_prec_max"),
-				exact:       reg.Counter("oracle/" + name + "/exact_results"),
-				cacheHits:   reg.Counter("oracle/" + name + "/cache_hits"),
-				cacheMisses: reg.Counter("oracle/" + name + "/cache_misses"),
-				ladderStart: reg.Histogram("oracle/" + name + "/ladder_start_prec"),
+				zivDepth:     reg.Histogram("oracle/" + name + "/ziv_depth"),
+				zivPrec:      reg.Histogram("oracle/" + name + "/terminal_prec"),
+				zivPrecMax:   reg.Gauge("oracle/" + name + "/terminal_prec_max"),
+				exact:        reg.Counter("oracle/" + name + "/exact_results"),
+				cacheHits:    reg.Counter("oracle/" + name + "/cache_hits"),
+				cacheMisses:  reg.Counter("oracle/" + name + "/cache_misses"),
+				ladderStart:  reg.Histogram("oracle/" + name + "/ladder_start_prec"),
+				rungHits:     reg.Counter("oracle/" + name + "/fast_rung_hits"),
+				rungDeclines: reg.Counter("oracle/" + name + "/fast_rung_declines"),
 			}
 		}
 	})
@@ -95,6 +102,30 @@ func (m *fnMetrics) observeCache(hit bool) {
 	} else {
 		m.cacheMisses.Inc()
 	}
+}
+
+// observeRung records whether the rung answered one Round call.
+func (m *fnMetrics) observeRung(hit bool) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.rungHits.Inc()
+	} else {
+		m.rungDeclines.Inc()
+	}
+}
+
+// RungTotals returns the process-wide double-double rung hit and decline
+// counts summed over every function (the fast_rung_hits and
+// fast_rung_declines counters).
+func RungTotals() (hits, declines int64) {
+	metricsFor(Exp) // resolve the handles
+	for i := range fnMetricsTab {
+		hits += fnMetricsTab[i].rungHits.Value()
+		declines += fnMetricsTab[i].rungDeclines.Value()
+	}
+	return hits, declines
 }
 
 // observeLadderStart records the starting precision of one fresh

@@ -4,9 +4,11 @@
 // round-to-odd.
 //
 // The paper's prototype uses MPFR; this package plays that role with a
-// Ziv-style loop on math/big: evaluate with a bounded relative error, check
-// whether the error interval rounds unambiguously, and retry with more
-// precision otherwise. Inputs whose exact result is a rational number
+// Ziv-style loop: evaluate with a bounded relative error, check whether the
+// error interval rounds unambiguously, and retry with more precision
+// otherwise. The first rung is a double-double evaluation in float64
+// arithmetic (rung.go) that settles almost every query; the rest run on
+// math/big from 80 bits up. Inputs whose exact result is a rational number
 // (exp2 of an integer, log2 of a power of two, ...) are detected
 // algebraically and rounded exactly, which is what makes the loop terminate
 // for every input.
@@ -94,11 +96,32 @@ func (f Func) IsTrig() bool { return f == Sinpi || f == Cospi }
 // IsExpFamily reports whether the function is e^x, 2^x or 10^x.
 func (f Func) IsExpFamily() bool { return f == Exp || f == Exp2 || f == Exp10 }
 
-// expArgLimit bounds |x| for the exponential family: beyond it the result
-// overflows (or underflows) every supported format by an astronomical
-// margin, and a symbolic stand-in is rounded instead of evaluating the
-// series.
-const expArgLimit = 1e8
+// symbolicSide reports whether an exponential-family result lies above
+// 2^1025 (+1) or below 2^-1076 (-1). Every supported format embeds in
+// float64, so its largest finite value is below 2^1024 and its smallest
+// subnormal at least 2^-1073: such a result rounds like any value beyond
+// the format's range (roundSymbolic), and no series is evaluated. The
+// margin of one binade absorbs the rounding of x*log2(base).
+func symbolicSide(f Func, x float64) int {
+	var l2 float64 // log2 f(x)
+	switch f {
+	case Exp:
+		l2 = x * math.Log2E
+	case Exp2:
+		l2 = x
+	case Exp10:
+		l2 = x * (math.Log2E / math.Log10E)
+	default:
+		return 0
+	}
+	switch {
+	case l2 > 1025:
+		return 1
+	case l2 < -1076:
+		return -1
+	}
+	return 0
+}
 
 // MathRef returns the float64 math-package reference for the function, used
 // only in sanity tests.
@@ -126,7 +149,7 @@ func (f Func) MathRef(x float64) float64 {
 
 // EvalBig returns an approximation of f(x) with relative error below
 // 2^-prec. The input must be finite; logarithms require x > 0; the
-// exponential family requires |x| <= expArgLimit.
+// exponential family requires |x| <= 1e8.
 func (f Func) EvalBig(x float64, prec uint) *big.Float {
 	bx := new(big.Float).SetPrec(prec + 128).SetFloat64(x)
 	switch f {
@@ -189,12 +212,12 @@ func exactResult(f Func, x float64) (*big.Rat, bool) {
 			}
 		}
 	case Log10:
-		if x > 0 {
+		// 10^n = 2^n 5^n is a float64 only for 0 <= n <= 22 (5^22 < 2^53),
+		// where math.Pow10 is exact.
+		if x >= 1 && x <= 1e22 && x == math.Trunc(x) {
 			n := int(math.Round(math.Log10(x)))
-			if math.Abs(float64(n)) <= 640 {
-				if new(big.Rat).SetFloat64(x).Cmp(ratPow(10, n)) == 0 {
-					return new(big.Rat).SetInt64(int64(n)), true
-				}
+			if n <= 22 && x == math.Pow10(n) {
+				return new(big.Rat).SetInt64(int64(n)), true
 			}
 		}
 	case Sinpi, Cospi:
@@ -216,16 +239,21 @@ func ratPow(base int64, n int) *big.Rat {
 }
 
 // Value is a reusable oracle result for one (function, input) pair: the
-// expensive arbitrary-precision evaluation happens once, and Round answers
-// any number of (format, mode) questions against it, refining the precision
-// lazily in the rare ambiguous cases. Not safe for concurrent use.
+// evaluation happens once, and Round answers any number of (format, mode)
+// questions against it. Round first tries the double-double rung's
+// enclosure and falls back, lazily and only for the (format, mode) pairs
+// the enclosure cannot settle, to the big.Float Ziv loop, refining its
+// precision in the rare ambiguous cases. Not safe for concurrent use.
 type Value struct {
 	fn       Func
 	x        float64
 	exact    *big.Rat // non-nil when f(x) is exactly rational
 	symbolic int      // +1 far overflow, -1 far underflow, 0 normal
-	prec     uint
-	y        *big.Float
+	// rung reports that the double-double rung evaluated f(x) into enc.
+	rung bool
+	enc  enclosure
+	prec uint       // big.Float working precision; 0 before the Ziv path runs
+	y    *big.Float // big.Float evaluation; nil before the Ziv path runs
 }
 
 // basePrec is the Ziv loop's base working precision: enough for all but the
@@ -279,40 +307,64 @@ func ladderRecord(f Func, terminal uint, depth int) {
 }
 
 // Compute evaluates f(x) once for later rounding. The domain restrictions
-// of Correct apply.
+// of Correct apply. After the exact and symbolic checks it tries the
+// double-double rung and evaluates with big.Float only when the rung
+// declines the input (outside its domain, or sinpi/cospi).
 func Compute(f Func, x float64) *Value {
+	return compute(f, x, true)
+}
+
+// compute is Compute with the rung optional: tests force the big.Float
+// path with tryRung = false to compare the two and to pin the Ziv loop's
+// terminal precisions.
+func compute(f Func, x float64, tryRung bool) *Value {
+	v := new(Value)
+	v.init(f, x, tryRung)
+	return v
+}
+
+func (v *Value) init(f Func, x float64, tryRung bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		panic("oracle: non-finite input")
 	}
 	if f.IsLog() && x <= 0 {
 		panic("oracle: logarithm of a non-positive value")
 	}
-	v := &Value{fn: f, x: x}
-	if f.IsExpFamily() && math.Abs(x) > expArgLimit {
-		if x > 0 {
-			v.symbolic = 1
-		} else {
-			v.symbolic = -1
-		}
-		return v
+	*v = Value{fn: f, x: x, symbolic: symbolicSide(f, x)}
+	if v.symbolic != 0 {
+		return
 	}
 	if r, ok := exactResult(f, x); ok {
 		v.exact = r
-		return v
+		return
 	}
-	v.prec = ladderStart(f)
-	metricsFor(f).observeLadderStart(v.prec)
-	v.y = f.EvalBig(x, v.prec)
-	return v
+	if tryRung {
+		if v.enc, v.rung = rung(f, x); v.rung {
+			return
+		}
+	}
+	v.evalBig()
+}
+
+// evalBig starts the Ziv path: the first big.Float evaluation, at the
+// precision ladder's current rung.
+func (v *Value) evalBig() {
+	v.prec = ladderStart(v.fn)
+	metricsFor(v.fn).observeLadderStart(v.prec)
+	v.y = v.fn.EvalBig(v.x, v.prec)
 }
 
 // Round returns the correctly rounded value of f(x) in format t under mode
-// m, raising the working precision until rounding is unambiguous.
+// m. It accepts the double-double rung's answer when both ends of the
+// rung's enclosure round to the same value; otherwise it runs the Ziv
+// loop, evaluating with big.Float on first need and raising the working
+// precision until rounding is unambiguous.
 //
-// Each call records its Ziv escalation depth (precision doublings performed
-// by this call; a reused Value keeps its precision, so later calls usually
-// record depth 0) and terminal working precision into the obs.Default()
-// registry — write-only instrumentation that cannot affect the result.
+// Each call counts a rung hit or decline, and each Ziv-path call records
+// its escalation depth (precision doublings performed by this call; a
+// reused Value keeps its precision, so later calls usually record depth 0)
+// and terminal working precision into the obs.Default() registry —
+// write-only instrumentation that cannot affect the result.
 func (v *Value) Round(t fp.Format, m fp.Mode) float64 {
 	if v.symbolic != 0 {
 		metricsFor(v.fn).observeExact()
@@ -321,6 +373,16 @@ func (v *Value) Round(t fp.Format, m fp.Mode) float64 {
 	if v.exact != nil {
 		metricsFor(v.fn).observeExact()
 		return t.RoundRat(v.exact, m)
+	}
+	if v.rung {
+		if r, ok := v.enc.round(t, m); ok {
+			metricsFor(v.fn).observeRung(true)
+			return r
+		}
+	}
+	metricsFor(v.fn).observeRung(false)
+	if v.y == nil {
+		v.evalBig()
 	}
 	depth := 0
 	for {
@@ -338,10 +400,12 @@ func (v *Value) Round(t fp.Format, m fp.Mode) float64 {
 	}
 }
 
-// TerminalPrec returns the working precision the last Round (or the initial
-// Compute) left the value at — 0 for exact and symbolic results, which never
-// run the Ziv loop. The golden hard-case vectors pin this so ladder or
-// evaluation changes cannot silently deepen the escalations.
+// TerminalPrec returns the big.Float working precision the last Round (or
+// the initial Compute) left the value at. It is 0 when no big.Float
+// evaluation has run: for exact and symbolic results, and for values whose
+// every Round so far the double-double rung answered. The golden hard-case
+// vectors pin it on the big.Float path so ladder or evaluation changes
+// cannot silently deepen the escalations.
 func (v *Value) TerminalPrec() uint { return v.prec }
 
 // Correct returns the correctly rounded value of f(x) in format t under
@@ -349,7 +413,9 @@ func (v *Value) TerminalPrec() uint { return v.prec }
 // (x > 0 for logarithms); domain edges (infinities, NaN, non-positive log
 // arguments, exact zeros) are the caller's special cases, as in RLibm.
 func Correct(f Func, x float64, t fp.Format, m fp.Mode) float64 {
-	return Compute(f, x).Round(t, m)
+	var v Value // one query: keep the Value off the heap
+	v.init(f, x, true)
+	return v.Round(t, m)
 }
 
 // CorrectRO34 returns the RLibm-ALL oracle value: f(x) rounded to the
@@ -358,17 +424,21 @@ func CorrectRO34(f Func, x float64) float64 {
 	return Correct(f, x, fp.FP34, fp.RTO)
 }
 
-// roundSymbolic rounds a stand-in for an exponential result that is far
-// beyond (huge=true) or far below (huge=false) every representable
-// magnitude, honoring the mode-dependent overflow/underflow behaviour.
+// roundSymbolic rounds a positive exponential result that is beyond the
+// overflow threshold (huge=true) or below half the smallest subnormal
+// (huge=false) of t, honoring the mode-dependent overflow/underflow
+// behaviour.
 func roundSymbolic(t fp.Format, m fp.Mode, huge bool) float64 {
 	if huge {
-		over := new(big.Rat).SetFloat64(t.MaxFinite())
-		over.Mul(over, big.NewRat(4, 1))
-		return t.RoundRat(over, m)
+		if m == fp.RNE || m == fp.RNA || m == fp.RTP {
+			return math.Inf(1)
+		}
+		return t.MaxFinite() // RTZ, RTN, and RTO: the largest value is odd
 	}
-	tiny := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 2000))
-	return t.RoundRat(tiny, m)
+	if m == fp.RTP || m == fp.RTO {
+		return t.MinSubnormal() // the smallest subnormal is odd
+	}
+	return 0
 }
 
 // ResetLadders drops every function's precision ladder back to the base

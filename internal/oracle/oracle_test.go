@@ -154,6 +154,56 @@ func TestSymbolicOverflowUnderflow(t *testing.T) {
 	}
 }
 
+// TestRoundSymbolicMatchesRoundRat: the symbolic overflow/underflow
+// results equal the exact rounding of values far beyond the range of every
+// format, including the widest one fp accepts, and the cutoffs sit past
+// every format's thresholds.
+func TestRoundSymbolicMatchesRoundRat(t *testing.T) {
+	formats := []fp.Format{fp.FP34, fp.Float32, fp.TensorFloat32, fp.Bfloat16, fp.Float16, {Bits: 63, ExpBits: 11}}
+	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 1025))
+	tiny := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 1076))
+	for _, tf := range formats {
+		if err := tf.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fp.AllModes {
+			if got, want := roundSymbolic(tf, m, true), tf.RoundRat(huge, m); !sameFloat(got, want) {
+				t.Errorf("%v %v overflow: %g, want %g", tf, m, got, want)
+			}
+			if got, want := roundSymbolic(tf, m, false), tf.RoundRat(tiny, m); !sameFloat(got, want) {
+				t.Errorf("%v %v underflow: %g, want %g", tf, m, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		f    Func
+		x    float64
+		side int
+	}{
+		{Exp, 710.6, 1}, {Exp, 709, 0}, {Exp, -746, -1}, {Exp, -745, 0},
+		{Exp2, 1025.5, 1}, {Exp2, 1024, 0}, {Exp2, -1076.5, -1}, {Exp2, -1075, 0},
+		{Exp10, 308.6, 1}, {Exp10, 308, 0}, {Exp10, -324, -1}, {Exp10, -323, 0},
+		{Log, 1e300, 0},
+	} {
+		if got := symbolicSide(c.f, c.x); got != c.side {
+			t.Errorf("symbolicSide(%v, %g) = %d, want %d", c.f, c.x, got, c.side)
+		}
+		if c.side == 0 {
+			continue
+		}
+		// The evaluated result, rounded, agrees with the symbolic one.
+		y := c.f.EvalBig(c.x, 80)
+		for _, tf := range formats {
+			for _, m := range fp.AllModes {
+				want, ok := roundUnambiguous(y, 72, tf, m)
+				if got := roundSymbolic(tf, m, c.side > 0); !ok || !sameFloat(got, want) {
+					t.Errorf("%v(%g) in %v/%v: symbolic %g, evaluated %g (ok=%v)", c.f, c.x, tf, m, got, want, ok)
+				}
+			}
+		}
+	}
+}
+
 // TestEvalBigConvergence: doubling the precision changes the result by less
 // than the claimed error bound.
 func TestEvalBigConvergence(t *testing.T) {
