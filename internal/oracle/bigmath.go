@@ -136,7 +136,7 @@ func expCore(r *big.Float, wp uint) *big.Float {
 }
 
 // expBig computes exp(x) with relative error below 2^-(prec) at working
-// precision prec+48. |x| must be at most expArgLimit.
+// precision prec+48. |x| must be at most 1e8.
 func expBig(x *big.Float, prec uint) *big.Float {
 	wp := prec + 48
 	if x.Sign() == 0 {

@@ -2,25 +2,101 @@ package oracle
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"testing"
 
 	"rlibm/internal/fp"
 )
 
-// hardCaseFile mirrors the schema gen_hardcases.go writes (bit patterns as
-// %#x hex strings, since raw uint64 values do not survive JSON numbers).
+var (
+	regenHardCases = flag.String("regen-hardcases", "", "TestRegenerateHardCases: write the golden hard-case vectors into this directory")
+	regenStride    = flag.Uint64("regen-stride", 4093, "TestRegenerateHardCases: scan every stride-th binary32 bit pattern")
+)
+
+// hardCase is one golden vector. XBits and YBits are %#x-formatted float64
+// bit patterns of the input and its 34-bit round-to-odd result: hex
+// strings survive JSON, whose numbers are float64. TerminalPrec is the
+// precision at which the big.Float Ziv loop settled the result, starting
+// from a fresh ladder.
+type hardCase struct {
+	XBits        string `json:"x_bits"`
+	YBits        string `json:"y_bits"`
+	TerminalPrec uint   `json:"terminal_prec"`
+}
+
 type hardCaseFile struct {
-	Fn     string `json:"fn"`
-	Stride uint64 `json:"stride"`
-	Cases  []struct {
-		XBits        string `json:"x_bits"`
-		YBits        string `json:"y_bits"`
-		TerminalPrec uint   `json:"terminal_prec"`
-	} `json:"cases"`
+	Fn     string     `json:"fn"`
+	Stride uint64     `json:"stride"`
+	Cases  []hardCase `json:"cases"`
+}
+
+// hardCaseFuncs are the functions with golden vectors.
+var hardCaseFuncs = []Func{Exp, Log, Exp2, Log2}
+
+// TestRegenerateHardCases rewrites the golden vectors when given an output
+// directory, and is skipped otherwise:
+//
+//	go test ./internal/oracle -run TestRegenerateHardCases -regen-hardcases internal/oracle/testdata [-regen-stride 4093]
+//
+// It scans binary32 inputs on the forced big.Float path and keeps, per
+// function, the 12 whose Ziv loop needs the most precision from a fresh
+// ladder (ties broken by input bits, for a stable file).
+func TestRegenerateHardCases(t *testing.T) {
+	if *regenHardCases == "" {
+		t.Skip("pass -regen-hardcases <dir> to rewrite the golden vectors")
+	}
+	const top = 12
+	defer ResetLadders()
+	for _, fn := range hardCaseFuncs {
+		type scored struct {
+			xbits uint64
+			prec  uint
+		}
+		var worst []scored
+		for b := uint64(0); b < 1<<32; b += *regenStride {
+			x := float64(math.Float32frombits(uint32(b)))
+			if math.IsNaN(x) || math.IsInf(x, 0) || x == 0 || (fn.IsLog() && x <= 0) {
+				continue
+			}
+			ResetLadders()
+			v := compute(fn, x, false)
+			v.Round(fp.FP34, fp.RTO)
+			if v.TerminalPrec() > 0 {
+				worst = append(worst, scored{math.Float64bits(x), v.TerminalPrec()})
+			}
+		}
+		sort.Slice(worst, func(i, j int) bool {
+			if worst[i].prec != worst[j].prec {
+				return worst[i].prec > worst[j].prec
+			}
+			return worst[i].xbits < worst[j].xbits
+		})
+		out := hardCaseFile{Fn: fn.String(), Stride: *regenStride}
+		for _, s := range worst[:min(top, len(worst))] {
+			ResetLadders()
+			v := compute(fn, math.Float64frombits(s.xbits), false)
+			out.Cases = append(out.Cases, hardCase{
+				XBits:        fmt.Sprintf("%#016x", s.xbits),
+				YBits:        fmt.Sprintf("%#016x", math.Float64bits(v.Round(fp.FP34, fp.RTO))),
+				TerminalPrec: v.TerminalPrec(),
+			})
+		}
+		data, err := json.MarshalIndent(out, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(*regenHardCases, "hardcases_"+fn.String()+".json")
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d cases, hardest terminal precision %d", path, len(out.Cases), out.Cases[0].TerminalPrec)
+	}
 }
 
 // TestHardCaseVectors replays the golden hard-to-round vectors — the
@@ -37,8 +113,8 @@ func TestHardCaseVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 4 {
-		t.Fatalf("found %d hardcase files, want 4 (regenerate with go run ./internal/oracle/gen_hardcases.go)", len(paths))
+	if len(paths) != len(hardCaseFuncs) {
+		t.Fatalf("found %d hardcase files, want %d (regenerate with TestRegenerateHardCases)", len(paths), len(hardCaseFuncs))
 	}
 	for _, path := range paths {
 		path := path
