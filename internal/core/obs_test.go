@@ -194,3 +194,28 @@ func TestRunReportCacheRung(t *testing.T) {
 		t.Errorf("rung hit rate %v, want %v", c.RungHitRate, want)
 	}
 }
+
+// TestRungAnswersGenerationSet: the oracle's double-double rung answers at
+// least 99.9% of the rounding queries of the benchmark's generation set
+// (exp2@14, log2@16, log@15, log10@15 at stride 1), per its counters. The
+// counters are process-wide, so the test runs the set alone and takes
+// deltas.
+func TestRungAnswersGenerationSet(t *testing.T) {
+	items := []struct {
+		fn   oracle.Func
+		bits int
+	}{{oracle.Exp2, 14}, {oracle.Log2, 16}, {oracle.Log, 15}, {oracle.Log10, 15}}
+	hits0, declines0 := oracle.RungTotals()
+	for _, it := range items {
+		cfg := Config{Fn: it.fn, Scheme: poly.Horner, Input: fp.Format{Bits: it.bits, ExpBits: 8}, Stride: 1, Seed: 1, Workers: 1}
+		if _, err := Generate(context.Background(), cfg); err != nil {
+			t.Fatalf("%v@%d: %v", it.fn, it.bits, err)
+		}
+	}
+	hits1, declines1 := oracle.RungTotals()
+	hits, declines := hits1-hits0, declines1-declines0
+	t.Logf("rung answered %d of %d rounding queries", hits, hits+declines)
+	if hits == 0 || float64(declines) > 0.001*float64(hits+declines) {
+		t.Errorf("rung answered %d of %d rounding queries, want at least 99.9%%", hits, hits+declines)
+	}
+}
