@@ -92,7 +92,7 @@ func (c *Cache) Correct(f Func, x float64, t fp.Format, m fp.Mode) float64 {
 	// Compute outside the stripe lock: a Ziv escalation can take microseconds
 	// and would serialize every other key on the stripe. Duplicated work on a
 	// racing first query is deterministic (both goroutines compute the same
-	// value), so last-write-wins is safe.
+	// value), and Insert counts the second one as a hit.
 	y := Correct(f, x, t, m)
 	c.Insert(f, x, t, m, y)
 	return y
@@ -117,12 +117,22 @@ func (c *Cache) Lookup(f Func, x float64, t fp.Format, m fp.Mode) (float64, bool
 // store is attached. The caller vouches that y is the correctly rounded
 // value (Lookup/Insert exist so callers that batch many (format, mode)
 // queries against one Value can still populate the cache).
+//
+// A key another goroutine inserted since this caller's Lookup missed counts
+// as a hit and is not persisted again: each distinct key is one miss and
+// every other query a hit, however the goroutines interleave.
 func (c *Cache) Insert(f Func, x float64, t fp.Format, m fp.Mode, y float64) {
 	k := cacheKey{fn: f, bits: math.Float64bits(x), t: t, mode: m}
 	sh := &c.shards[c.stripe(k)]
 	sh.mu.Lock()
+	_, raced := sh.m[k]
 	sh.m[k] = y
 	sh.mu.Unlock()
+	if raced {
+		c.hits.Add(1)
+		metricsFor(f).observeCache(true)
+		return
+	}
 	if c.store != nil {
 		c.store.Append(k, y)
 	}
