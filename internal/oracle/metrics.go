@@ -120,10 +120,10 @@ func (m *fnMetrics) observeRung(hit bool) {
 // counts summed over every function (the fast_rung_hits and
 // fast_rung_declines counters).
 func RungTotals() (hits, declines int64) {
-	metricsFor(Exp) // resolve the handles
-	for i := range fnMetricsTab {
-		hits += fnMetricsTab[i].rungHits.Value()
-		declines += fnMetricsTab[i].rungDeclines.Value()
+	for _, f := range AllFuncs {
+		m := metricsFor(f)
+		hits += m.rungHits.Value()
+		declines += m.rungDeclines.Value()
 	}
 	return hits, declines
 }
