@@ -46,8 +46,8 @@ import (
 // reference and asserts it stays below the bound.
 
 // rungErrBits is the written relative-error bound of the rung, per
-// function: |hi+lo - f(x)| < 2^-rungErrBits[f] * |f(x)|. Zero means the
-// rung declines every input of the function.
+// function: |hi+lo - f(x)| < 2^-rungErrBits[f] * |f(x)|. Sinpi and cospi
+// have none: the rung declines them.
 var rungErrBits = [numFuncs]int{
 	Exp: 100, Exp2: 100, Exp10: 100,
 	Log: 98, Log2: 97, Log10: 97,
