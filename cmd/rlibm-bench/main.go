@@ -49,35 +49,7 @@ type benchReport struct {
 
 	Gen *genBenchReport `json:"gen,omitempty"`
 
-	Cache *cacheBenchReport `json:"cache,omitempty"`
-
 	Serve *serveBenchReport `json:"serve,omitempty"`
-}
-
-// cacheBenchReport is the -cache-bench section: the same generation run
-// cold (empty cache directory), warm (second run over the directory the cold
-// run filled), and with no persistent cache at all, plus the determinism
-// cross-check that all three produce bit-identical coefficients.
-type cacheBenchReport struct {
-	Bits    int    `json:"bits"`
-	Workers int    `json:"workers"`
-	Dir     string `json:"dir"`
-
-	ColdCollectMs    float64 `json:"cold_collect_ms"`
-	WarmCollectMs    float64 `json:"warm_collect_ms"`
-	NoCacheCollectMs float64 `json:"nocache_collect_ms"`
-	ColdTotalMs      float64 `json:"cold_total_ms"`
-	WarmTotalMs      float64 `json:"warm_total_ms"`
-	// CollectSpeedup is cold collect over warm collect — the quantity the
-	// persistent cache exists to improve.
-	CollectSpeedup float64 `json:"collect_speedup"`
-
-	ColdMisses      int64 `json:"cold_oracle_misses"`
-	WarmHits        int64 `json:"warm_oracle_hits"`
-	WarmMisses      int64 `json:"warm_oracle_misses"`
-	AppendedEntries int64 `json:"appended_entries"`
-
-	CoeffsIdentical bool `json:"coeffs_identical"`
 }
 
 // genBenchReport is the -gen section: pipeline wall-clock serial vs
@@ -139,8 +111,7 @@ func main() {
 		rounds   = flag.Int("rounds", 9, "timed repetitions; the minimum is reported")
 		seed     = flag.Int64("seed", 42, "input generation seed")
 		genBench = flag.Bool("gen", false, "benchmark the generation pipeline instead: core.Generate wall-clock serial vs -j workers")
-		genBits  = flag.Int("gen-bits", 18, "input format width for -gen and -cache-bench")
-		cacheB   = flag.Bool("cache-bench", false, "benchmark the persistent oracle cache instead: a log2 stride-1 generation cold, warm and with no cache (uses -cache-dir or a temp dir)")
+		genBits  = flag.Int("gen-bits", 18, "input format width for -gen")
 		serveB   = flag.Bool("serve-bench", false, "benchmark the HTTP serving layer instead: in-process server, concurrent clients over all func x scheme combos, bit-for-bit verification")
 		serveCl  = flag.Int("serve-clients", 4, "concurrent clients for -serve-bench")
 		serveReq = flag.Int("serve-requests", 120, "requests per client for -serve-bench")
@@ -165,16 +136,6 @@ func main() {
 
 	if *genBench {
 		rep.Gen = benchGenerate(*genBits, opts.WorkerCount(), *seed)
-		if *outPath != "" {
-			writeReport(*outPath, rep)
-		}
-		if err := ro.Close(); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *cacheB {
-		rep.Cache = benchCache(*genBits, opts.WorkerCount(), *seed, opts.Cache.Dir)
 		if *outPath != "" {
 			writeReport(*outPath, rep)
 		}
@@ -331,110 +292,6 @@ func benchGenerate(bits, workers int, seed int64) *genBenchReport {
 		OracleMisses:  misses,
 		OracleHitRate: rate,
 	}
-}
-
-// benchCache measures what the persistent oracle cache buys: the same log2
-// stride-1 generation run three times — cold (the cache directory is cleared
-// first, so every oracle result is a Ziv escalation written back to disk),
-// warm (a second run over the directory the cold run just filled, so
-// collection replays disk entries instead of running Ziv loops), and with no
-// persistent cache at all (the pre-cache baseline). log2 is the bench
-// function because its polynomial path covers every positive input — there
-// is no overflow/underflow plateau shortcut, so collection cost is all
-// oracle. The three runs must produce bit-identical coefficients: the store
-// only replays values the oracle would recompute.
-func benchCache(bits, workers int, seed int64, dir string) *cacheBenchReport {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "rlibm-cache-bench-")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else if err := oracle.ClearCacheDir(dir); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("rlibm-bench -cache-bench: log2, %d-bit input format, stride 1, seed %d, cache %s\n",
-		bits, seed, dir)
-
-	run := func(persist bool) (*core.Result, *oracle.Store) {
-		cfg := core.Config{
-			Fn:      oracle.Log2,
-			Input:   fp.Format{Bits: bits, ExpBits: 8},
-			Stride:  1,
-			Seed:    seed,
-			Workers: workers,
-		}
-		var st *oracle.Store
-		if persist {
-			var err error
-			st, err = oracle.OpenStore(dir, oracle.StoreOptions{})
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Store = st
-		}
-		rs, err := core.GenerateAll(context.Background(), cfg, poly.PaperSchemes[:1])
-		if err != nil {
-			fatal(err)
-		}
-		if st != nil {
-			if err := st.Close(); err != nil {
-				fatal(err)
-			}
-		}
-		return rs[0], st
-	}
-
-	cold, coldSt := run(true)
-	warm, _ := run(true)
-	nocache, _ := run(false)
-
-	identical := true
-	for _, other := range []*core.Result{warm, nocache} {
-		if len(cold.Pieces) != len(other.Pieces) {
-			identical = false
-			break
-		}
-		for i := range cold.Pieces {
-			for j, c := range cold.Pieces[i].Coeffs {
-				if math.Float64bits(c) != math.Float64bits(other.Pieces[i].Coeffs[j]) {
-					identical = false
-				}
-			}
-		}
-	}
-
-	rep := &cacheBenchReport{
-		Bits:             bits,
-		Workers:          workers,
-		Dir:              dir,
-		ColdCollectMs:    cold.Stats.CollectTime.Seconds() * 1e3,
-		WarmCollectMs:    warm.Stats.CollectTime.Seconds() * 1e3,
-		NoCacheCollectMs: nocache.Stats.CollectTime.Seconds() * 1e3,
-		ColdTotalMs:      (cold.Stats.CollectTime + cold.Stats.SolveTime).Seconds() * 1e3,
-		WarmTotalMs:      (warm.Stats.CollectTime + warm.Stats.SolveTime).Seconds() * 1e3,
-		ColdMisses:       cold.Stats.OracleMisses,
-		WarmHits:         warm.Stats.OracleHits,
-		WarmMisses:       warm.Stats.OracleMisses,
-		AppendedEntries:  coldSt.Stats().AppendedEntries,
-		CoeffsIdentical:  identical,
-	}
-	if rep.WarmCollectMs > 0 {
-		rep.CollectSpeedup = rep.ColdCollectMs / rep.WarmCollectMs
-	}
-	fmt.Printf("  cold:     collect %8.1f ms  (%d oracle misses, %d entries persisted)\n",
-		rep.ColdCollectMs, rep.ColdMisses, rep.AppendedEntries)
-	fmt.Printf("  warm:     collect %8.1f ms  (%d hits / %d misses)\n",
-		rep.WarmCollectMs, rep.WarmHits, rep.WarmMisses)
-	fmt.Printf("  no cache: collect %8.1f ms\n", rep.NoCacheCollectMs)
-	fmt.Printf("  warm-over-cold collect speedup: %.2fx\n", rep.CollectSpeedup)
-	if !identical {
-		fmt.Fprintln(os.Stderr, "rlibm-bench: cache changed the generated coefficients")
-		os.Exit(1)
-	}
-	fmt.Println("  coefficients bit-identical cold/warm/no-cache: ok")
-	return rep
 }
 
 // makeSweep draws inputs spanning the function's interesting domain: the

@@ -9,8 +9,8 @@
 // sweep is stride-sampled by default (-stride). The RLIBM-32 claim — every
 // one of the 2^32 float32 inputs — is proved by campaign mode (-campaign,
 // with -smoke or -full): a checkpointed work queue that survives kills,
-// resumes with bit-identical tallies, and shards across machines by merging
-// oracle-cache exports (-cache-export/-cache-import).
+// resumes with bit-identical tallies, and shards across machines as
+// disjoint -func slices, each with its own -campaign directory.
 package main
 
 import (
@@ -48,14 +48,11 @@ func main() {
 		maxWrong   = flag.Int("max-wrong", 0, "exit zero if at most this many wrong results are found (the shipped stride-trained polynomials have a documented ~3e-5 single-ulp residual at 32 bits; see DESIGN.md)")
 
 		campaignDir = flag.String("campaign", "", "run as a resumable campaign, checkpointing to this state directory")
-		smoke       = flag.Bool("smoke", false, "campaign mode: the CI-sized deterministic smoke slice (minutes cold, seconds warm)")
+		smoke       = flag.Bool("smoke", false, "campaign mode: the CI-sized deterministic smoke slice")
 		full        = flag.Bool("full", false, "campaign mode: the full RLIBM-32 sweep — every float32 bit pattern (hours)")
 		restart     = flag.Bool("restart", false, "discard the campaign checkpoint and start over")
 		unitSize    = flag.Uint64("unit", 0, "campaign unit size in inputs — the resume grain (0 = mode default)")
 		progress    = flag.Duration("progress", 15*time.Second, "campaign progress/ETA logging interval (0 = none)")
-
-		cacheExport = flag.String("cache-export", "", "after the run, export the oracle cache as one mergeable segment to this file")
-		cacheImport = flag.String("cache-import", "", "before the run, import these comma-separated segment files or directories into the cache")
 
 		opts = cliflags.Register(flag.CommandLine)
 	)
@@ -99,33 +96,6 @@ func main() {
 	// seed died with the process.
 	ro.Log.Infof("random seed: %d", *seed)
 
-	store, err := opts.Cache.Open()
-	if err != nil {
-		fatal(err)
-	}
-	if (*cacheExport != "" || *cacheImport != "") && store == nil {
-		fatal(fmt.Errorf("-cache-export/-cache-import need -cache-dir"))
-	}
-	var cache *oracle.Cache
-	if store != nil {
-		st := store.Stats()
-		ro.Log.Infof("oracle cache: %s (%d entries in %d segments, %d quarantined%s)",
-			st.Dir, st.LoadedEntries, st.Segments, st.Quarantined,
-			map[bool]string{true: ", readonly"}[st.ReadOnly])
-		// Imports land before AttachStore so the merged shard entries preload
-		// into the in-memory stripes with everything else.
-		if *cacheImport != "" {
-			if err := runImports(store, *cacheImport, ro.Log); err != nil {
-				fatal(err)
-			}
-		}
-		// The sweep asks for many (width, mode) roundings of each input; with
-		// a persistent cache a warm run answers them all from disk and never
-		// starts a Ziv loop.
-		cache = oracle.NewCache(0)
-		cache.AttachStore(store)
-	}
-
 	code := 0
 	if campaignMode {
 		code = runCampaign(campaignArgs{
@@ -133,62 +103,16 @@ func main() {
 			fn: *fnFlag, scheme: *schemeFlag, widths: widthList,
 			stride: *stride, random: *random, seed: *seed, unitSize: *unitSize,
 			useFuncs: *useFuncs, maxWrong: *maxWrong, progress: *progress,
-		}, opts, ro, store, cache)
+		}, opts, ro)
 	} else {
 		code = runOneShot(*fnFlag, *schemeFlag, *stride, *random, widthList,
-			*seed, *useFuncs, *maxWrong, opts, ro, store, cache)
+			*seed, *useFuncs, *maxWrong, opts, ro)
 	}
 
-	if store != nil {
-		if *cacheExport != "" {
-			n, err := store.Export(*cacheExport)
-			if err != nil {
-				fatal(err)
-			}
-			ro.Log.Infof("oracle cache: exported %d entries to %s", n, *cacheExport)
-		}
-		if err := store.Close(); err != nil {
-			ro.Log.Infof("oracle cache flush failed: %v", err)
-		}
-	}
 	if err := ro.Close(); err != nil {
 		fatal(err)
 	}
 	os.Exit(code)
-}
-
-// runImports merges the -cache-import list (segment files or directories of
-// segments) into the store.
-func runImports(store *oracle.Store, list string, log *obs.Logger) error {
-	for _, path := range strings.Split(list, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return fmt.Errorf("-cache-import %s: %w", path, err)
-		}
-		if info.IsDir() {
-			mr, err := store.Merge(path)
-			if err != nil {
-				return fmt.Errorf("-cache-import %s: %w", path, err)
-			}
-			log.Infof("oracle cache: merged %d segments from %s (%d added, %d duplicate, %d quarantined)",
-				mr.Files, path, mr.Added, mr.Skipped, mr.Quarantined)
-			continue
-		}
-		ir, err := store.Import(path)
-		if err != nil {
-			return fmt.Errorf("-cache-import %s: %w", path, err)
-		}
-		if ir.Quarantined {
-			log.Infof("oracle cache: import %s failed validation (%s); quarantined a copy, continuing", path, ir.Cause)
-			continue
-		}
-		log.Infof("oracle cache: imported %s (%d added, %d duplicate)", path, ir.Added, ir.Skipped)
-	}
-	return nil
 }
 
 type campaignArgs struct {
@@ -210,7 +134,7 @@ type campaignArgs struct {
 // under signal cancellation, returning the process exit code: 0 on a clean
 // complete run, 1 on too many wrong results, 3 on interruption (the
 // checkpoint holds the committed prefix; rerun with the same flags).
-func runCampaign(a campaignArgs, opts *cliflags.Options, ro *obs.RunObs, store *oracle.Store, cache *oracle.Cache) int {
+func runCampaign(a campaignArgs, opts *cliflags.Options, ro *obs.RunObs) int {
 	funcs := campaign.AllFuncNames()
 	if a.fn != "all" {
 		funcs = []string{a.fn}
@@ -268,7 +192,6 @@ func runCampaign(a campaignArgs, opts *cliflags.Options, ro *obs.RunObs, store *
 		Plan:           plan,
 		Workers:        opts.WorkerCount(),
 		CheckpointPath: checkpoint,
-		Cache:          cache,
 		Log:            ro.Log,
 		ProgressEvery:  a.progress,
 	}
@@ -296,10 +219,6 @@ func runCampaign(a campaignArgs, opts *cliflags.Options, ro *obs.RunObs, store *
 		flag.Visit(func(f *flag.Flag) { rep.Config[f.Name] = f.Value.String() })
 		rep.Config["seed"] = strconv.FormatInt(a.seed, 10)
 		rep.SetTotals(totals, time.Since(start))
-		if store != nil {
-			hits, misses := cache.Stats()
-			rep.AttachCache(store.Stats(), hits, misses)
-		}
 		rep.AttachMetrics(obs.Default())
 		if err := rep.WriteFile(opts.Obs.ReportPath); err != nil {
 			fatal(err)
@@ -320,8 +239,7 @@ func runCampaign(a campaignArgs, opts *cliflags.Options, ro *obs.RunObs, store *
 // runOneShot is the original single-pass checker: stride sweep plus seeded
 // random inputs per (function, scheme), no checkpointing.
 func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList []int,
-	seed int64, useFuncs bool, maxWrong int, opts *cliflags.Options, ro *obs.RunObs,
-	store *oracle.Store, cache *oracle.Cache) int {
+	seed int64, useFuncs bool, maxWrong int, opts *cliflags.Options, ro *obs.RunObs) int {
 
 	var report *core.RunReport
 	if opts.Obs.ReportPath != "" {
@@ -332,7 +250,7 @@ func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList 
 		report.Config["seed"] = strconv.FormatInt(seed, 10)
 	}
 
-	totalWrong := 0
+	totalChecked, totalWrong := 0, 0
 	for _, f := range libm.Funcs {
 		if fnFlag != "all" && fnFlag != f.Name {
 			continue
@@ -351,7 +269,7 @@ func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList 
 				impl = func(x float32, _ libm.Scheme) float64 { return gen(float64(x)) }
 			}
 			sp := ro.Tracer.StartSpan("check", obs.Attrs{"fn": f.Name, "scheme": s.String()})
-			checked, wrong, first := checkOne(ofn, impl, s, stride, random, widthList, seed, opts.WorkerCount(), cache)
+			checked, wrong, first := checkOne(ofn, impl, s, stride, random, widthList, seed, opts.WorkerCount())
 			sp.End(obs.Attrs{"checked": checked, "wrong": wrong})
 			status := "OK"
 			if wrong > 0 {
@@ -364,14 +282,13 @@ func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList 
 			if report != nil {
 				report.AddCheck(f.Name, s.String(), checked, wrong, first)
 			}
+			totalChecked += checked
 			totalWrong += wrong
 		}
 	}
 	if report != nil {
-		if store != nil {
-			hits, misses := cache.Stats()
-			report.AttachCache(store.Stats(), hits, misses)
-		}
+		// There is no cache: every check was one oracle rounding query.
+		report.Cache = oracle.NewCacheReport(0, int64(totalChecked))
 		report.AttachMetrics(obs.Default())
 		if err := report.WriteFile(opts.Obs.ReportPath); err != nil {
 			fatal(err)
@@ -396,7 +313,7 @@ func fatal(err error) {
 // and taking the failure with the smallest global input index reports
 // exactly what a serial sweep would.
 func checkOne(fn oracle.Func, impl func(float32, libm.Scheme) float64, s libm.Scheme,
-	stride uint64, random int, widths []int, seed int64, workers int, cache *oracle.Cache) (checked, wrong int, first string) {
+	stride uint64, random int, widths []int, seed int64, workers int) (checked, wrong int, first string) {
 
 	rng := rand.New(rand.NewSource(seed))
 	randoms := make([]float32, random)
@@ -430,30 +347,14 @@ func checkOne(fn oracle.Func, impl func(float32, libm.Scheme) float64, s libm.Sc
 					return
 				}
 				d := impl(x, s)
-				// At most one oracle evaluation per input, shared by every
-				// (width, mode) pair — and none at all when the cache answers
-				// them all (a warm -cache-dir run).
-				var val *oracle.Value
-				wantFor := func(t fp.Format, m fp.Mode) float64 {
-					if cache != nil {
-						if y, ok := cache.Lookup(fn, fx, t, m); ok {
-							return y
-						}
-					}
-					if val == nil {
-						val = oracle.Compute(fn, fx)
-					}
-					y := val.Round(t, m)
-					if cache != nil {
-						cache.Insert(fn, fx, t, m, y)
-					}
-					return y
-				}
+				// One oracle evaluation per input, shared by every
+				// (width, mode) pair.
+				val := oracle.Compute(fn, fx)
 				for _, wbits := range widths {
 					t := fp.Format{Bits: wbits, ExpBits: 8}
 					for _, m := range fp.StandardModes {
 						got := t.Round(d, m)
-						want := wantFor(t, m)
+						want := val.Round(t, m)
 						rep.checked++
 						if math.Float64bits(got) != math.Float64bits(want) {
 							rep.wrong++

@@ -5,11 +5,6 @@
 //
 //	go run ./cmd/rlibm-funcgen
 //	go run ./cmd/rlibm-funcgen -out some/other/path.go
-//
-// It also doubles as the oracle cache administration tool: passing
-// -cache-dir opens the persistent cache (validating every segment and
-// quarantining corrupt ones), optionally wiping it first with -cache-clear,
-// compacts it when it has fragmented, and prints its stats.
 package main
 
 import (
@@ -19,12 +14,10 @@ import (
 
 	"rlibm/internal/cliflags"
 	"rlibm/internal/libm"
-	"rlibm/internal/oracle"
 )
 
 func main() {
 	out := flag.String("out", "internal/libm/zz_generated_funcs.go", "output path")
-	cacheOnly := flag.Bool("cache-only", false, "only administer the cache named by -cache-dir; do not regenerate the function backend")
 	opts := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -33,15 +26,6 @@ func main() {
 		fatal(err)
 	}
 	defer ro.Close()
-
-	if opts.Cache.Dir != "" || opts.Cache.Clear || opts.Cache.ReadOnly {
-		adminCache(opts.Cache)
-	} else if *cacheOnly {
-		fatal(fmt.Errorf("-cache-only needs -cache-dir"))
-	}
-	if *cacheOnly {
-		return
-	}
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -54,26 +38,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-}
-
-// adminCache opens (and thereby validates, quarantines and, past the
-// fragmentation threshold, compacts) the persistent oracle cache, then
-// reports its state. Opening read-only skips the compaction.
-func adminCache(cacheFlags *oracle.CacheFlags) {
-	st, err := cacheFlags.Open()
-	if err != nil {
-		fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		fatal(err)
-	}
-	s := st.Stats()
-	compacted := ""
-	if s.Compacted {
-		compacted = ", compacted"
-	}
-	fmt.Fprintf(os.Stderr, "oracle cache %s: %d entries in %d segments (%d bytes), %d quarantined%s\n",
-		s.Dir, s.LoadedEntries, s.Segments, s.SegmentBytes, s.Quarantined, compacted)
 }
 
 func fatal(err error) {

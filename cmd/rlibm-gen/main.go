@@ -92,17 +92,6 @@ func main() {
 	}
 	defer ro.Close()
 
-	store, err := opts.Cache.Open()
-	if err != nil {
-		fatal(err)
-	}
-	if store != nil {
-		st := store.Stats()
-		ro.Log.Infof("oracle cache: %s (%d entries in %d segments, %d quarantined%s)",
-			st.Dir, st.LoadedEntries, st.Segments, st.Quarantined,
-			map[bool]string{true: ", readonly"}[st.ReadOnly])
-	}
-
 	reg := obs.NewRegistry()
 	var report *core.RunReport
 	if opts.Obs.ReportPath != "" {
@@ -124,7 +113,6 @@ func main() {
 			Degree:  *degree,
 			Pieces:  *pieces,
 			Workers: opts.Workers,
-			Store:   store,
 			Logger:  ro.Log,
 			Metrics: reg,
 			Trace:   ro.Tracer,
@@ -134,20 +122,12 @@ func main() {
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				// The -timeout budget covers the whole run; once it fires,
-				// every remaining function would fail identically. Seal the
-				// cache first: the oracle work done so far is reusable.
-				if store != nil {
-					if cerr := store.Close(); cerr != nil {
-						ro.Log.Infof("oracle cache flush failed: %v", cerr)
-					}
-				}
+				// every remaining function would fail identically.
 				if report != nil {
 					for _, scheme := range schemes {
 						report.AddFailure(fn.String(), scheme.String(), err)
 					}
-					if store != nil {
-						report.AttachCache(store.Stats(), cacheHits, cacheMisses)
-					}
+					report.Cache = oracle.NewCacheReport(cacheHits, cacheMisses)
 					report.AttachMetrics(reg, obs.Default())
 					if werr := report.WriteFile(opts.Obs.ReportPath); werr != nil {
 						fatal(werr)
@@ -206,17 +186,8 @@ func main() {
 		}
 		ro.Log.Infof("wrote %s", *emit)
 	}
-	if store != nil {
-		// Seal before reading Stats so AppendedEntries reflects what actually
-		// reached disk; a flush failure loses the warm start, not the results.
-		if err := store.Close(); err != nil {
-			ro.Log.Infof("oracle cache flush failed: %v", err)
-		}
-		if report != nil {
-			report.AttachCache(store.Stats(), cacheHits, cacheMisses)
-		}
-	}
 	if report != nil {
+		report.Cache = oracle.NewCacheReport(cacheHits, cacheMisses)
 		report.AttachMetrics(reg, obs.Default())
 		if err := report.WriteFile(opts.Obs.ReportPath); err != nil {
 			fatal(err)

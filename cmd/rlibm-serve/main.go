@@ -103,12 +103,9 @@ func main() {
 		TraceSample:        *traceSample,
 		CanarySample:       *canarySample,
 		CanaryQueue:        *canaryQueue,
-		CanaryStore:        run.Store,
 		EnablePprof:        *pprofFlag,
 		Backend:            backend,
 	})
-	// Stop the canary (draining its queued verifications) before run.Close
-	// tears down the oracle store it verifies against — defers run LIFO.
 	defer srv.Close()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -10,16 +10,15 @@
 // widths-by-modes sweep of the double kernels, the bfloat16 sweep of the
 // progressive prefix kernels, or a seeded random-input lane. Each completed
 // unit's tally is committed to a versioned, CRC-validated checkpoint file
-// (atomic-rename commits, quarantine-not-fail recovery, like the oracle
-// store's segments), so a killed sweep resumes exactly where it stopped:
-// per-unit results are deterministic and their reduction is order-free, so
-// an interrupted-and-resumed campaign reports bit-identical final tallies
-// to an uninterrupted run, for any worker count.
+// (atomic-rename commits; a file that fails validation is quarantined and
+// the campaign restarts rather than fails), so a killed sweep resumes
+// exactly where it stopped: per-unit results are deterministic and their
+// reduction is order-free, so an interrupted-and-resumed campaign reports
+// bit-identical final tallies to an uninterrupted run, for any worker
+// count.
 //
-// Oracle results stream through the persistent oracle store when one is
-// attached, and the store's Export/Import/Merge operations combine
-// checkpointed shards computed on different machines into one warm
-// fleet-wide cache.
+// A campaign shards across machines as disjoint function slices, each with
+// its own checkpoint directory.
 package campaign
 
 import (

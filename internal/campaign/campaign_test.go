@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"rlibm/internal/oracle"
 )
@@ -187,5 +188,31 @@ func TestEngineRejectsForeignCheckpoint(t *testing.T) {
 	e := &Engine{Plan: plan, CheckpointPath: path, Cache: oracle.NewCache(0)}
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("engine resumed from a foreign checkpoint")
+	}
+}
+
+// TestReportCacheSection: a small campaign's report carries the cache
+// section. With no Cache every check of the run is one computed oracle
+// query; with one, the Cache's counters split the same queries.
+func TestReportCacheSection(t *testing.T) {
+	plan, err := NewPlan(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []*oracle.Cache{nil, oracle.NewCache(0)} {
+		totals := runToCompletion(t, plan, cache, 2, "", false)
+		rep := NewReport("custom", plan)
+		rep.SetTotals(totals, time.Second)
+		c := rep.Cache
+		if c == nil {
+			t.Fatal("report has no cache section")
+		}
+		if c.OracleMisses <= 0 || c.OracleHits+c.OracleMisses != totals.Checked {
+			t.Errorf("cache %v: hits %d + misses %d, want %d checks with misses > 0",
+				cache != nil, c.OracleHits, c.OracleMisses, totals.Checked)
+		}
+		if cache == nil && c.OracleHits != 0 {
+			t.Errorf("no cache but %d hits", c.OracleHits)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // The checkpoint file records every completed unit's tally, bound to the
 // plan by its hash. Layout (integers little-endian), validated end to end
-// like an oracle-store segment:
+// (magics, length and CRC) on every load:
 //
 //	header:  magic "RLCC" | version uint32 | payloadLen uint64
 //	payload: JSON {plan_hash, units:[{id, checked, wrong, first_idx, first}]}
@@ -29,8 +29,8 @@ const (
 	checkpointEndMagic  = "RLCE"
 	checkpointHeaderLen = 16
 	checkpointFooterLen = 8
-	// CheckpointVersion gates the checkpoint layout, like oracle.StoreVersion
-	// gates segments.
+	// CheckpointVersion gates the checkpoint layout: a file of any other
+	// version fails validation and is quarantined.
 	CheckpointVersion = 1
 	// CheckpointFile is the file name inside a campaign state directory.
 	CheckpointFile = "checkpoint.rlcc"

@@ -22,8 +22,8 @@ type Engine struct {
 	// CheckpointPath is where completed units commit ("" = no
 	// checkpointing: one-shot in-memory runs and tests).
 	CheckpointPath string
-	// Cache, when non-nil, memoizes oracle results; attach a persistent
-	// store to it to stream the campaign's Ziv computations to disk.
+	// Cache, when non-nil, memoizes oracle results across units. Without
+	// one every check computes its oracle answer.
 	Cache *oracle.Cache
 	// Log receives progress and resume lines (nil = silent).
 	Log *obs.Logger
@@ -64,6 +64,11 @@ type Totals struct {
 	Wrong        int64
 	Interrupted  bool
 	Combos       []ComboTotal
+	// OracleHits and OracleMisses split this run's oracle queries into
+	// those the Cache answered and those computed: the Cache's counters,
+	// or, with no Cache, zero hits and one miss per check of the units
+	// this run committed.
+	OracleHits, OracleMisses int64
 }
 
 // Run executes every unit not already committed to the checkpoint. On
@@ -171,10 +176,12 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	start := time.Now()
 	lastProgress := start
 	freshDone := 0
+	var freshChecked int64
 	var commitErr error
 	for res := range resCh {
 		done[res.ID] = res
 		freshDone++
+		freshChecked += res.Checked
 		checkedC.Add(res.Checked)
 		wrongC.Add(res.Wrong)
 		unitsDone.Set(int64(len(done)))
@@ -194,6 +201,10 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	}
 
 	totals := e.reduce(done, resumed)
+	totals.OracleMisses = freshChecked
+	if e.Cache != nil {
+		totals.OracleHits, totals.OracleMisses = e.Cache.Stats()
+	}
 	if len(done) < len(plan.Units) {
 		totals.Interrupted = true
 		e.logf("campaign interrupted: %d of %d units committed; rerun with the same flags to resume",

@@ -35,20 +35,11 @@ type Report struct {
 	Wrong   int64        `json:"wrong"`
 	Combos  []ComboTotal `json:"combos"`
 
-	Cache  *CacheSection `json:"cache,omitempty"`
-	WallMs float64       `json:"wall_ms"`
+	Cache  *oracle.CacheReport `json:"cache"`
+	WallMs float64             `json:"wall_ms"`
 	// Metrics merges the run's registries (campaign gauges, oracle
 	// instruments) for offline analysis.
 	Metrics obs.Snapshot `json:"metrics"`
-}
-
-// CacheSection summarizes the persistent oracle store the campaign streamed
-// through, plus the in-memory hit rate.
-type CacheSection struct {
-	oracle.StoreStats
-	OracleHits   int64   `json:"oracle_hits"`
-	OracleMisses int64   `json:"oracle_misses"`
-	HitRate      float64 `json:"hit_rate"`
 }
 
 // NewReport starts a report for the given mode and plan.
@@ -63,7 +54,8 @@ func NewReport(mode string, plan *Plan) *Report {
 	}
 }
 
-// SetTotals copies a run outcome into the report.
+// SetTotals copies a run outcome, its oracle query counts included, into
+// the report.
 func (r *Report) SetTotals(t *Totals, wall time.Duration) {
 	r.UnitsTotal = t.UnitsTotal
 	r.UnitsDone = t.UnitsDone
@@ -72,16 +64,8 @@ func (r *Report) SetTotals(t *Totals, wall time.Duration) {
 	r.Checked = t.Checked
 	r.Wrong = t.Wrong
 	r.Combos = t.Combos
+	r.Cache = oracle.NewCacheReport(t.OracleHits, t.OracleMisses)
 	r.WallMs = float64(wall) / float64(time.Millisecond)
-}
-
-// AttachCache records the persistent-store outcome.
-func (r *Report) AttachCache(st oracle.StoreStats, hits, misses int64) {
-	cs := &CacheSection{StoreStats: st, OracleHits: hits, OracleMisses: misses}
-	if hits+misses > 0 {
-		cs.HitRate = float64(hits) / float64(hits+misses)
-	}
-	r.Cache = cs
 }
 
 // AttachMetrics merges registry snapshots into the report.

@@ -116,8 +116,8 @@ func skippable(ofn oracle.Func, fx float64) bool {
 
 // widthsVerifier checks one double-kernel result across every configured
 // output width under all five IEEE rounding modes, with at most one oracle
-// evaluation per input — and none at all when the cache answers (a warm
-// shard replays from disk without a single Ziv loop).
+// evaluation per input — and none at all when the cache answers every
+// (width, mode) query.
 func (e *Engine) widthsVerifier(ofn oracle.Func, impl func(float32) float64, res *UnitResult) func(uint64, float64) {
 	widths := e.Plan.Cfg.Widths
 	cache := e.Cache

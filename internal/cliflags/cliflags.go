@@ -1,10 +1,8 @@
 // Package cliflags is the single flag surface shared by the rlibm binaries
 // (rlibm-gen, rlibm-check, rlibm-bench, rlibm-funcgen, rlibm-serve): worker
-// parallelism (-j), the observability bundle (-v/-q, -trace, -report,
-// -cpuprofile/-memprofile) and the persistent oracle cache
-// (-cache-dir/-cache-readonly/-cache-clear). Each binary registers the one
-// Options struct and starts it once; binary-specific flags stay in the
-// binary.
+// parallelism (-j) and the observability bundle (-v/-q, -trace, -report,
+// -cpuprofile/-memprofile). Each binary registers the one Options struct
+// and starts it once; binary-specific flags stay in the binary.
 package cliflags
 
 import (
@@ -12,7 +10,6 @@ import (
 	"runtime"
 
 	"rlibm/internal/obs"
-	"rlibm/internal/oracle"
 )
 
 // Options is the shared CLI configuration after flag parsing.
@@ -23,17 +20,12 @@ type Options struct {
 	Workers int
 	// Obs bundles -v/-q, -trace, -report and the pprof capture flags.
 	Obs *obs.CommonFlags
-	// Cache bundles the persistent oracle cache flags.
-	Cache *oracle.CacheFlags
 }
 
 // Register installs the shared flags on fs (typically flag.CommandLine) and
 // returns the Options they populate after fs is parsed.
 func Register(fs *flag.FlagSet) *Options {
-	o := &Options{
-		Obs:   obs.RegisterCommonFlags(fs),
-		Cache: oracle.RegisterCacheFlags(fs),
-	}
+	o := &Options{Obs: obs.RegisterCommonFlags(fs)}
 	fs.IntVar(&o.Workers, "j", 0, "worker goroutines (0 = GOMAXPROCS); results are identical for every value")
 	return o
 }
@@ -46,45 +38,8 @@ func (o *Options) WorkerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run holds the live resources the shared flags asked for: the observability
-// state (logger, tracer, profiles) and the persistent oracle store (nil
-// without -cache-dir). Close releases all of it.
-type Run struct {
-	*obs.RunObs
-	Store *oracle.Store
-}
-
-// Start opens everything the shared flags configure. The caller must Close
-// the returned Run; Close is nil-safe so a deferred call after a failed
-// Start is fine.
-func (o *Options) Start() (*Run, error) {
-	ro, err := o.Obs.Start()
-	if err != nil {
-		return nil, err
-	}
-	store, err := o.Cache.Open()
-	if err != nil {
-		ro.Close()
-		return nil, err
-	}
-	return &Run{RunObs: ro, Store: store}, nil
-}
-
-// Close seals the oracle store and releases the observability resources,
-// returning the first error.
-func (r *Run) Close() error {
-	if r == nil {
-		return nil
-	}
-	var first error
-	if r.Store != nil {
-		if err := r.Store.Close(); err != nil {
-			first = err
-		}
-		r.Store = nil
-	}
-	if err := r.RunObs.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
+// Start opens the observability state the shared flags configure (logger,
+// tracer, profiles). The caller must Close the returned RunObs.
+func (o *Options) Start() (*obs.RunObs, error) {
+	return o.Obs.Start()
 }

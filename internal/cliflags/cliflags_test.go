@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"rlibm/internal/obs"
 )
 
 // TestRegisterParseStart: the shared flags parse into one Options, Start
@@ -12,12 +14,8 @@ import (
 func TestRegisterParseStart(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	o := Register(fs)
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "trace.jsonl")
-	err := fs.Parse([]string{
-		"-j", "3", "-q", "-trace", trace, "-cache-dir", filepath.Join(dir, "cache"),
-	})
-	if err != nil {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := fs.Parse([]string{"-j", "3", "-q", "-trace", trace}); err != nil {
 		t.Fatal(err)
 	}
 	if o.Workers != 3 || o.WorkerCount() != 3 {
@@ -29,9 +27,6 @@ func TestRegisterParseStart(t *testing.T) {
 	run, err := o.Start()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if run.Store == nil {
-		t.Error("Start with -cache-dir returned a nil store")
 	}
 	if run.Tracer == nil {
 		t.Error("Start with -trace returned a nil tracer")
@@ -56,13 +51,10 @@ func TestWorkerCountDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Store != nil {
-		t.Error("Start without -cache-dir opened a store")
-	}
 	if err := run.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	if err := (*Run)(nil).Close(); err != nil {
+	if err := (*obs.RunObs)(nil).Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
 }

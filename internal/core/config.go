@@ -71,21 +71,6 @@ type Config struct {
 	// count: the parallel phases reduce their outputs in a sorted,
 	// shard-independent order.
 	Workers int
-	// CacheDir, when non-empty, backs the oracle cache with a persistent
-	// on-disk store in that directory: results from previous runs are
-	// preloaded before collection and fresh results are appended back when
-	// the run finishes (see internal/oracle.Store for the segment format).
-	// The generated coefficients are bit-identical with and without the
-	// cache — the store only replays values the oracle would recompute.
-	CacheDir string
-	// CacheReadonly opens CacheDir without writing back: warm entries are
-	// served but this run's fresh results are discarded at the end. Useful
-	// for concurrent runs sharing one directory and for CI replays.
-	CacheReadonly bool
-	// Store, when non-nil, is a pre-opened persistent oracle store to layer
-	// under the cache; it takes precedence over CacheDir and the caller
-	// keeps ownership (GenerateAll will not close it).
-	Store *oracle.Store
 	// Progressive lists narrow output formats whose correctly rounded
 	// results must come from a degree-limited prefix of the generated
 	// polynomial (RLIBM-PROG): the LP solves one coefficient vector under
@@ -187,9 +172,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.cache == nil {
 		c.cache = oracle.NewCache(0)
-		if c.Store != nil {
-			c.cache.AttachStore(c.Store)
-		}
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()

@@ -182,7 +182,7 @@ func TestRunReport(t *testing.T) {
 func TestRunReportCacheRung(t *testing.T) {
 	oracle.Correct(oracle.Exp, 0.5, fp.FP34, fp.RTO) // a query the rung answers
 	rep := NewRunReport("core-test")
-	rep.AttachCache(oracle.StoreStats{}, 3, 1)
+	rep.Cache = oracle.NewCacheReport(3, 1)
 	c := rep.Cache
 	if c.HitRate != 0.75 {
 		t.Errorf("hit rate %v, want 0.75", c.HitRate)
@@ -192,6 +192,35 @@ func TestRunReportCacheRung(t *testing.T) {
 	}
 	if want := float64(c.RungHits) / float64(c.RungHits+c.RungDeclines); c.RungHitRate != want {
 		t.Errorf("rung hit rate %v, want %v", c.RungHitRate, want)
+	}
+}
+
+// TestRunReportCacheSection: a report of a small generation carries the
+// cache section with the run's oracle misses.
+func TestRunReportCacheSection(t *testing.T) {
+	res, err := Generate(context.Background(), Config{Fn: oracle.Exp2, Scheme: poly.Horner, Input: fp.Format{Bits: 10, ExpBits: 8}, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewRunReport("core-test")
+	rep.AddResult(res)
+	rep.Cache = oracle.NewCacheReport(res.Stats.OracleHits, res.Stats.OracleMisses)
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back RunReport
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Cache == nil {
+		t.Fatal("report has no cache section")
+	}
+	if back.Cache.OracleMisses <= 0 || back.Cache.OracleMisses != res.Stats.OracleMisses {
+		t.Errorf("oracle_misses %d, want the run's %d (> 0)", back.Cache.OracleMisses, res.Stats.OracleMisses)
+	}
+	if back.Cache.RungHits == 0 {
+		t.Error("fast_rung_hits is 0 after a generation")
 	}
 }
 

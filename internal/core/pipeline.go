@@ -132,22 +132,6 @@ func GenerateAll(ctx context.Context, cfg Config, schemes []poly.Scheme) ([]*Res
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Store == nil && cfg.CacheDir != "" {
-		st, err := oracle.OpenStore(cfg.CacheDir, oracle.StoreOptions{ReadOnly: cfg.CacheReadonly})
-		if err != nil {
-			return nil, fmt.Errorf("%v: oracle cache: %w", cfg.Fn, err)
-		}
-		cfg.Store = st
-		// Seal this run's fresh oracle results into a segment when the run
-		// ends, success or failure — a failed solve's collect work is still
-		// worth persisting. A flush failure loses cache warmth, never
-		// correctness, so it is logged rather than failing the run.
-		defer func() {
-			if err := st.Close(); err != nil {
-				cfg.Logger.Infof("%v: oracle cache flush failed: %v", cfg.Fn, err)
-			}
-		}()
-	}
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}

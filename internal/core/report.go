@@ -28,10 +28,10 @@ type RunReport struct {
 	// Results holds one entry per (function, scheme) attempted, in the order
 	// they finished being recorded.
 	Results []SchemeReport `json:"results"`
-	// Cache summarizes the persistent oracle cache when the run used one
-	// (-cache-dir): disk state plus the in-memory hit rate. CI prints and
-	// gates on this section.
-	Cache *CacheReport `json:"cache,omitempty"`
+	// Cache splits the run's oracle queries into cache hits and computed
+	// misses, with the double-double rung's share of the roundings. CI
+	// prints this section.
+	Cache *oracle.CacheReport `json:"cache"`
 	// Metrics is the merged snapshot of every registry the run recorded into
 	// (the run's registry plus the process-default one the oracle uses).
 	Metrics obs.Snapshot `json:"metrics"`
@@ -117,36 +117,6 @@ func (r *RunReport) AddCheck(fn, scheme string, checked, wrong int, first string
 		sr.Error = fmt.Sprintf("%d wrong results; first: %s", wrong, first)
 	}
 	r.Results = append(r.Results, sr)
-}
-
-// CacheReport is the run report's persistent-cache section: the store's
-// disk-side stats plus the oracle cache's in-memory hit/miss split and the
-// derived hit rate of the whole run, and how many of the misses' rounding
-// queries the oracle's double-double rung answered without big.Float.
-type CacheReport struct {
-	oracle.StoreStats
-	OracleHits   int64   `json:"oracle_hits"`
-	OracleMisses int64   `json:"oracle_misses"`
-	HitRate      float64 `json:"hit_rate"`
-	RungHits     int64   `json:"fast_rung_hits"`
-	RungDeclines int64   `json:"fast_rung_declines"`
-	RungHitRate  float64 `json:"fast_rung_hit_rate"`
-}
-
-// AttachCache records the persistent-cache outcome of the run: st is the
-// store's final stats, hits/misses the oracle cache's cumulative counters
-// across every generation of the run. The rung counts are the oracle's
-// process-wide fast_rung_hits and fast_rung_declines totals.
-func (r *RunReport) AttachCache(st oracle.StoreStats, hits, misses int64) {
-	cr := &CacheReport{StoreStats: st, OracleHits: hits, OracleMisses: misses}
-	if hits+misses > 0 {
-		cr.HitRate = float64(hits) / float64(hits+misses)
-	}
-	cr.RungHits, cr.RungDeclines = oracle.RungTotals()
-	if n := cr.RungHits + cr.RungDeclines; n > 0 {
-		cr.RungHitRate = float64(cr.RungHits) / float64(n)
-	}
-	r.Cache = cr
 }
 
 // AttachMetrics merges snapshots of the given registries into the report

@@ -24,11 +24,6 @@ type Cache struct {
 	mask   uint64
 	hits   atomic.Int64
 	misses atomic.Int64
-	// store, when non-nil, is the persistent layer: entries it loaded from
-	// disk were preloaded into the stripes by AttachStore, and every fresh
-	// computation is appended back (the store ignores appends in read-only
-	// mode).
-	store *Store
 }
 
 type cacheShard struct {
@@ -66,23 +61,6 @@ func NewCache(shards int) *Cache {
 	return c
 }
 
-// AttachStore preloads every entry the store read from disk into the
-// in-memory stripes and routes future misses back to it, making the store
-// the persistent layer under this cache. Call before handing the cache to
-// concurrent workers.
-func (c *Cache) AttachStore(s *Store) {
-	if s == nil {
-		return
-	}
-	c.store = s
-	s.forEach(func(k cacheKey, y float64) {
-		sh := &c.shards[c.stripe(k)]
-		sh.mu.Lock()
-		sh.m[k] = y
-		sh.mu.Unlock()
-	})
-}
-
 // Correct is the memoized equivalent of the package-level Correct: the
 // correctly rounded value of f(x) in format t under mode m.
 func (c *Cache) Correct(f Func, x float64, t fp.Format, m fp.Mode) float64 {
@@ -113,14 +91,14 @@ func (c *Cache) Lookup(f Func, x float64, t fp.Format, m fp.Mode) (float64, bool
 	return 0, false
 }
 
-// Insert memoizes an already computed oracle result, persisting it when a
-// store is attached. The caller vouches that y is the correctly rounded
-// value (Lookup/Insert exist so callers that batch many (format, mode)
-// queries against one Value can still populate the cache).
+// Insert memoizes an already computed oracle result. The caller vouches that
+// y is the correctly rounded value (Lookup/Insert exist so callers that batch
+// many (format, mode) queries against one Value can still populate the
+// cache).
 //
 // A key another goroutine inserted since this caller's Lookup missed counts
-// as a hit and is not persisted again: each distinct key is one miss and
-// every other query a hit, however the goroutines interleave.
+// as a hit: each distinct key is one miss and every other query a hit,
+// however the goroutines interleave.
 func (c *Cache) Insert(f Func, x float64, t fp.Format, m fp.Mode, y float64) {
 	k := cacheKey{fn: f, bits: math.Float64bits(x), t: t, mode: m}
 	sh := &c.shards[c.stripe(k)]
@@ -132,9 +110,6 @@ func (c *Cache) Insert(f Func, x float64, t fp.Format, m fp.Mode, y float64) {
 		c.hits.Add(1)
 		metricsFor(f).observeCache(true)
 		return
-	}
-	if c.store != nil {
-		c.store.Append(k, y)
 	}
 	c.misses.Add(1)
 	metricsFor(f).observeCache(false)
@@ -161,4 +136,32 @@ func (c *Cache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// CacheReport is the "cache" section of the rlibm-gen and rlibm-check run
+// reports: the run's oracle queries split into those an in-memory Cache
+// answered (hits) and those the oracle computed (misses), and how many of
+// the oracle's non-exact roundings the double-double rung settled without
+// big.Float (process-wide, see RungTotals).
+type CacheReport struct {
+	OracleHits   int64   `json:"oracle_hits"`
+	OracleMisses int64   `json:"oracle_misses"`
+	HitRate      float64 `json:"hit_rate"`
+	RungHits     int64   `json:"fast_rung_hits"`
+	RungDeclines int64   `json:"fast_rung_declines"`
+	RungHitRate  float64 `json:"fast_rung_hit_rate"`
+}
+
+// NewCacheReport derives the report section from a run's query counts and
+// the oracle's rung totals.
+func NewCacheReport(hits, misses int64) *CacheReport {
+	r := &CacheReport{OracleHits: hits, OracleMisses: misses}
+	if hits+misses > 0 {
+		r.HitRate = float64(hits) / float64(hits+misses)
+	}
+	r.RungHits, r.RungDeclines = RungTotals()
+	if n := r.RungHits + r.RungDeclines; n > 0 {
+		r.RungHitRate = float64(r.RungHits) / float64(n)
+	}
+	return r
 }

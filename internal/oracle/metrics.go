@@ -27,9 +27,8 @@ type fnMetrics struct {
 	// exact counts Round calls answered from the algebraic exact-result or
 	// symbolic overflow/underflow paths (no Ziv loop at all).
 	exact *obs.Counter
-	// cacheHits / cacheMisses count Cache.Correct outcomes served by the
-	// in-memory stripes (which include entries preloaded from the
-	// persistent store) vs computed fresh.
+	// cacheHits / cacheMisses count Cache lookups served by the in-memory
+	// stripes vs computed fresh.
 	cacheHits, cacheMisses *obs.Counter
 	// ladderStart is the precision-ladder starting rung histogram: the
 	// working precision fresh evaluations begin at (basePrec when the
@@ -135,43 +134,4 @@ func (m *fnMetrics) observeLadderStart(prec uint) {
 		return
 	}
 	m.ladderStart.Observe(int64(prec))
-}
-
-// storeMetricsHandles caches the persistent-store instruments in
-// obs.Default(): counters for entries loaded from and appended to disk and
-// for quarantined segments, gauges for the segment count and byte size seen
-// at the most recent open.
-type storeMetricsHandles struct {
-	loaded       *obs.Counter
-	appended     *obs.Counter
-	quarantined  *obs.Counter
-	segments     *obs.Gauge
-	segmentBytes *obs.Gauge
-}
-
-var (
-	storeMetricsOnce sync.Once
-	storeMetricsTab  *storeMetricsHandles
-)
-
-func storeMetrics() *storeMetricsHandles {
-	storeMetricsOnce.Do(func() {
-		reg := obs.Default()
-		storeMetricsTab = &storeMetricsHandles{
-			loaded:       reg.Counter("oracle/store/loaded_entries"),
-			appended:     reg.Counter("oracle/store/appended_entries"),
-			quarantined:  reg.Counter("oracle/store/quarantined_segments"),
-			segments:     reg.Gauge("oracle/store/segments"),
-			segmentBytes: reg.Gauge("oracle/store/segment_bytes"),
-		}
-	})
-	return storeMetricsTab
-}
-
-// open records the disk state one OpenStore found. Quarantines are counted
-// as they happen (see Store.quarantine), not here.
-func (m *storeMetricsHandles) open(st *StoreStats) {
-	m.loaded.Add(int64(st.LoadedEntries))
-	m.segments.Set(int64(st.Segments))
-	m.segmentBytes.Set(st.SegmentBytes)
 }

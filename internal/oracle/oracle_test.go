@@ -290,3 +290,36 @@ func TestCorrectPanicsOutsideDomain(t *testing.T) {
 	}()
 	Correct(Log, -1, fp.Float32, fp.RNE)
 }
+
+// TestLadder: the precision ladder starts at the base rung, climbs to the
+// terminal precision after an escalation, and decays on easy inputs —
+// without ever changing a rounded result.
+func TestLadder(t *testing.T) {
+	ResetLadders()
+	defer ResetLadders()
+	if got := ladderStart(Exp); got != basePrec {
+		t.Fatalf("cold ladder start %d, want %d", got, basePrec)
+	}
+	ladderRecord(Exp, 640, 3)
+	if got := ladderStart(Exp); got != 640 {
+		t.Errorf("after escalation to 640: start %d, want 640", got)
+	}
+	ladderRecord(Exp, 640, 0)
+	if got := ladderStart(Exp); got != 320 {
+		t.Errorf("after one easy input: start %d, want 320", got)
+	}
+	ladderRecord(Exp, 1<<20, 5)
+	if got := ladderStart(Exp); got != ladderMaxStart {
+		t.Errorf("ladder start %d not capped at %d", got, ladderMaxStart)
+	}
+
+	// Result invariance: the same input rounds identically from a cold and
+	// a hot ladder.
+	ResetLadders()
+	cold := compute(Exp, 0.7243156, false).Round(fp.FP34, fp.RTO)
+	ladders[Exp].Store(1024)
+	hot := compute(Exp, 0.7243156, false).Round(fp.FP34, fp.RTO)
+	if math.Float64bits(cold) != math.Float64bits(hot) {
+		t.Errorf("ladder changed a result: cold %g, hot %g", cold, hot)
+	}
+}

@@ -96,9 +96,6 @@ func newCanary(cfg Config, reg *obs.Registry) *canary {
 	default:
 		c.every = int64(1/cfg.CanarySample + 0.5)
 	}
-	if cfg.CanaryStore != nil {
-		c.cache.AttachStore(cfg.CanaryStore)
-	}
 	for _, f := range rlibm.Funcs {
 		ofn, err := oracle.ParseFunc(f.String())
 		if err != nil {

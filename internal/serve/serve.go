@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"rlibm/internal/obs"
-	"rlibm/internal/oracle"
 	"rlibm/pkg/rlibm"
 )
 
@@ -126,9 +125,6 @@ type Config struct {
 	// 1024). Samples arriving while it is full are dropped and counted in
 	// serve.canary.dropped_total.
 	CanaryQueue int
-	// CanaryStore, when non-nil, backs the canary's oracle cache with the
-	// persistent store so repeated inputs skip the high-precision recompute.
-	CanaryStore *oracle.Store
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 }

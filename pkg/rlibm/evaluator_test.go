@@ -32,8 +32,7 @@ func TestNewValidates(t *testing.T) {
 }
 
 // TestEvaluatorFullPrecisionMatchesPackage: the default-precision Evaluator is
-// a resolved-dispatch view of the package-level API — identical bits, and the
-// deprecated Kernel(f, s) is the same function the Evaluator holds.
+// a resolved-dispatch view of the package-level API — identical bits.
 func TestEvaluatorFullPrecisionMatchesPackage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, f := range Funcs {
@@ -47,10 +46,6 @@ func TestEvaluatorFullPrecisionMatchesPackage(t *testing.T) {
 				if got, want := e.Eval(x), Eval(f, s, x); math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("%v/%v: Evaluator.Eval(%g) = %b, Eval = %b", f, s, x, got, want)
 				}
-			}
-			d := float64(1.25)
-			if got, want := e.Kernel()(d), Kernel(f, s)(d); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%v/%v: Evaluator.Kernel disagrees with deprecated Kernel", f, s)
 			}
 		}
 	}

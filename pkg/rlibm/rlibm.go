@@ -218,23 +218,6 @@ func bf16Batch(fname string, kern func(float64) float64) func(dst, src []float32
 	}
 }
 
-// Kernel returns the raw double-precision kernel of (f, s) at full
-// precision: it maps a float64-widened float32 input to a double lying in
-// the 34-bit round-to-odd rounding interval of the exact result, so
-// float32(Kernel(f, s)(float64(x))) == Eval(f, s, x) bit for bit.
-//
-// Deprecated: use New and Evaluator.Kernel, which validate the combination,
-// cover the narrow precisions, and return errors instead of nil. All
-// internal callers have migrated; the wrapper is kept for external users and
-// stays pinned equivalent to Evaluator.Kernel by
-// TestEvaluatorFullPrecisionMatchesPackage.
-func Kernel(f Func, s Scheme) func(float64) float64 {
-	if !f.valid() || !s.valid() {
-		return nil
-	}
-	return kernels[f][s][PrecFloat32]
-}
-
 // Eval returns the correctly rounded float32 result of function f at x using
 // scheme s, at full precision. It panics if f or s is out of range; use
 // ParseFunc/ParseScheme to validate external input first, or New, which
