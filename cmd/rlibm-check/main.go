@@ -250,7 +250,7 @@ func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList 
 		report.Config["seed"] = strconv.FormatInt(seed, 10)
 	}
 
-	totalChecked, totalWrong := 0, 0
+	totalQueries, totalWrong := 0, 0
 	for _, f := range libm.Funcs {
 		if fnFlag != "all" && fnFlag != f.Name {
 			continue
@@ -269,7 +269,7 @@ func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList 
 				impl = func(x float32, _ libm.Scheme) float64 { return gen(float64(x)) }
 			}
 			sp := ro.Tracer.StartSpan("check", obs.Attrs{"fn": f.Name, "scheme": s.String()})
-			checked, wrong, first := checkOne(ofn, impl, s, stride, random, widthList, seed, opts.WorkerCount())
+			checked, wrong, queries, first := checkOne(ofn, impl, s, stride, random, widthList, seed, opts.WorkerCount())
 			sp.End(obs.Attrs{"checked": checked, "wrong": wrong})
 			status := "OK"
 			if wrong > 0 {
@@ -282,13 +282,13 @@ func runOneShot(fnFlag, schemeFlag string, stride uint64, random int, widthList 
 			if report != nil {
 				report.AddCheck(f.Name, s.String(), checked, wrong, first)
 			}
-			totalChecked += checked
+			totalQueries += queries
 			totalWrong += wrong
 		}
 	}
 	if report != nil {
-		// There is no cache: every check was one oracle rounding query.
-		report.Cache = oracle.NewCacheReport(0, int64(totalChecked))
+		// There is no cache: every oracle query was computed.
+		report.Cache = oracle.NewCacheReport(0, int64(totalQueries))
 		report.AttachMetrics(obs.Default())
 		if err := report.WriteFile(opts.Obs.ReportPath); err != nil {
 			fatal(err)
@@ -311,9 +311,10 @@ func fatal(err error) {
 // the seeded random inputs are drawn once, serially, and sharded the same
 // way. Every per-input verification is independent, so summing the counts
 // and taking the failure with the smallest global input index reports
-// exactly what a serial sweep would.
+// exactly what a serial sweep would. queries counts the oracle answers the
+// sweep computed.
 func checkOne(fn oracle.Func, impl func(float32, libm.Scheme) float64, s libm.Scheme,
-	stride uint64, random int, widths []int, seed int64, workers int) (checked, wrong int, first string) {
+	stride uint64, random int, widths []int, seed int64, workers int) (checked, wrong, queries int, first string) {
 
 	rng := rand.New(rand.NewSource(seed))
 	randoms := make([]float32, random)
@@ -321,14 +322,15 @@ func checkOne(fn oracle.Func, impl func(float32, libm.Scheme) float64, s libm.Sc
 		randoms[i] = math.Float32frombits(rng.Uint32())
 	}
 	sweepCount := (uint64(1<<32) + stride - 1) / stride
+	ts := oracle.Targets{Widths: widths, ExpBits: 8, Modes: fp.StandardModes}
 
 	if workers < 1 {
 		workers = 1
 	}
 	type report struct {
-		checked, wrong int
-		firstIdx       uint64 // global input index of the first failure
-		first          string
+		checked, wrong, queries int
+		firstIdx                uint64 // global input index of the first failure
+		first                   string
 	}
 	reports := make([]report, workers)
 	var wg sync.WaitGroup
@@ -346,23 +348,15 @@ func checkOne(fn oracle.Func, impl func(float32, libm.Scheme) float64, s libm.Sc
 				if fn.IsLog() && fx <= 0 {
 					return
 				}
-				d := impl(x, s)
-				// One oracle evaluation per input, shared by every
-				// (width, mode) pair.
-				val := oracle.Compute(fn, fx)
-				for _, wbits := range widths {
-					t := fp.Format{Bits: wbits, ExpBits: 8}
-					for _, m := range fp.StandardModes {
-						got := t.Round(d, m)
-						want := val.Round(t, m)
-						rep.checked++
-						if math.Float64bits(got) != math.Float64bits(want) {
-							rep.wrong++
-							if idx < rep.firstIdx {
-								rep.firstIdx = idx
-								rep.first = fmt.Sprintf("%v(%g) w=%d %v: got %g want %g", fn, x, wbits, m, got, want)
-							}
-						}
+				t := ts.Check(nil, fn, fx, impl(x, s))
+				rep.checked += t.Checked
+				rep.queries += t.Queries
+				if t.Wrong > 0 {
+					rep.wrong += t.Wrong
+					if idx < rep.firstIdx {
+						rep.firstIdx = idx
+						rep.first = fmt.Sprintf("%v(%g) w=%d %v: got %g want %g",
+							fn, x, t.First.Bits, t.First.Mode, t.First.Got, t.First.Want)
 					}
 				}
 			}
@@ -379,10 +373,11 @@ func checkOne(fn oracle.Func, impl func(float32, libm.Scheme) float64, s libm.Sc
 	for _, rep := range reports {
 		checked += rep.checked
 		wrong += rep.wrong
+		queries += rep.queries
 		if rep.firstIdx < firstIdx {
 			firstIdx = rep.firstIdx
 			first = rep.first
 		}
 	}
-	return checked, wrong, first
+	return checked, wrong, queries, first
 }

@@ -192,27 +192,46 @@ func TestEngineRejectsForeignCheckpoint(t *testing.T) {
 }
 
 // TestReportCacheSection: a small campaign's report carries the cache
-// section. With no Cache every check of the run is one computed oracle
-// query; with one, the Cache's counters split the same queries.
+// section. With no Cache every oracle query of the run is computed; with
+// one, the Cache's counters split the same queries. On the float32 lane one
+// round-to-odd query settles all of an input's (width, mode) checks, so
+// the run asks for fewer queries than it counts checks. The random lane
+// compares every target, one query per check.
 func TestReportCacheSection(t *testing.T) {
-	plan, err := NewPlan(testConfig())
-	if err != nil {
-		t.Fatal(err)
+	lanePlan := func(lanes ...Lane) *Plan {
+		cfg := testConfig()
+		cfg.Lanes = lanes
+		plan, err := NewPlan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
 	}
-	for _, cache := range []*oracle.Cache{nil, oracle.NewCache(0)} {
-		totals := runToCompletion(t, plan, cache, 2, "", false)
-		rep := NewReport("custom", plan)
-		rep.SetTotals(totals, time.Second)
-		c := rep.Cache
-		if c == nil {
-			t.Fatal("report has no cache section")
-		}
-		if c.OracleMisses <= 0 || c.OracleHits+c.OracleMisses != totals.Checked {
-			t.Errorf("cache %v: hits %d + misses %d, want %d checks with misses > 0",
-				cache != nil, c.OracleHits, c.OracleMisses, totals.Checked)
-		}
-		if cache == nil && c.OracleHits != 0 {
-			t.Errorf("no cache but %d hits", c.OracleHits)
+	mixed := lanePlan(LaneFloat32, LaneRandom)
+	float32Only := lanePlan(LaneFloat32)
+	randomOnly := lanePlan(LaneRandom)
+	for _, plan := range []*Plan{mixed, float32Only, randomOnly} {
+		for _, cache := range []*oracle.Cache{nil, oracle.NewCache(0)} {
+			totals := runToCompletion(t, plan, cache, 2, "", false)
+			rep := NewReport("custom", plan)
+			rep.SetTotals(totals, time.Second)
+			c := rep.Cache
+			if c == nil {
+				t.Fatal("report has no cache section")
+			}
+			if c.OracleMisses <= 0 || c.OracleHits+c.OracleMisses != totals.OracleQueries {
+				t.Errorf("cache %v: hits %d + misses %d, want %d queries with misses > 0",
+					cache != nil, c.OracleHits, c.OracleMisses, totals.OracleQueries)
+			}
+			if cache == nil && c.OracleHits != 0 {
+				t.Errorf("no cache but %d hits", c.OracleHits)
+			}
+			if plan == float32Only && totals.OracleQueries >= totals.Checked {
+				t.Errorf("float32 lane: %d queries for %d checks, want fewer", totals.OracleQueries, totals.Checked)
+			}
+			if plan == randomOnly && totals.OracleQueries != totals.Checked {
+				t.Errorf("random lane: %d queries for %d checks, want one each", totals.OracleQueries, totals.Checked)
+			}
 		}
 	}
 }

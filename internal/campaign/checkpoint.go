@@ -38,17 +38,21 @@ const (
 	quarantineSuffix = ".quarantined"
 )
 
-// UnitResult is one completed unit's tally. Checked counts oracle
-// comparisons (inputs x widths x modes on the widths lanes), Wrong the
-// mismatches; FirstIdx/First pin the unit-local index and rendering of the
-// first failure, so the campaign's overall first failure is reconstructible
-// from any commit order.
+// UnitResult is one completed unit's tally. Checked counts checks (inputs
+// x widths x modes on the widths lanes), Wrong the mismatches;
+// FirstIdx/First pin the unit-local index and rendering of the first
+// failure, so the campaign's overall first failure is reconstructible from
+// any commit order.
 type UnitResult struct {
 	ID       int    `json:"id"`
 	Checked  int64  `json:"checked"`
 	Wrong    int64  `json:"wrong"`
 	FirstIdx uint64 `json:"first_idx,omitempty"`
 	First    string `json:"first,omitempty"`
+	// Queries counts the oracle answers the unit asked for. It describes
+	// this run's work, not the tally, so it is not checkpointed: a resumed
+	// unit reads 0.
+	Queries int64 `json:"-"`
 }
 
 type checkpointPayload struct {

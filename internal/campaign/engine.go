@@ -22,8 +22,10 @@ type Engine struct {
 	// CheckpointPath is where completed units commit ("" = no
 	// checkpointing: one-shot in-memory runs and tests).
 	CheckpointPath string
-	// Cache, when non-nil, memoizes oracle results across units. Without
-	// one every check computes its oracle answer.
+	// Cache, when non-nil, memoizes oracle answers across units and
+	// schemes. Without one every oracle query is computed: one per verified
+	// float32-lane input, plus one per target of an input that expands, of
+	// a random-lane input and of a bf16 input.
 	Cache *oracle.Cache
 	// Log receives progress and resume lines (nil = silent).
 	Log *obs.Logger
@@ -64,10 +66,11 @@ type Totals struct {
 	Wrong        int64
 	Interrupted  bool
 	Combos       []ComboTotal
-	// OracleHits and OracleMisses split this run's oracle queries into
+	// OracleQueries counts the oracle answers the units this run committed
+	// asked for. OracleHits and OracleMisses split this run's queries into
 	// those the Cache answered and those computed: the Cache's counters,
-	// or, with no Cache, zero hits and one miss per check of the units
-	// this run committed.
+	// or, with no Cache, zero hits and OracleQueries misses.
+	OracleQueries            int64
 	OracleHits, OracleMisses int64
 }
 
@@ -176,12 +179,12 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	start := time.Now()
 	lastProgress := start
 	freshDone := 0
-	var freshChecked int64
+	var freshQueries int64
 	var commitErr error
 	for res := range resCh {
 		done[res.ID] = res
 		freshDone++
-		freshChecked += res.Checked
+		freshQueries += res.Queries
 		checkedC.Add(res.Checked)
 		wrongC.Add(res.Wrong)
 		unitsDone.Set(int64(len(done)))
@@ -201,7 +204,8 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	}
 
 	totals := e.reduce(done, resumed)
-	totals.OracleMisses = freshChecked
+	totals.OracleQueries = freshQueries
+	totals.OracleMisses = freshQueries
 	if e.Cache != nil {
 		totals.OracleHits, totals.OracleMisses = e.Cache.Stats()
 	}

@@ -64,7 +64,7 @@ func (e *Engine) runUnit(ctx context.Context, u *Unit, randoms []float32) (res U
 		if err != nil {
 			panic(err)
 		}
-		verify = e.widthsVerifier(ofn, impl, &res)
+		verify = e.widthsVerifier(ofn, impl, u.Lane, &res)
 	case LaneBf16:
 		verify = e.bf16Verifier(u, ofn, &res)
 	default:
@@ -115,47 +115,26 @@ func skippable(ofn oracle.Func, fx float64) bool {
 }
 
 // widthsVerifier checks one double-kernel result across every configured
-// output width under all five IEEE rounding modes, with at most one oracle
-// evaluation per input — and none at all when the cache answers every
-// (width, mode) query.
-func (e *Engine) widthsVerifier(ofn oracle.Func, impl func(float32) float64, res *UnitResult) func(uint64, float64) {
-	widths := e.Plan.Cfg.Widths
+// output width under all five IEEE rounding modes (oracle.Targets.Check):
+// one round-to-odd comparison per input settles them all unless it fails.
+// The random lane expands every input to the per-target comparison, an
+// independent check that the shortcut is applied correctly.
+func (e *Engine) widthsVerifier(ofn oracle.Func, impl func(float32) float64, lane Lane, res *UnitResult) func(uint64, float64) {
+	ts := oracle.Targets{Widths: e.Plan.Cfg.Widths, ExpBits: 8, Modes: fp.StandardModes, Expand: lane == LaneRandom}
 	cache := e.Cache
 	return func(idx uint64, fx float64) {
 		if skippable(ofn, fx) {
 			return
 		}
-		d := impl(float32(fx))
-		var val *oracle.Value
-		wantFor := func(t fp.Format, m fp.Mode) float64 {
-			if cache != nil {
-				if y, ok := cache.Lookup(ofn, fx, t, m); ok {
-					return y
-				}
-			}
-			if val == nil {
-				val = oracle.Compute(ofn, fx)
-			}
-			y := val.Round(t, m)
-			if cache != nil {
-				cache.Insert(ofn, fx, t, m, y)
-			}
-			return y
-		}
-		for _, wbits := range widths {
-			t := fp.Format{Bits: wbits, ExpBits: 8}
-			for _, m := range fp.StandardModes {
-				got := t.Round(d, m)
-				want := wantFor(t, m)
-				res.Checked++
-				if math.Float64bits(got) != math.Float64bits(want) {
-					res.Wrong++
-					if idx < res.FirstIdx {
-						res.FirstIdx = idx
-						res.First = fmt.Sprintf("%v(%g) w=%d %v: got %g want %g",
-							ofn, fx, wbits, m, got, want)
-					}
-				}
+		t := ts.Check(cache, ofn, fx, impl(float32(fx)))
+		res.Checked += int64(t.Checked)
+		res.Queries += int64(t.Queries)
+		if t.Wrong > 0 {
+			res.Wrong += int64(t.Wrong)
+			if idx < res.FirstIdx {
+				res.FirstIdx = idx
+				res.First = fmt.Sprintf("%v(%g) w=%d %v: got %g want %g",
+					ofn, fx, t.First.Bits, t.First.Mode, t.First.Got, t.First.Want)
 			}
 		}
 	}
@@ -188,6 +167,7 @@ func (e *Engine) bf16Verifier(u *Unit, ofn oracle.Func, res *UnitResult) func(ui
 			}
 		}
 		res.Checked++
+		res.Queries++
 		if math.Float64bits(got) != math.Float64bits(want) {
 			res.Wrong++
 			if idx < res.FirstIdx {

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"rlibm/internal/fp"
@@ -199,5 +202,41 @@ func TestParallelFor(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVerifyFirstWrongDeterministic: Verify shards inputs by bit pattern
+// modulo the CPU count, yet its FirstWrong must name the wrong input with
+// the lowest bit pattern whatever GOMAXPROCS is. The perturbation plants
+// wrong results at two inputs that a 4-way split puts in shards 2 and 1,
+// so reporting the lowest-numbered failing shard would name the later one.
+func TestVerifyFirstWrongDeterministic(t *testing.T) {
+	in := fp.Format{Bits: 12, ExpBits: 8}
+	res, err := Generate(context.Background(), Config{Fn: oracle.Exp2, Scheme: poly.Horner, Input: in, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := in.ToBits(1.5)
+	base &^= 3 // a multiple of 4, so base+k lands in shard k mod 4
+	early, late := in.FromBits(base+2), in.FromBits(base+5)
+	if res.Specials == nil {
+		res.Specials = map[uint64]float64{}
+	}
+	for _, x := range []float64{early, late} {
+		res.Specials[math.Float64bits(x)] = 2 * res.Eval(x)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var reports []VerifyReport
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		reports = append(reports, res.Verify(in, 1, []int{10, 12}, fp.StandardModes))
+	}
+	one, four := reports[0], reports[1]
+	if one.Wrong == 0 || !strings.Contains(one.FirstWrong, fmt.Sprintf("(%g)", early)) {
+		t.Fatalf("GOMAXPROCS 1: %d wrong, first %q; want the first at %g", one.Wrong, one.FirstWrong, early)
+	}
+	if four != one {
+		t.Fatalf("GOMAXPROCS 4 reports %+v, GOMAXPROCS 1 %+v", four, one)
 	}
 }

@@ -295,6 +295,7 @@ func (r *Result) EvalPrefix(x float64, level int) float64 {
 // cheap (bfloat16 has under 2^16 inputs).
 func (r *Result) VerifyPrefix(level int, modes []fp.Mode) VerifyReport {
 	pl := &r.Prefixes[level]
+	ts := oracle.Targets{Widths: []int{pl.Format.Bits}, ExpBits: pl.Format.ExpBits, Modes: modes, SignlessZero: true}
 	var rep VerifyReport
 	n := pl.Format.Count()
 	for b := uint64(0); b < n; b++ {
@@ -305,22 +306,14 @@ func (r *Result) VerifyPrefix(level int, modes []fp.Mode) VerifyReport {
 		if r.Fn.IsLog() && x <= 0 {
 			continue
 		}
-		d := r.EvalPrefix(x, level)
-		val := oracle.Compute(r.Fn, x)
-		for _, m := range modes {
-			got := pl.Format.Round(d, m)
-			want := val.Round(pl.Format, m)
-			rep.Checked++
-			if got == 0 && want == 0 {
-				continue
+		t := ts.Check(nil, r.Fn, x, r.EvalPrefix(x, level))
+		rep.Checked += t.Checked
+		if t.Wrong > 0 {
+			if rep.Wrong == 0 {
+				rep.FirstWrong = fmt.Sprintf("%v(%g) level %d mode %v: got %g want %g",
+					r.Fn, x, level, t.First.Mode, t.First.Got, t.First.Want)
 			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				rep.Wrong++
-				if rep.FirstWrong == "" {
-					rep.FirstWrong = fmt.Sprintf("%v(%g) level %d mode %v: got %g want %g",
-						r.Fn, x, level, m, got, want)
-				}
-			}
+			rep.Wrong += t.Wrong
 		}
 	}
 	return rep

@@ -134,11 +134,16 @@ type VerifyReport struct {
 // Verify checks the implementation against the oracle for every enumerated
 // input of the verification format `inputs` (stride-sampled), across the
 // given output widths and rounding modes. It is the equivalent of the
-// artifact's correctness_test. The sweep is sharded across CPUs; the oracle
-// value is computed once per input and reused for every (width, mode) pair.
+// artifact's correctness_test. The sweep is sharded across CPUs; each input
+// is one oracle.Targets check, which settles every (width, mode) pair with
+// one round-to-odd comparison unless that comparison fails. FirstWrong
+// names the wrong input with the lowest bit pattern, whatever the CPU
+// count.
 func (r *Result) Verify(inputs fp.Format, stride uint64, widths []int, modes []fp.Mode) VerifyReport {
+	ts := oracle.Targets{Widths: widths, ExpBits: r.Input.ExpBits, Modes: modes, SignlessZero: true}
 	nCPU := runtime.GOMAXPROCS(0)
 	reports := make([]VerifyReport, nCPU)
+	firstAt := make([]uint64, nCPU) // bit pattern of each shard's first wrong input
 	var wg sync.WaitGroup
 	n := inputs.Count()
 	for shard := 0; shard < nCPU; shard++ {
@@ -154,39 +159,27 @@ func (r *Result) Verify(inputs fp.Format, stride uint64, widths []int, modes []f
 				if r.Fn.IsLog() && x <= 0 {
 					continue
 				}
-				d := r.Eval(x)
-				val := oracle.Compute(r.Fn, x)
-				for _, bits := range widths {
-					t := fp.Format{Bits: bits, ExpBits: r.Input.ExpBits}
-					for _, m := range modes {
-						got := t.Round(d, m)
-						want := val.Round(t, m)
-						rep.Checked++
-						// Zero results compare sign-insensitively: the sign
-						// of an exactly-zero sin(pi*n) is a convention (IEEE
-						// alternates it with n; the exact-case oracle uses
-						// +0), not a rounding property.
-						if got == 0 && want == 0 {
-							continue
-						}
-						if math.Float64bits(got) != math.Float64bits(want) {
-							rep.Wrong++
-							if rep.FirstWrong == "" {
-								rep.FirstWrong = fmt.Sprintf("%v(%g) width %d mode %v: got %g want %g",
-									r.Fn, x, bits, m, got, want)
-							}
-						}
+				t := ts.Check(nil, r.Fn, x, r.Eval(x))
+				rep.Checked += t.Checked
+				if t.Wrong > 0 {
+					if rep.Wrong == 0 {
+						firstAt[shard] = b
+						rep.FirstWrong = fmt.Sprintf("%v(%g) width %d mode %v: got %g want %g",
+							r.Fn, x, t.First.Bits, t.First.Mode, t.First.Got, t.First.Want)
 					}
+					rep.Wrong += t.Wrong
 				}
 			}
 		}(shard)
 	}
 	wg.Wait()
 	var total VerifyReport
-	for _, rep := range reports {
+	first := uint64(math.MaxUint64)
+	for shard, rep := range reports {
 		total.Checked += rep.Checked
 		total.Wrong += rep.Wrong
-		if total.FirstWrong == "" {
+		if rep.Wrong > 0 && firstAt[shard] < first {
+			first = firstAt[shard]
 			total.FirstWrong = rep.FirstWrong
 		}
 	}

@@ -46,3 +46,52 @@ func FuzzRoundOddAgreement(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRO34Rule fuzzes the rule verifiers rely on to check one kernel output
+// against every target at once (oracle.Targets.Check): if two values round
+// to the same bits under round-to-odd in a (w+2)-bit format, they round
+// alike to every width from 10 to w with the same exponent width, under
+// every standard mode and round-to-odd. The second value is the first
+// nudged by a fuzzed number of float64 ulps, so the pair often shares a
+// round-to-odd class and sometimes straddles a class boundary. The rule
+// must also hold through FP34-sized formats for every width up to 32.
+func FuzzRO34Rule(f *testing.F) {
+	seeds := []float64{
+		0, math.Copysign(0, -1),
+		0x1p-149, 0x1.8p-140, -0x1p-130, // binary32 subnormals
+		0x1.fffffep+127, -0x1.fffffep+127, // binary32 MaxFinite
+		0x1.fffffffp+127, 0x1p+128, 1e300, // above FP34's MaxFinite
+		math.Inf(1), math.Inf(-1),
+		1, 1.5, 0x1.0000010000001p+0,
+	}
+	for i, d := range seeds {
+		f.Add(math.Float64bits(d), int32(i%3-1), uint8(22), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, dbits uint64, nudge int32, wSel, eSel uint8) {
+		d := math.Float64frombits(dbits)
+		v := math.Float64frombits(dbits + uint64(int64(nudge)))
+		if math.IsNaN(d) || math.IsNaN(v) {
+			t.Skip()
+		}
+		e := 5 + int(eSel)%7 // exponent widths 5..11
+		lo := max(10, e+2)   // narrowest format with a significand bit
+		w := lo + int(wSel)%(33-lo)
+		checkBelow := func(wide Format, top int) {
+			rd, rv := wide.Round(d, RTO), wide.Round(v, RTO)
+			if !sameFloat(rd, rv) {
+				return
+			}
+			for n := lo; n <= top; n++ {
+				narrow := Format{Bits: n, ExpBits: e}
+				for _, m := range AllModes {
+					if a, b := narrow.Round(d, m), narrow.Round(v, m); !sameFloat(a, b) {
+						t.Fatalf("%g and %g share %v round-to-odd value %g but round to %v under %v as %g and %g",
+							d, v, wide, rd, narrow, m, a, b)
+					}
+				}
+			}
+		}
+		checkBelow(Format{Bits: w + 2, ExpBits: e}, w)
+		checkBelow(Format{Bits: 34, ExpBits: e}, 32)
+	})
+}

@@ -1,0 +1,105 @@
+package oracle
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"rlibm/internal/fp"
+)
+
+// targetOutputs returns kernel outputs to check against f(x): the
+// correctly rounded RO34 value itself, neighbours at growing float64-ulp
+// distances (inside the same round-to-odd class, then across one or more
+// class boundaries), its negation, and the special values.
+func targetOutputs(y float64) []float64 {
+	out := []float64{y, -y, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, k := range []int64{1, 1 << 20, 1 << 26, 1 << 27, 1 << 28, 1 << 29, 1 << 31} {
+		b := math.Float64bits(y)
+		out = append(out, math.Float64frombits(b+uint64(k)), math.Float64frombits(b-uint64(k)))
+	}
+	return out
+}
+
+// TestTargetsShortcutMatchesExpanded: the round-to-odd shortcut reports
+// exactly what the per-target comparison reports (checked and wrong counts
+// and the first wrong target) for right, nearly right and wrong outputs,
+// and it asks the oracle once whenever the outputs agree in round-to-odd
+// space.
+func TestTargetsShortcutMatchesExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	short := Targets{Widths: []int{10, 19, 27, 32}, ExpBits: 8, Modes: fp.AllModes}
+	full := short
+	full.Expand = true
+	nTargets := len(short.Widths) * len(short.Modes)
+	for _, f := range Funcs {
+		for i := 0; i < 64; i++ {
+			x := float64(float32(rng.Float64()*160 - 80))
+			if f.IsLog() {
+				x = float64(math.Float32frombits(rng.Uint32() &^ (1 << 31)))
+			}
+			if x == 0 || math.IsInf(x, 0) || math.IsNaN(x) {
+				continue
+			}
+			y34 := CorrectRO34(f, x)
+			for _, d := range targetOutputs(y34) {
+				a, b := short.Check(nil, f, x, d), full.Check(nil, f, x, d)
+				if a.Checked != b.Checked || a.Wrong != b.Wrong || !sameMiss(a.First, b.First) {
+					t.Fatalf("%v(%g) d=%g: shortcut %+v, expanded %+v", f, x, d, a, b)
+				}
+				if b.Queries != nTargets || a.Checked != nTargets {
+					t.Fatalf("%v(%g) d=%g: expanded %d queries, %d checks; want %d", f, x, d, b.Queries, a.Checked, nTargets)
+				}
+				settled := sameFloat(fp.FP34.Round(d, fp.RTO), y34)
+				if settled && (a.Queries != 1 || a.Wrong != 0) {
+					t.Fatalf("%v(%g) d=%g matches in RO34 space but took %d queries, %d wrong", f, x, d, a.Queries, a.Wrong)
+				}
+				if !settled && a.Queries != 1+nTargets {
+					t.Fatalf("%v(%g) d=%g: %d queries after a mismatch, want %d", f, x, d, a.Queries, 1+nTargets)
+				}
+			}
+		}
+	}
+}
+
+func sameMiss(a, b Miss) bool {
+	return a.Bits == b.Bits && a.Mode == b.Mode && sameFloat(a.Got, b.Got) && sameFloat(a.Want, b.Want)
+}
+
+// TestTargetsCacheQueries: with a cache, the shortcut stores one RO key
+// per input, every query is a hit or a miss, and a repeated check is all
+// hits.
+func TestTargetsCacheQueries(t *testing.T) {
+	c := NewCache(0)
+	ts := Targets{Widths: []int{19, 27, 32}, ExpBits: 8, Modes: fp.StandardModes}
+	xs := []float64{0.5, 1.25, 3.75}
+	queries := 0
+	for round := 0; round < 2; round++ {
+		for _, x := range xs {
+			tl := ts.Check(c, Exp, x, CorrectRO34(Exp, x))
+			if tl.Checked != 15 || tl.Wrong != 0 {
+				t.Fatalf("exp(%g): %+v", x, tl)
+			}
+			queries += tl.Queries
+		}
+	}
+	hits, misses := c.Stats()
+	if hits+misses != int64(queries) || misses != int64(len(xs)) || c.Len() != len(xs) {
+		t.Fatalf("%d queries: hits %d, misses %d, %d entries; want %d misses and entries",
+			queries, hits, misses, c.Len(), len(xs))
+	}
+}
+
+// TestTargetsSignlessZero: an exact zero result is compared
+// sign-insensitively only when the targets ask for it.
+func TestTargetsSignlessZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ts := Targets{Widths: []int{16, 32}, ExpBits: 8, Modes: fp.StandardModes}
+	if tl := ts.Check(nil, Log, 1, negZero); tl.Wrong != tl.Checked || tl.Checked != 10 {
+		t.Fatalf("log(1) = -0, signed: %+v", tl)
+	}
+	ts.SignlessZero = true
+	if tl := ts.Check(nil, Log, 1, negZero); tl.Wrong != 0 || tl.Checked != 10 {
+		t.Fatalf("log(1) = -0, signless: %+v", tl)
+	}
+}

@@ -76,7 +76,7 @@ func TestJSONPrecField(t *testing.T) {
 		{"float32", rlibm.PrecFloat32},
 		{"tf32", rlibm.PrecTF32},
 		{"bf16", rlibm.PrecBfloat16},
-		{"fp16", rlibm.PrecTF32},   // alias resolves to the covered format
+		{"fp16", rlibm.PrecTF32},     // alias resolves to the covered format
 		{"BF16", rlibm.PrecBfloat16}, // case-insensitive
 	}
 	for _, f := range rlibm.Funcs {

@@ -142,7 +142,9 @@ var kernels [NumFuncs][NumSchemes][NumPrecisions]func(float64) float64
 var batchKernels [NumBackends][NumFuncs][NumSchemes][NumPrecisions]func(dst, src []float32)
 
 func init() {
-	batchRegs := [NumBackends]struct{ full, prefix map[string]func(dst, src []float32) }{
+	batchRegs := [NumBackends]struct {
+		full, prefix map[string]func(dst, src []float32)
+	}{
 		BackendGo:     {libm.GeneratedBatchFuncs, libm.GeneratedPrefixBatchFuncs},
 		BackendVector: {libm.GeneratedVecBatchFuncs, libm.GeneratedPrefixVecBatchFuncs},
 		BackendAsm:    {libm.GeneratedAsmBatchFuncs, libm.GeneratedPrefixAsmBatchFuncs},
