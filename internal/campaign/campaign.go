@@ -1,5 +1,5 @@
-// Package campaign turns one-shot correctness sweeps into a resumable,
-// shardable verification campaign at RLIBM-32 scale.
+// Package campaign runs correctness sweeps as a resumable, shardable
+// verification campaign at RLIBM-32 scale.
 //
 // The paper lineage's headline claim is correct rounding for all 2^32
 // float32 inputs. A single uninterrupted process can prove that claim only
@@ -31,10 +31,11 @@ import (
 )
 
 // PlanVersion is the campaign plan/checkpoint semantics version. Bump it
-// whenever unit enumeration, lane semantics, or the tally definition
-// changes: the version participates in the plan hash, so a stale checkpoint
-// can never silently resume under different semantics.
-const PlanVersion = 1
+// whenever unit enumeration, lane semantics, the tally definition or the
+// first-failure rendering changes: the version participates in the plan
+// hash, so a stale checkpoint can never silently resume under different
+// semantics.
+const PlanVersion = 2
 
 // Lane selects one verification drive of the implementations.
 type Lane uint8
@@ -101,7 +102,7 @@ type Config struct {
 	// means the full [0, 2^32).
 	Ranges []Range
 	// RandomN is the number of seeded random inputs per (func, scheme) on
-	// the random lane (shared across combos, like the one-shot checker).
+	// the random lane (the same sequence for every combo).
 	RandomN int
 	// Seed seeds the random lane.
 	Seed int64

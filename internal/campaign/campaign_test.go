@@ -1,13 +1,16 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"rlibm/internal/obs"
 	"rlibm/internal/oracle"
 )
 
@@ -232,6 +235,82 @@ func TestReportCacheSection(t *testing.T) {
 			if plan == randomOnly && totals.OracleQueries != totals.Checked {
 				t.Errorf("random lane: %d queries for %d checks, want one each", totals.OracleQueries, totals.Checked)
 			}
+		}
+	}
+}
+
+// TestCustomPlanMatchesSweepCounts pins rlibm-check's default plan shape —
+// every lane, a stride over [0, 2^32) plus the seeded random inputs — to
+// the counts of the stand-alone sweep rlibm-check ran before it drove this
+// engine, for `-func exp2 -scheme rlibm -stride 1048576 -seed 7` at the
+// default widths: that sweep's checked and wrong totals are the float32
+// and random lanes' sums. The 100000-input case reaches random input 91114,
+// the known w=32 exp2 miss, so wrong counting and the first-failure
+// rendering are pinned too. Interpreter and generated kernels agree.
+func TestCustomPlanMatchesSweepCounts(t *testing.T) {
+	cases := []struct {
+		randomN        int
+		checked, wrong int64
+		first          string
+	}{
+		{2000, 182130, 0, ""},
+		{100000, 3110550, 3, "exp2(-4.6942086) 0xc09636f5 w=32 rtz: got 0.03862801194190979 want 0.03862801566720009"},
+	}
+	for _, c := range cases {
+		for _, useFuncs := range []bool{false, true} {
+			plan, err := NewPlan(Config{
+				Funcs: []string{"exp2"}, Schemes: []string{"rlibm"},
+				Widths: []int{10, 16, 19, 24, 27, 32}, Lanes: AllLanes,
+				Stride: 1 << 20, RandomN: c.randomN, Seed: 7, UseFuncs: useFuncs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			totals := runToCompletion(t, plan, nil, 2, "", false)
+			var checked, wrong int64
+			first := ""
+			for _, combo := range totals.Combos {
+				if combo.Lane == "bf16" {
+					continue
+				}
+				checked += combo.Checked
+				wrong += combo.Wrong
+				if combo.First != "" {
+					first = combo.First
+				}
+			}
+			if checked != c.checked || wrong != c.wrong || first != c.first {
+				t.Errorf("random %d, funcs %v: checked %d wrong %d first %q; want %d, %d, %q",
+					c.randomN, useFuncs, checked, wrong, first, c.checked, c.wrong, c.first)
+			}
+		}
+	}
+}
+
+// TestInterruptWithoutCheckpoint: a cancelled run with no checkpoint
+// reports Interrupted and says that nothing was saved, instead of the
+// resume hint a checkpointed run logs.
+func TestInterruptWithoutCheckpoint(t *testing.T) {
+	plan, err := NewPlan(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, checkpoint := range []string{"", filepath.Join(t.TempDir(), CheckpointFile)} {
+		var log bytes.Buffer
+		ctx, cancel := context.WithCancel(context.Background())
+		e := &Engine{Plan: plan, Workers: 2, CheckpointPath: checkpoint, Log: obs.NewLogger(&log, obs.LevelInfo)}
+		e.OnUnit = func(UnitResult) { cancel() }
+		totals, err := e.Run(ctx)
+		cancel()
+		if err == nil || totals == nil || !totals.Interrupted {
+			t.Fatalf("checkpoint %q: cancelled run not interrupted (err=%v, totals=%+v)", checkpoint, err, totals)
+		}
+		resumeHint := strings.Contains(log.String(), "resume")
+		if resumeHint != (checkpoint != "") {
+			t.Errorf("checkpoint %q: resume hint logged = %v:\n%s", checkpoint, resumeHint, log.String())
+		}
+		if checkpoint == "" && !strings.Contains(log.String(), "no progress was saved") {
+			t.Errorf("no checkpoint: log does not say that nothing was saved:\n%s", log.String())
 		}
 	}
 }

@@ -20,7 +20,7 @@ type Engine struct {
 	// Workers is the verification goroutine count (<1 = 1).
 	Workers int
 	// CheckpointPath is where completed units commit ("" = no
-	// checkpointing: one-shot in-memory runs and tests).
+	// checkpointing: an interrupted run saves nothing).
 	CheckpointPath string
 	// Cache, when non-nil, memoizes oracle answers across units and
 	// schemes. Without one every oracle query is computed: one per verified
@@ -211,8 +211,13 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	}
 	if len(done) < len(plan.Units) {
 		totals.Interrupted = true
-		e.logf("campaign interrupted: %d of %d units committed; rerun with the same flags to resume",
-			len(done), len(plan.Units))
+		if e.CheckpointPath != "" {
+			e.logf("campaign interrupted: %d of %d units committed; rerun with the same flags to resume",
+				len(done), len(plan.Units))
+		} else {
+			e.logf("campaign interrupted: %d of %d units done; no checkpoint, so no progress was saved",
+				len(done), len(plan.Units))
+		}
 		return totals, ctx.Err()
 	}
 	return totals, nil

@@ -133,8 +133,8 @@ func (e *Engine) widthsVerifier(ofn oracle.Func, impl func(float32) float64, lan
 			res.Wrong += int64(t.Wrong)
 			if idx < res.FirstIdx {
 				res.FirstIdx = idx
-				res.First = fmt.Sprintf("%v(%g) w=%d %v: got %g want %g",
-					ofn, fx, t.First.Bits, t.First.Mode, t.First.Got, t.First.Want)
+				res.First = fmt.Sprintf("%s w=%d %v: got %g want %g",
+					callString(ofn.String(), fx), t.First.Bits, t.First.Mode, t.First.Got, t.First.Want)
 			}
 		}
 	}
@@ -172,10 +172,16 @@ func (e *Engine) bf16Verifier(u *Unit, ofn oracle.Func, res *UnitResult) func(ui
 			res.Wrong++
 			if idx < res.FirstIdx {
 				res.FirstIdx = idx
-				res.First = fmt.Sprintf("%s(%g): got %g want %g", key, v, got, want)
+				res.First = fmt.Sprintf("%s: got %g want %g", callString(key, v), got, want)
 			}
 		}
 	}
+}
+
+// callString spells a failing call so it pastes straight into a CLI or a
+// test: the input's shortest float32 decimal, then its bit pattern.
+func callString(name string, x float64) string {
+	return fmt.Sprintf("%s(%g) 0x%08x", name, float32(x), math.Float32bits(float32(x)))
 }
 
 // drawRandoms materializes the seeded random-input sequence shared by every

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"time"
@@ -15,7 +14,7 @@ import (
 // for, what came out, and every metric the run recorded. The CLIs write it
 // with -report; CI parses it to fail a build whose schemes did not all solve.
 type RunReport struct {
-	// Tool names the producing binary (rlibm-gen, rlibm-check, ...).
+	// Tool names the producing binary (rlibm-gen).
 	Tool string `json:"tool"`
 	// CreatedAt is the wall-clock completion time, RFC 3339.
 	CreatedAt string `json:"created_at"`
@@ -105,16 +104,6 @@ func (r *RunReport) AddFailure(fn, scheme string, err error) {
 	sr := SchemeReport{Fn: fn, Scheme: scheme, Solved: false}
 	if err != nil {
 		sr.Error = err.Error()
-	}
-	r.Results = append(r.Results, sr)
-}
-
-// AddCheck records one correctness-sweep outcome (rlibm-check): Solved
-// means zero wrong results over the checked (input, width, mode) triples.
-func (r *RunReport) AddCheck(fn, scheme string, checked, wrong int, first string) {
-	sr := SchemeReport{Fn: fn, Scheme: scheme, Solved: wrong == 0, Inputs: checked}
-	if wrong > 0 {
-		sr.Error = fmt.Sprintf("%d wrong results; first: %s", wrong, first)
 	}
 	r.Results = append(r.Results, sr)
 }
