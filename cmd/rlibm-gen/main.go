@@ -156,8 +156,9 @@ func main() {
 			cacheMisses += rs[0].Stats.OracleMisses
 		}
 		for _, res := range rs {
-			ro.Log.Infof("  generated %s (%d constraints, %d LP solves, %d pivots, %d iterations, collect %v, solve %v, oracle cache %d hits / %d misses)",
-				res.Describe(), res.Stats.Constraints, res.Stats.LPSolves, res.Stats.LPPivots, res.Stats.Iterations,
+			ro.Log.Infof("  generated %s (%d constraints, %d LP solves, %d exact fallbacks, %d exact + %d float pivots, %d iterations, collect %v, solve %v, oracle cache %d hits / %d misses)",
+				res.Describe(), res.Stats.Constraints, res.Stats.LPSolves, res.Stats.LPExactFallbacks,
+				res.Stats.LPPivots, res.Stats.LPFloatPivots, res.Stats.Iterations,
 				res.Stats.CollectTime.Round(time.Millisecond), res.Stats.SolveTime.Round(time.Millisecond),
 				res.Stats.OracleHits, res.Stats.OracleMisses)
 			results = append(results, res)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rlibm/internal/fp"
 	"rlibm/internal/obs"
 	"rlibm/internal/oracle"
 )
@@ -199,7 +200,8 @@ func TestEngineRejectsForeignCheckpoint(t *testing.T) {
 // one, the Cache's counters split the same queries. On the float32 lane one
 // round-to-odd query settles all of an input's (width, mode) checks, so
 // the run asks for fewer queries than it counts checks. The random lane
-// compares every target, one query per check.
+// expands a fixed sample of its inputs to every target, so it asks for more
+// than one query per input but still fewer than one per check.
 func TestReportCacheSection(t *testing.T) {
 	lanePlan := func(lanes ...Lane) *Plan {
 		cfg := testConfig()
@@ -232,8 +234,9 @@ func TestReportCacheSection(t *testing.T) {
 			if plan == float32Only && totals.OracleQueries >= totals.Checked {
 				t.Errorf("float32 lane: %d queries for %d checks, want fewer", totals.OracleQueries, totals.Checked)
 			}
-			if plan == randomOnly && totals.OracleQueries != totals.Checked {
-				t.Errorf("random lane: %d queries for %d checks, want one each", totals.OracleQueries, totals.Checked)
+			inputs := totals.Checked / int64(len(plan.Cfg.Widths)*len(fp.StandardModes))
+			if plan == randomOnly && (totals.OracleQueries <= inputs || totals.OracleQueries >= totals.Checked) {
+				t.Errorf("random lane: %d queries for %d inputs and %d checks, want between", totals.OracleQueries, inputs, totals.Checked)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func (e *Engine) runUnit(ctx context.Context, u *Unit, randoms []float32) (res U
 		if err != nil {
 			panic(err)
 		}
-		verify = e.widthsVerifier(ofn, impl, u.Lane, &res)
+		verify = e.widthsVerifier(u, ofn, impl, &res)
 	case LaneBf16:
 		verify = e.bf16Verifier(u, ofn, &res)
 	default:
@@ -114,19 +114,32 @@ func skippable(ofn oracle.Func, fx float64) bool {
 	return ofn.IsLog() && fx <= 0
 }
 
+// randomExpandEvery spaces the random lane's cross-check: the inputs whose
+// index in the seeded sequence is a multiple of it are compared target by
+// target even when the round-to-odd comparison agrees.
+const randomExpandEvery = 64
+
 // widthsVerifier checks one double-kernel result across every configured
 // output width under all five IEEE rounding modes (oracle.Targets.Check):
 // one round-to-odd comparison per input settles them all unless it fails.
-// The random lane expands every input to the per-target comparison, an
-// independent check that the shortcut is applied correctly.
-func (e *Engine) widthsVerifier(ofn oracle.Func, impl func(float32) float64, lane Lane, res *UnitResult) func(uint64, float64) {
-	ts := oracle.Targets{Widths: e.Plan.Cfg.Widths, ExpBits: 8, Modes: fp.StandardModes, Expand: lane == LaneRandom}
+// On the random lane, a fixed sample (every randomExpandEvery-th input of
+// the sequence) expands to the per-target comparison, an independent check
+// that the shortcut is applied correctly; the tallies are the same either
+// way, only the oracle queries differ.
+func (e *Engine) widthsVerifier(u *Unit, ofn oracle.Func, impl func(float32) float64, res *UnitResult) func(uint64, float64) {
+	ts := oracle.Targets{Widths: e.Plan.Cfg.Widths, ExpBits: 8, Modes: fp.StandardModes}
+	expanded := ts
+	expanded.Expand = true
 	cache := e.Cache
 	return func(idx uint64, fx float64) {
 		if skippable(ofn, fx) {
 			return
 		}
-		t := ts.Check(cache, ofn, fx, impl(float32(fx)))
+		check := &ts
+		if u.Lane == LaneRandom && (u.Lo+idx)%randomExpandEvery == 0 {
+			check = &expanded
+		}
+		t := check.Check(cache, ofn, fx, impl(float32(fx)))
 		res.Checked += int64(t.Checked)
 		res.Queries += int64(t.Queries)
 		if t.Wrong > 0 {

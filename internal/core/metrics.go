@@ -24,7 +24,9 @@ type schemeMetrics struct {
 	constrainEvents *obs.Counter
 	demotedSources  *obs.Counter
 
-	lpPivots       *obs.Counter // total simplex pivots, all phases
+	lpPivots       *obs.Counter // exact tableau pivots, all phases
+	lpFloatPivots  *obs.Counter // float simplex pivots before the certificate
+	lpFallbacks    *obs.Counter // solves the certificate refused (exact tableau ran)
 	lpPivotsPhase1 *obs.Counter
 	lpPivotsPhase2 *obs.Counter
 	lpPivotsDual   *obs.Counter   // dual-simplex pivots of warm resolves
@@ -55,6 +57,7 @@ type schemeMetrics struct {
 	// a caller-supplied registry (Config.Metrics) outlives runs and its
 	// counters are monotonic, so fillStats reports deltas from these.
 	baseIter, baseLP, baseConstrain, basePivots, baseWarm, baseCold int64
+	baseFloatPivots, baseFallbacks                                  int64
 }
 
 func newSchemeMetrics(reg *obs.Registry, fn oracle.Func, scheme poly.Scheme) *schemeMetrics {
@@ -65,6 +68,8 @@ func newSchemeMetrics(reg *obs.Registry, fn oracle.Func, scheme poly.Scheme) *sc
 		constrainEvents: reg.Counter(p + "constrain_events"),
 		demotedSources:  reg.Counter(p + "demoted_sources"),
 		lpPivots:        reg.Counter(p + "lp_pivots"),
+		lpFloatPivots:   reg.Counter(p + "lp_float_pivots"),
+		lpFallbacks:     reg.Counter(p + "lp_exact_fallbacks"),
 		lpPivotsPhase1:  reg.Counter(p + "lp_pivots_phase1"),
 		lpPivotsPhase2:  reg.Counter(p + "lp_pivots_phase2"),
 		lpPivotsDual:    reg.Counter(p + "lp_pivots_dual"),
@@ -95,6 +100,8 @@ func (m *schemeMetrics) snapshotBase() *schemeMetrics {
 	m.basePivots = m.lpPivots.Value()
 	m.baseWarm = m.lpWarm.Value()
 	m.baseCold = m.lpCold.Value()
+	m.baseFloatPivots = m.lpFloatPivots.Value()
+	m.baseFallbacks = m.lpFallbacks.Value()
 	return m
 }
 
@@ -116,6 +123,10 @@ func isCanceled(err error) bool {
 // cold resolve, the infeasibility cause by name when the solve failed.
 func (m *schemeMetrics) observeLP(st lp.Stats, dur time.Duration, err error) {
 	m.lpPivots.Add(int64(st.Pivots()))
+	m.lpFloatPivots.Add(int64(st.FloatPivots))
+	if !st.Certified {
+		m.lpFallbacks.Inc()
+	}
 	m.lpPivotsPhase1.Add(int64(st.Phase1Pivots))
 	m.lpPivotsPhase2.Add(int64(st.Phase2Pivots))
 	m.lpPivotsDual.Add(int64(st.DualPivots))
@@ -152,4 +163,6 @@ func (m *schemeMetrics) fillStats(s *Stats) {
 	s.LPPivots = m.lpPivots.Value() - m.basePivots
 	s.WarmResolves = int(m.lpWarm.Value() - m.baseWarm)
 	s.ColdSolves = int(m.lpCold.Value() - m.baseCold)
+	s.LPFloatPivots = m.lpFloatPivots.Value() - m.baseFloatPivots
+	s.LPExactFallbacks = int(m.lpFallbacks.Value() - m.baseFallbacks)
 }

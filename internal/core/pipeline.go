@@ -72,7 +72,12 @@ type Stats struct {
 	LPSolves        int
 	Iterations      int
 	ConstrainEvents int   // intervals shrunk by the check step
-	LPPivots        int64 // total simplex pivots across every LP solve
+	LPPivots        int64 // exact big.Rat tableau pivots across every LP solve
+	// LPFloatPivots counts the float64 simplex pivots that searched for a
+	// basis to certify; LPExactFallbacks counts the LP solves whose float
+	// basis was not certified, so the exact tableau produced the result.
+	LPFloatPivots    int64
+	LPExactFallbacks int
 	// WarmResolves counts LP solves served by dual-simplex reoptimization
 	// from the previous basis; ColdSolves counts from-scratch two-phase
 	// solves (always at least one per piece, plus warm-path fallbacks).
@@ -897,6 +902,7 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			isp.End(obs.Attrs{
 				"sample": len(cons), "lp": lp.InfeasibilityCause(lpErr),
 				"lp_us": lpDur.Microseconds(), "pivots": lpStats.Pivots(),
+				"float_pivots": lpStats.FloatPivots, "certified": lpStats.Certified,
 			})
 			continue
 		}
@@ -964,7 +970,8 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 		isp.End(obs.Attrs{
 			"sample": len(cons), "violations": violations,
 			"lp_us": lpDur.Microseconds(), "check_us": checkDur.Microseconds(),
-			"pivots": lpStats.Pivots(),
+			"pivots": lpStats.Pivots(), "float_pivots": lpStats.FloatPivots,
+			"certified": lpStats.Certified,
 		})
 		if violations == 0 {
 			return ev, nil

@@ -52,11 +52,17 @@ type SchemeReport struct {
 	Inputs          int   `json:"inputs,omitempty"`
 	Constraints     int   `json:"constraints,omitempty"`
 	LPSolves        int   `json:"lp_solves,omitempty"`
-	LPPivots        int64 `json:"lp_pivots,omitempty"`
+	LPPivots        int64 `json:"lp_pivots,omitempty"` // exact tableau pivots
 	LPWarmResolves  int   `json:"lp_warm_resolves,omitempty"`
 	LPColdSolves    int   `json:"lp_cold_solves,omitempty"`
 	Iterations      int   `json:"iterations,omitempty"`
 	ConstrainEvents int   `json:"constrain_events,omitempty"`
+
+	// LPFloatPivots and LPExactFallbacks split the LP work between the
+	// float simplex and the exact tableau that runs when its basis is not
+	// certified.
+	LPFloatPivots    int64 `json:"lp_float_pivots,omitempty"`
+	LPExactFallbacks int   `json:"lp_exact_fallbacks,omitempty"`
 
 	CollectMs float64 `json:"collect_ms,omitempty"`
 	SolveMs   float64 `json:"solve_ms,omitempty"`
@@ -91,6 +97,9 @@ func (r *RunReport) AddResult(res *Result) {
 		SolveMs:         float64(res.Stats.SolveTime) / float64(time.Millisecond),
 		OracleHits:      res.Stats.OracleHits,
 		OracleMisses:    res.Stats.OracleMisses,
+
+		LPFloatPivots:    res.Stats.LPFloatPivots,
+		LPExactFallbacks: res.Stats.LPExactFallbacks,
 	}
 	for _, p := range res.Pieces {
 		sr.Degrees = append(sr.Degrees, p.Coeffs.Trim().Degree())

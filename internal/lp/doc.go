@@ -4,14 +4,22 @@
 //
 //	l_i  <=  C_0 + C_1*x_i + ... + C_d*x_i^d  <=  h_i
 //
-// for every (reduced input, reduced interval) constraint. All arithmetic is
-// exact rational, so feasibility answers are exact; floating point enters
-// the pipeline only when the generator rounds the solution's coefficients
-// to double — the non-linear step the generate–check–constrain loop
-// absorbs.
+// for every (reduced input, reduced interval) constraint. Every coefficient
+// it returns is an exact rational, so feasibility answers are exact;
+// floating point enters the pipeline only when the generator rounds the
+// solution's coefficients to double — the non-linear step the
+// generate–check–constrain loop absorbs.
+//
+// The search for the optimum runs in float64 first (float.go): a dual
+// simplex over the nc+1 structural columns finds an optimal basis, and
+// big.Rat arithmetic then certifies it exactly (primal feasibility of every
+// row and strictly positive dual multipliers, which make the optimum
+// unique). Only when the certificate fails does the exact big.Rat tableau
+// (tableau.go) solve the LP. Both paths return the same coefficients bit
+// for bit: the unique lex-min optimum.
 //
 // The package's entry point is the incremental Solver, which keeps the
-// optimal tableau alive across the loop's repeated solves and reoptimizes
-// with the dual simplex (see solver.go). One-shot callers construct a
+// optimal basis (float and exact) alive across the loop's repeated solves
+// and reoptimizes with the dual simplex (see solver.go). One-shot callers construct a
 // Solver, add their constraints and Resolve once.
 package lp

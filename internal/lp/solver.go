@@ -10,15 +10,17 @@ type Options struct {
 	// Degree is the polynomial degree: the solver owns Degree+1 coefficient
 	// variables. SetDegree changes it later (resetting all state).
 	Degree int
-	// MaxPivots bounds the simplex pivots per Resolve; <= 0 selects
+	// MaxPivots bounds the exact tableau pivots per Resolve; <= 0 selects
 	// DefaultMaxPivots. The canonicalization pass runs under its own
 	// DefaultMaxPivots budget so that a tight MaxPivots limits work without
-	// changing which solutions are reachable.
+	// changing which solutions are reachable. The float simplex has its own
+	// bound and falls back to the tableau when it runs out.
 	MaxPivots int
-	// WarmStart keeps the optimal tableau alive between Resolve calls and
-	// reoptimizes with the dual simplex instead of solving from scratch.
-	// The returned coefficients are bit-identical either way (see
-	// canonicalize); warm starts only change how much work a resolve costs.
+	// WarmStart keeps the optimal basis alive between Resolve calls (the
+	// float basis and the exact tableau) and reoptimizes with the dual
+	// simplex instead of solving from scratch. The returned coefficients are
+	// bit-identical either way (see canonicalize and certify); warm starts
+	// only change how much work a resolve costs.
 	WarmStart bool
 }
 
@@ -29,8 +31,9 @@ type Result struct {
 	Coeffs []*big.Rat
 	// Stats describes the work done, including on failure.
 	Stats Stats
-	// Basis is the optimal basis (basic variable per tableau row), the
-	// state a warm restart resumes from. Diagnostic only.
+	// Basis is the optimal basis, the state a warm restart resumes from:
+	// the active LP rows of a certified solve, or the basic variable per
+	// tableau row of an exact one. Diagnostic only.
 	Basis []int
 }
 
@@ -55,9 +58,12 @@ type Solver struct {
 	tight    map[string]*bounds // tightest accepted bounds per X (RatString key)
 	stale    int                // accepted row-pairs superseded by a tighter one
 
-	tab    *tableau // live optimal tableau (nil until first solve)
+	flp    *floatLP // float image of the accepted rows (nil until first solve)
+	tab    *tableau // live optimal tableau (nil until first exact solve)
 	inTab  int      // accepted[:inTab] have rows in tab
 	warmOK bool     // tab is optimal+canonical and safe to warm-start from
+
+	exactOnly bool // skip the float path (tests compare the two)
 }
 
 // NewSolver returns a Solver for polynomials of opts.Degree.
@@ -87,6 +93,7 @@ func (s *Solver) Reset() {
 	s.accepted = nil
 	s.tight = make(map[string]*bounds)
 	s.stale = 0
+	s.flp = nil
 	s.tab = nil
 	s.inTab = 0
 	s.warmOK = false
@@ -186,10 +193,29 @@ func (s *Solver) Solve(ctx context.Context, cons []Constraint) (Result, error) {
 // Resolve solves the LP over the accepted constraints: maximize the
 // uniform relative margin t (capped at 1) by which P(X_i) clears each
 // interval's edges, then canonicalize to the lex-min optimal coefficients.
-// Reuses the previous basis when possible; any warm-path trouble short of
-// an exact verdict falls back to a cold solve, so the coefficients are
-// identical either way.
+//
+// A float64 simplex runs first (see floatResolve). When its basis passes the
+// exact certificate, the optimum is unique and is returned directly: it is
+// the point canonicalize would pin. Otherwise the exact tableau solves the
+// LP, reusing the previous tableau when possible; any warm-path trouble
+// short of an exact verdict falls back to a cold solve, so the coefficients
+// are identical on every path.
 func (s *Solver) Resolve(ctx context.Context) (Result, error) {
+	var floatPivots int
+	if !s.exactOnly {
+		res, ok, err := s.floatResolve(ctx)
+		if ok || err != nil {
+			return res, err
+		}
+		floatPivots = res.Stats.FloatPivots
+	}
+	res, err := s.exactResolve(ctx)
+	res.Stats.FloatPivots = floatPivots
+	return res, err
+}
+
+// exactResolve solves the LP on the exact tableau.
+func (s *Solver) exactResolve(ctx context.Context) (Result, error) {
 	if s.opts.WarmStart && s.warmOK && s.tab != nil {
 		res, err, handled := s.warmResolve(ctx)
 		if handled {

@@ -25,15 +25,26 @@ type Stats struct {
 	// the solution to the unique lex-min optimum (run under its own budget,
 	// not charged against MaxPivots).
 	CanonPivots int
-	// Warm reports that this solve reused the previous optimal basis.
+	// FloatPivots counts the float64 dual-simplex pivots that searched for
+	// an optimal basis before the exact certificate. They are cheap and not
+	// part of Pivots.
+	FloatPivots int
+	// Warm reports that this solve reused the previous optimal basis (the
+	// float basis on a certified solve, the exact tableau otherwise).
 	Warm bool
+	// Certified reports that the float basis passed the exact certificate,
+	// so the coefficients came without a tableau. When false, the exact
+	// tableau produced the result (or the error).
+	Certified bool
 	// Canonical reports that the canonicalization pass completed, making
-	// the returned coefficients independent of the pivot path taken.
+	// the returned coefficients independent of the pivot path taken. A
+	// certified solve is canonical: its optimum is unique.
 	Canonical bool
 }
 
-// Pivots returns the total pivot count across all phases, including
-// warm-start reoptimization and canonicalization.
+// Pivots returns the exact big.Rat pivot count across all tableau phases,
+// including warm-start reoptimization and canonicalization. Float pivots
+// are counted separately in FloatPivots.
 func (s Stats) Pivots() int {
 	return s.Phase1Pivots + s.Phase2Pivots + s.DualPivots + s.CanonPivots
 }
@@ -69,8 +80,8 @@ func (e *PivotLimitError) Error() string {
 // context.Context before reaching a verdict. It wraps the context error, so
 // errors.Is(err, context.Canceled) and context.DeadlineExceeded work.
 type CanceledError struct {
-	// Phase names the stage that observed the cancellation: "phase1",
-	// "phase2", "dual", or "canonicalize".
+	// Phase names the stage that observed the cancellation: "float",
+	// "phase1", "phase2", "dual", or "canonicalize".
 	Phase string
 	// Err is the context's error.
 	Err error

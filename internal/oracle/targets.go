@@ -12,8 +12,9 @@ type Targets struct {
 	ExpBits int
 	Modes   []fp.Mode
 	// Expand rounds and compares every target even when the round-to-odd
-	// comparison would settle them all. The campaign's random lane sets it,
-	// so every production run also cross-checks the shortcut.
+	// comparison would settle them all. The campaign's random lane sets it
+	// on a fixed sample of its inputs, so every production run also
+	// cross-checks the shortcut.
 	Expand bool
 	// SignlessZero accepts a zero result of either sign when the oracle's
 	// value is zero too. The sign of an exactly-zero sin(pi*n) is a
