@@ -26,14 +26,14 @@ type schemeMetrics struct {
 
 	lpPivots       *obs.Counter // exact tableau pivots, all phases
 	lpFloatPivots  *obs.Counter // float simplex pivots before the certificate
-	lpFallbacks    *obs.Counter // solves the certificate refused (exact tableau ran)
+	lpFallbacks    *obs.Counter // solves the exact tableau ran for (no certificate)
 	lpPivotsPhase1 *obs.Counter
 	lpPivotsPhase2 *obs.Counter
 	lpPivotsDual   *obs.Counter   // dual-simplex pivots of warm resolves
 	lpPivotsCanon  *obs.Counter   // lex-canonicalization pivots
-	lpWarm         *obs.Counter   // resolves served from the previous basis
+	lpWarm         *obs.Counter   // resolves served from the previous basis, float or exact
 	lpCold         *obs.Counter   // from-scratch two-phase solves
-	lpPivotsSaved  *obs.Counter   // estimated pivots avoided by warm starts
+	lpPivotsSaved  *obs.Counter   // estimated exact pivots avoided by warm dual re-solves
 	lpPerSolve     *obs.Histogram // pivots per LP solve
 	lpTime         *obs.Histogram // wall-clock per LP solve (ns)
 	lpTimeWarm     *obs.Histogram // wall-clock per warm resolve (ns)
@@ -46,11 +46,11 @@ type schemeMetrics struct {
 	reg    *obs.Registry
 	prefix string
 
-	// lastColdPivots remembers the most recent cold solve's two-phase pivot
-	// count; a warm resolve's savings are estimated against it (the cold
-	// solve it replaced would have been at least as large — the system has
-	// only grown since). Written and read from the scheme's single solve
-	// goroutine only.
+	// lastColdPivots remembers the most recent exact cold solve's two-phase
+	// pivot count; an exact warm resolve's savings are estimated against it
+	// (the cold solve it replaced would have been at least as large — the
+	// system has only grown since). Written and read from the scheme's
+	// single solve goroutine only.
 	lastColdPivots int64
 
 	// Registry values at the start of this run. Stats is a per-run view, but
@@ -124,7 +124,7 @@ func isCanceled(err error) bool {
 func (m *schemeMetrics) observeLP(st lp.Stats, dur time.Duration, err error) {
 	m.lpPivots.Add(int64(st.Pivots()))
 	m.lpFloatPivots.Add(int64(st.FloatPivots))
-	if !st.Certified {
+	if st.Exact {
 		m.lpFallbacks.Inc()
 	}
 	m.lpPivotsPhase1.Add(int64(st.Phase1Pivots))
@@ -139,15 +139,18 @@ func (m *schemeMetrics) observeLP(st lp.Stats, dur time.Duration, err error) {
 		m.lpWarm.Inc()
 		m.lpTimeWarm.ObserveDuration(dur)
 		// The avoided cold solve would have pivoted at least as much as the
-		// previous cold solve of this (only grown since) system; count the
-		// difference to the dual-simplex work actually done as saved.
-		if saved := m.lastColdPivots - int64(st.DualPivots); saved > 0 {
+		// previous exact cold solve of this (only grown since) system; count
+		// the difference to the dual-simplex work actually done as saved. A
+		// certified solve does no exact work, so it saves nothing here.
+		if saved := m.lastColdPivots - int64(st.DualPivots); st.Exact && saved > 0 {
 			m.lpPivotsSaved.Add(saved)
 		}
 	} else {
 		m.lpCold.Inc()
 		m.lpTimeCold.ObserveDuration(dur)
-		m.lastColdPivots = int64(st.Phase1Pivots + st.Phase2Pivots)
+		if st.Exact {
+			m.lastColdPivots = int64(st.Phase1Pivots + st.Phase2Pivots)
+		}
 	}
 	if cause := lp.InfeasibilityCause(err); cause != "" {
 		m.reg.Counter(m.prefix + "lp_" + cause).Inc()

@@ -8,8 +8,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"rlibm/internal/fp"
+	"rlibm/internal/lp"
 	"rlibm/internal/obs"
 	"rlibm/internal/oracle"
 	"rlibm/internal/poly"
@@ -246,5 +248,32 @@ func TestRungAnswersGenerationSet(t *testing.T) {
 	t.Logf("rung answered %d of %d rounding queries", hits, hits+declines)
 	if hits == 0 || float64(declines) > 0.001*float64(hits+declines) {
 		t.Errorf("rung answered %d of %d rounding queries, want at least 99.9%%", hits, hits+declines)
+	}
+}
+
+// TestObserveLPSplitsFloatAndExact: lp_exact_fallbacks counts only solves
+// the exact tableau ran for (not a cancellation during the float search),
+// and lp_pivots_saved compares only exact dual re-solves with the last
+// exact cold solve.
+func TestObserveLPSplitsFloatAndExact(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newSchemeMetrics(reg, oracle.Exp2, poly.Horner).snapshotBase()
+	ms := time.Millisecond
+	m.observeLP(lp.Stats{Phase1Pivots: 7, Phase2Pivots: 3, Exact: true}, ms, nil)
+	m.observeLP(lp.Stats{FloatPivots: 5, Warm: true, Certified: true, Canonical: true}, ms, nil)
+	m.observeLP(lp.Stats{FloatPivots: 6, Certified: true, Canonical: true}, ms, nil)
+	m.observeLP(lp.Stats{FloatPivots: 2}, ms, &lp.CanceledError{Phase: "float", Err: context.Canceled})
+	m.observeLP(lp.Stats{DualPivots: 4, Warm: true, Exact: true}, ms, nil)
+	var s Stats
+	m.fillStats(&s)
+	if s.LPExactFallbacks != 2 || s.LPFloatPivots != 13 || s.LPPivots != 14 {
+		t.Errorf("fallbacks %d, float pivots %d, exact pivots %d; want 2, 13, 14",
+			s.LPExactFallbacks, s.LPFloatPivots, s.LPPivots)
+	}
+	if s.WarmResolves != 2 || s.ColdSolves != 3 {
+		t.Errorf("warm %d cold %d; want 2 and 3", s.WarmResolves, s.ColdSolves)
+	}
+	if saved := m.lpPivotsSaved.Value(); saved != 6 {
+		t.Errorf("lp_pivots_saved = %d, want 6 (10 cold pivots - 4 dual)", saved)
 	}
 }

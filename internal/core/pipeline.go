@@ -74,13 +74,14 @@ type Stats struct {
 	ConstrainEvents int   // intervals shrunk by the check step
 	LPPivots        int64 // exact big.Rat tableau pivots across every LP solve
 	// LPFloatPivots counts the float64 simplex pivots that searched for a
-	// basis to certify; LPExactFallbacks counts the LP solves whose float
-	// basis was not certified, so the exact tableau produced the result.
+	// basis to certify; LPExactFallbacks counts the LP solves the exact
+	// tableau ran for, because the float search ended without a certificate.
 	LPFloatPivots    int64
 	LPExactFallbacks int
-	// WarmResolves counts LP solves served by dual-simplex reoptimization
-	// from the previous basis; ColdSolves counts from-scratch two-phase
-	// solves (always at least one per piece, plus warm-path fallbacks).
+	// WarmResolves counts LP solves that resumed from the previous basis
+	// (the float basis, or the exact tableau's dual re-solve); ColdSolves
+	// counts solves from scratch (always at least one per piece, plus
+	// warm-path fallbacks).
 	WarmResolves int
 	ColdSolves   int
 
@@ -902,7 +903,8 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			isp.End(obs.Attrs{
 				"sample": len(cons), "lp": lp.InfeasibilityCause(lpErr),
 				"lp_us": lpDur.Microseconds(), "pivots": lpStats.Pivots(),
-				"float_pivots": lpStats.FloatPivots, "certified": lpStats.Certified,
+				"float_pivots": lpStats.FloatPivots, "forced_rows": lpStats.ForcedRows,
+				"certified": lpStats.Certified,
 			})
 			continue
 		}
@@ -971,7 +973,7 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			"sample": len(cons), "violations": violations,
 			"lp_us": lpDur.Microseconds(), "check_us": checkDur.Microseconds(),
 			"pivots": lpStats.Pivots(), "float_pivots": lpStats.FloatPivots,
-			"certified": lpStats.Certified,
+			"forced_rows": lpStats.ForcedRows, "certified": lpStats.Certified,
 		})
 		if violations == 0 {
 			return ev, nil

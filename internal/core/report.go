@@ -59,8 +59,8 @@ type SchemeReport struct {
 	ConstrainEvents int   `json:"constrain_events,omitempty"`
 
 	// LPFloatPivots and LPExactFallbacks split the LP work between the
-	// float simplex and the exact tableau that runs when its basis is not
-	// certified.
+	// float simplex and the exact tableau, which runs when the float search
+	// ends without a certified basis.
 	LPFloatPivots    int64 `json:"lp_float_pivots,omitempty"`
 	LPExactFallbacks int   `json:"lp_exact_fallbacks,omitempty"`
 

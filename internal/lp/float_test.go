@@ -13,20 +13,22 @@ import (
 )
 
 // loadLP reads a testdata LP: a "degree d" line, then one "X Lo Hi Prefix"
-// line per constraint in big.Rat RatString form.
-func loadLP(tb testing.TB, path string) (int, []Constraint) {
+// line per constraint in big.Rat RatString form. A "resolve" line marks
+// where the generator solved; steps lists the constraint count at each.
+func loadLP(tb testing.TB, path string) (degree int, cons []Constraint, steps []int) {
 	tb.Helper()
 	fh, err := os.Open(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer fh.Close()
-	degree := -1
-	var cons []Constraint
+	degree = -1
 	sc := bufio.NewScanner(fh)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
 		switch {
+		case len(f) == 1 && f[0] == "resolve":
+			steps = append(steps, len(cons))
 		case len(f) == 2 && f[0] == "degree":
 			if degree, err = strconv.Atoi(f[1]); err != nil {
 				tb.Fatal(err)
@@ -54,7 +56,7 @@ func loadLP(tb testing.TB, path string) (int, []Constraint) {
 	if degree < 0 {
 		tb.Fatalf("%s: no degree line", path)
 	}
-	return degree, cons
+	return degree, cons, steps
 }
 
 // exp2Instances lists the committed LPs: the three solves of
@@ -93,7 +95,7 @@ func sameOutcome(t *testing.T, fres Result, ferr error, eres Result, eerr error)
 	if ferr == nil {
 		sameCoeffs(t, fres.Coeffs, eres.Coeffs)
 	}
-	if eres.Stats.FloatPivots != 0 || eres.Stats.Certified {
+	if eres.Stats.FloatPivots != 0 || eres.Stats.Certified || !eres.Stats.Exact {
 		t.Fatalf("exact-only solve reports float work: %+v", eres.Stats)
 	}
 }
@@ -103,7 +105,7 @@ func sameOutcome(t *testing.T, fres Result, ferr error, eres Result, eerr error)
 // exact tableau's.
 func TestFloatGuidedMatchesExactInstances(t *testing.T) {
 	for _, path := range exp2Instances(t) {
-		degree, cons := loadLP(t, path)
+		degree, cons, _ := loadLP(t, path)
 		st := solveBoth(t, degree, cons)
 		if !st.Certified || st.Pivots() != 0 || st.FloatPivots == 0 {
 			t.Errorf("%s: not certified on the float path: %+v", path, st)
@@ -118,7 +120,7 @@ func TestFloatGuidedWarmSequence(t *testing.T) {
 	ctx := context.Background()
 	warm := NewSolver(Options{Degree: 5, WarmStart: true})
 	for step, path := range exp2Instances(t) {
-		degree, cons := loadLP(t, path)
+		degree, cons, _ := loadLP(t, path)
 		warm.AddConstraints(cons[len(warm.accepted):]...)
 		wres, werr := warm.Resolve(ctx)
 		es := NewSolver(Options{Degree: degree})
@@ -129,6 +131,37 @@ func TestFloatGuidedWarmSequence(t *testing.T) {
 		if !wres.Stats.Certified || wres.Stats.Warm != (step > 0) {
 			t.Errorf("%s: certified %v warm %v", path, wres.Stats.Certified, wres.Stats.Warm)
 		}
+	}
+}
+
+// TestFloatGuidedForcedRows replays a warm sequence of the 32-bit
+// log10/knuth generation (rlibm-gen -func log10 -scheme knuth -bits 32
+// -stride 4093): a cold solve of 32 constraints, then a warm one after
+// three more. The warm float search stops at a basis whose exact point
+// violates a row, so the certificate forces violated rows into the basis
+// until it certifies. Both steps must match a cold exact solve.
+func TestFloatGuidedForcedRows(t *testing.T) {
+	ctx := context.Background()
+	degree, cons, steps := loadLP(t, "testdata/log10-32-knuth-warm.lp")
+	if len(steps) != 2 {
+		t.Fatalf("want 2 resolve steps, got %v", steps)
+	}
+	warm := NewSolver(Options{Degree: degree, WarmStart: true})
+	prev := 0
+	var st Stats
+	for _, n := range steps {
+		warm.AddConstraints(cons[prev:n]...)
+		prev = n
+		wres, werr := warm.Resolve(ctx)
+		es := NewSolver(Options{Degree: degree})
+		es.exactOnly = true
+		es.AddConstraints(cons[:n]...)
+		eres, eerr := es.Resolve(ctx)
+		sameOutcome(t, wres, werr, eres, eerr)
+		st = wres.Stats
+	}
+	if !st.Warm || !st.Certified || st.ForcedRows == 0 || st.Exact {
+		t.Errorf("warm step did not certify after forced rows: %+v", st)
 	}
 }
 
@@ -286,7 +319,7 @@ func FuzzFloatGuidedMatchesExact(f *testing.F) {
 // exp2@14 LP, float-guided against the exact tableau alone.
 func BenchmarkSolveExp2Instance(b *testing.B) {
 	paths := exp2Instances(b)
-	degree, cons := loadLP(b, paths[len(paths)-1])
+	degree, cons, _ := loadLP(b, paths[len(paths)-1])
 	for _, exact := range []bool{false, true} {
 		name := "float-guided"
 		if exact {

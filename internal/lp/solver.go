@@ -201,16 +201,17 @@ func (s *Solver) Solve(ctx context.Context, cons []Constraint) (Result, error) {
 // short of an exact verdict falls back to a cold solve, so the coefficients
 // are identical on every path.
 func (s *Solver) Resolve(ctx context.Context) (Result, error) {
-	var floatPivots int
+	var fst Stats
 	if !s.exactOnly {
 		res, ok, err := s.floatResolve(ctx)
 		if ok || err != nil {
 			return res, err
 		}
-		floatPivots = res.Stats.FloatPivots
+		fst = res.Stats
 	}
 	res, err := s.exactResolve(ctx)
-	res.Stats.FloatPivots = floatPivots
+	res.Stats.FloatPivots, res.Stats.ForcedRows = fst.FloatPivots, fst.ForcedRows
+	res.Stats.Exact = true
 	return res, err
 }
 

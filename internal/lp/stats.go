@@ -29,13 +29,20 @@ type Stats struct {
 	// an optimal basis before the exact certificate. They are cheap and not
 	// part of Pivots.
 	FloatPivots int
+	// ForcedRows counts the rows the exact certificate found violated,
+	// though the float slack said they held, and forced into the float
+	// basis before the search resumed.
+	ForcedRows int
 	// Warm reports that this solve reused the previous optimal basis (the
 	// float basis on a certified solve, the exact tableau otherwise).
 	Warm bool
 	// Certified reports that the float basis passed the exact certificate,
-	// so the coefficients came without a tableau. When false, the exact
-	// tableau produced the result (or the error).
+	// so the coefficients came without a tableau.
 	Certified bool
+	// Exact reports that the exact tableau ran and produced the result or
+	// the error. It is false on a certified solve and on a cancellation
+	// during the float search.
+	Exact bool
 	// Canonical reports that the canonicalization pass completed, making
 	// the returned coefficients independent of the pivot path taken. A
 	// certified solve is canonical: its optimum is unique.
