@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,17 +21,12 @@ import (
 	"time"
 
 	"rlibm/internal/cliflags"
-	"rlibm/internal/core"
-	"rlibm/internal/fp"
 	"rlibm/internal/libm"
 	"rlibm/internal/obs"
-	"rlibm/internal/oracle"
-	"rlibm/internal/poly"
 )
 
-// benchReport is the machine-readable output of -out: per-scheme latencies,
-// relative speedups, and (with -gen) the generation wall-clock and oracle
-// cache behaviour.
+// benchReport is the machine-readable output of -out: per-scheme latencies
+// and relative speedups, or (with -serve-bench) the serving-layer results.
 type benchReport struct {
 	Tool      string `json:"tool"`
 	CreatedAt string `json:"created_at"`
@@ -47,22 +41,7 @@ type benchReport struct {
 	// baseline, in percent (the paper's Table 2 quantity).
 	AvgSpeedupPct map[string]float64 `json:"avg_speedup_pct,omitempty"`
 
-	Gen *genBenchReport `json:"gen,omitempty"`
-
 	Serve *serveBenchReport `json:"serve,omitempty"`
-}
-
-// genBenchReport is the -gen section: pipeline wall-clock serial vs
-// parallel, plus the oracle cache hit rate of the parallel run.
-type genBenchReport struct {
-	Bits          int     `json:"bits"`
-	Workers       int     `json:"workers"`
-	SerialMs      float64 `json:"serial_ms"`
-	ParallelMs    float64 `json:"parallel_ms"`
-	Speedup       float64 `json:"speedup"`
-	OracleHits    int64   `json:"oracle_hits"`
-	OracleMisses  int64   `json:"oracle_misses"`
-	OracleHitRate float64 `json:"oracle_hit_rate"`
 }
 
 // resolveReportPath expands "auto" to BENCH_<timestamp>.json, appending a
@@ -110,8 +89,6 @@ func main() {
 		inputs   = flag.Int("inputs", 1<<16, "number of inputs per sweep")
 		rounds   = flag.Int("rounds", 9, "timed repetitions; the minimum is reported")
 		seed     = flag.Int64("seed", 42, "input generation seed")
-		genBench = flag.Bool("gen", false, "benchmark the generation pipeline instead: core.Generate wall-clock serial vs -j workers")
-		genBits  = flag.Int("gen-bits", 18, "input format width for -gen")
 		serveB   = flag.Bool("serve-bench", false, "benchmark the HTTP serving layer instead: in-process server, concurrent clients over all func x scheme combos, bit-for-bit verification")
 		serveCl  = flag.Int("serve-clients", 4, "concurrent clients for -serve-bench")
 		serveReq = flag.Int("serve-requests", 120, "requests per client for -serve-bench")
@@ -134,16 +111,6 @@ func main() {
 
 	rep := &benchReport{Tool: "rlibm-bench", Git: obs.GitDescribe(), Seed: *seed}
 
-	if *genBench {
-		rep.Gen = benchGenerate(*genBits, opts.WorkerCount(), *seed)
-		if *outPath != "" {
-			writeReport(*outPath, rep)
-		}
-		if err := ro.Close(); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *serveB {
 		rep.Serve = benchServe(*serveCl, *serveReq, *serveBat, *rounds, *smallReq, *smallEl, *replicas, *seed,
 			*serveCan, *serveMet, ro.Tracer)
@@ -223,75 +190,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rlibm-bench:", err)
 	os.Exit(1)
-}
-
-// benchGenerate times the offline generation pipeline — the quantity the
-// RLIBM papers identify as the practical bottleneck when scaling to more
-// functions and formats — on an exp-family function in its realistic shape:
-// GenerateAll over all four evaluation schemes (the `rlibm-gen -scheme all`
-// workflow). Serial (Workers: 1) runs collection then four solve loops back
-// to back; the parallel run shards the collection AND solves the four
-// scheme loops concurrently, so on a multi-core machine the wall-clock
-// shrinks toward max(solve_i) + collect/N. The two runs must agree bit for
-// bit — that is the determinism contract the sharded reduction buys. The
-// oracle cache is per-run, so the parallel run pays its own Ziv
-// escalations rather than reusing the serial run's.
-func benchGenerate(bits, workers int, seed int64) *genBenchReport {
-	cfg := core.Config{
-		Fn:    oracle.Exp2,
-		Input: fp.Format{Bits: bits, ExpBits: 8},
-		Seed:  seed,
-	}
-	fmt.Printf("rlibm-bench -gen: %v, all %d schemes, %d-bit input format, seed %d\n",
-		cfg.Fn, len(poly.PaperSchemes), bits, seed)
-
-	run := func(w int) ([]*core.Result, time.Duration) {
-		c := cfg
-		c.Workers = w
-		start := time.Now()
-		rs, err := core.GenerateAll(context.Background(), c, poly.PaperSchemes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rlibm-bench:", err)
-			os.Exit(1)
-		}
-		return rs, time.Since(start)
-	}
-	serialRes, serial := run(1)
-	parallelRes, parallel := run(workers)
-	fmt.Printf("  serial   (workers=1):  %v  (collect %v)\n", serial.Round(time.Millisecond), serialRes[0].Stats.CollectTime.Round(time.Millisecond))
-	fmt.Printf("  parallel (workers=%d): %v  (collect %v)\n", workers, parallel.Round(time.Millisecond), parallelRes[0].Stats.CollectTime.Round(time.Millisecond))
-	fmt.Printf("  speedup: %.2fx\n", serial.Seconds()/parallel.Seconds())
-	for si := range serialRes {
-		sr, pr := serialRes[si], parallelRes[si]
-		if len(sr.Pieces) != len(pr.Pieces) {
-			fmt.Fprintf(os.Stderr, "rlibm-bench: worker-count nondeterminism: %v has %d vs %d pieces\n", sr.Scheme, len(sr.Pieces), len(pr.Pieces))
-			os.Exit(1)
-		}
-		for i := range sr.Pieces {
-			for j, c := range sr.Pieces[i].Coeffs {
-				if math.Float64bits(c) != math.Float64bits(pr.Pieces[i].Coeffs[j]) {
-					fmt.Fprintf(os.Stderr, "rlibm-bench: worker-count nondeterminism: %v piece %d coeff %d differs\n", sr.Scheme, i, j)
-					os.Exit(1)
-				}
-			}
-		}
-	}
-	fmt.Println("  coefficients bit-identical across worker counts: ok")
-	hits, misses := parallelRes[0].Stats.OracleHits, parallelRes[0].Stats.OracleMisses
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	return &genBenchReport{
-		Bits:          bits,
-		Workers:       workers,
-		SerialMs:      serial.Seconds() * 1e3,
-		ParallelMs:    parallel.Seconds() * 1e3,
-		Speedup:       serial.Seconds() / parallel.Seconds(),
-		OracleHits:    hits,
-		OracleMisses:  misses,
-		OracleHitRate: rate,
-	}
 }
 
 // makeSweep draws inputs spanning the function's interesting domain: the

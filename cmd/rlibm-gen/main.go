@@ -1,19 +1,20 @@
 // Command rlibm-gen runs the polynomial generation pipeline (the paper's
 // Figure 1 / Algorithm 2) and emits either a human-readable report, a
-// Table-1-style summary, or the Go data file embedded in internal/libm.
+// Table-1-style summary, or internal/libm's two generated files: the data
+// tables and the straight-line kernels emitted from them.
 //
 // Usage:
 //
 //	rlibm-gen [-func all|exp|exp2,log2|...] [-scheme all|horner|knuth|estrin|estrin-fma]
 //	          [-bits 32] [-expbits 8] [-stride 4096] [-seed 1] [-j 8]
-//	          [-emit libmdata.go] [-table1]
+//	          [-emit dir] [-table1]
 //	          [-v|-q] [-trace trace.jsonl] [-report report.json]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Examples:
 //
 //	rlibm-gen -func log2 -scheme estrin-fma -bits 20 -stride 1
-//	rlibm-gen -func all -scheme all -bits 32 -stride 4096 -emit internal/libm/zz_generated_data.go
+//	rlibm-gen -func all -scheme all -bits 32 -stride 4093 -emit internal/libm
 //	rlibm-gen -func exp2,log2 -bits 14 -report run.json -trace trace.jsonl
 //	rlibm-gen -table1 -bits 24 -stride 16
 package main
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -32,6 +34,7 @@ import (
 	"rlibm/internal/cliflags"
 	"rlibm/internal/core"
 	"rlibm/internal/fp"
+	"rlibm/internal/libm"
 	"rlibm/internal/obs"
 	"rlibm/internal/oracle"
 	"rlibm/internal/poly"
@@ -47,7 +50,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed for constraint sampling")
 		degree     = flag.Int("degree", 0, "starting polynomial degree (0 = per-function default)")
 		pieces     = flag.Int("pieces", 0, "piecewise pieces (0 = per-function default)")
-		emit       = flag.String("emit", "", "write the internal/libm Go data file to this path")
+		emit       = flag.String("emit", "", "write internal/libm's generated files (zz_generated_data.go, zz_generated_funcs.go) into this directory")
 		table1     = flag.Bool("table1", false, "print a Table-1-style summary")
 		timeout    = flag.Duration("timeout", 0, "abort generation after this long (0 = no limit); cancellation reaches down into the simplex pivot loop")
 		opts       = cliflags.Register(flag.CommandLine)
@@ -175,17 +178,10 @@ func main() {
 		core.PrintTable1(os.Stdout, results)
 	}
 	if *emit != "" {
-		f, err := os.Create(*emit)
-		if err != nil {
-			fatal(err)
+		if err := libm.Emit(*emit, libmTable(results)); err != nil {
+			fatal(fmt.Errorf("-emit %s: %w", *emit, err))
 		}
-		if err := core.EmitLibmData(f, results); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		ro.Log.Infof("wrote %s", *emit)
+		ro.Log.Infof("wrote zz_generated_data.go and zz_generated_funcs.go in %s", *emit)
 	}
 	if report != nil {
 		report.Cache = oracle.NewCacheReport(cacheHits, cacheMisses)
@@ -201,6 +197,41 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// libmTable gathers the results into the table internal/libm embeds, one
+// entry per function in the order the results arrive.
+func libmTable(results []*core.Result) libm.Table {
+	var t libm.Table
+	index := map[oracle.Func]int{}
+	for _, r := range results {
+		t.Input, t.Target = r.Input, r.Target
+		i, ok := index[r.Fn]
+		if !ok {
+			// The cuts depend only on function and target, so every scheme
+			// of a function carries the same ones.
+			d := r.Dom
+			i, index[r.Fn] = len(t.Funcs), len(t.Funcs)
+			t.Funcs = append(t.Funcs, libm.FuncTable{
+				Name:  r.Fn.String(),
+				DomLo: d.Lo, DomHi: d.Hi, LoVal: d.LoVal, HiVal: d.HiVal,
+				TinyLo: d.TinyLo, TinyHi: d.TinyHi, TinyLoVal: d.TinyLoVal, TinyHiVal: d.TinyHiVal,
+			})
+		}
+		st := libm.SchemeTable{Scheme: r.Scheme}
+		for _, p := range r.Pieces {
+			st.Pieces = append(st.Pieces, libm.Piece{Lo: p.Lo, Coeffs: p.Coeffs, Adapted: p.Eval.AdaptedCoeffs()})
+		}
+		for b := range r.Specials {
+			st.SpecialBits = append(st.SpecialBits, b)
+		}
+		slices.Sort(st.SpecialBits)
+		for _, b := range st.SpecialBits {
+			st.SpecialVals = append(st.SpecialVals, r.Specials[b])
+		}
+		t.Funcs[i].Schemes = append(t.Funcs[i].Schemes, st)
+	}
+	return t
 }
 
 func printResult(res *core.Result) {

@@ -1,5 +1,5 @@
 // Package cliflags is the single flag surface shared by the rlibm binaries
-// (rlibm-gen, rlibm-check, rlibm-bench, rlibm-funcgen, rlibm-serve): worker
+// (rlibm-gen, rlibm-check, rlibm-bench, rlibm-serve): worker
 // parallelism (-j) and the observability bundle (-v/-q, -trace, -report,
 // -cpuprofile/-memprofile). Each binary registers the one Options struct
 // and starts it once; binary-specific flags stay in the binary.

@@ -6,40 +6,36 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"rlibm/internal/poly"
 )
 
-// EmitGeneratedFuncs writes the straight-line function backend
-// (zz_generated_funcs.go): one standalone Go function per implementation,
-// derived from this package's embedded data — the shape of the artifact's
-// generated C sources. The polynomial bodies come from running the scheme's
-// generic DAG interpreter under the code-generating Ops (internal/poly), so
-// they execute exactly the operation sequence the pipeline validated; a
-// test asserts bit-identity against the data-driven backend.
-//
-// Regenerate with: go run ./cmd/rlibm-funcgen
-func EmitGeneratedFuncs(out io.Writer) error {
+// emitFuncsFile renders zz_generated_funcs.go, the straight-line function
+// backend: one standalone Go function per implementation of fns — the shape
+// of the artifact's generated C sources. The polynomial bodies come from
+// running the scheme's generic DAG interpreter under the code-generating Ops
+// (internal/poly), so they execute exactly the operation sequence the
+// pipeline validated; a test asserts bit-identity against the data-driven
+// backend.
+func emitFuncsFile(fns []genFunc) ([]byte, error) {
 	var raw strings.Builder
-	if err := emitGeneratedFuncs(&raw); err != nil {
-		return err
+	if err := emitGeneratedFuncs(&raw, fns); err != nil {
+		return nil, err
 	}
 	// gofmt the emission so the committed file is format-clean regardless of
 	// how carefully the emitter aligned composite literals.
 	src, err := format.Source([]byte(raw.String()))
 	if err != nil {
-		return fmt.Errorf("generated source does not parse: %w", err)
+		return nil, fmt.Errorf("generated source does not parse: %w", err)
 	}
-	_, err = out.Write(src)
-	return err
+	return src, nil
 }
 
-func emitGeneratedFuncs(w io.Writer) error {
-	fmt.Fprintf(w, "// Code generated by rlibm-funcgen. DO NOT EDIT.\n//\n")
+func emitGeneratedFuncs(w io.Writer, fns []genFunc) error {
+	fmt.Fprintf(w, "// Code generated by rlibm-gen. DO NOT EDIT.\n//\n")
 	fmt.Fprintf(w, "// Straight-line function backend emitted from the embedded generation\n")
-	fmt.Fprintf(w, "// data; see EmitGeneratedFuncs.\n")
+	fmt.Fprintf(w, "// data; see Emit.\n")
 	fmt.Fprintf(w, "\npackage libm\n\nimport (\n\t\"math\"\n\n\t\"rlibm/internal/rangered\"\n)\n\n")
 	fmt.Fprintf(w, "var _ = math.FMA // not every generated body uses the fused ops\n\n")
 
@@ -50,49 +46,43 @@ func emitGeneratedFuncs(w io.Writer) error {
 	}
 	var entries, prefixEntries []entry
 	var bodies strings.Builder
-	for _, fd := range []struct {
-		fn   string
-		data *funcData
-	}{
-		{"exp", &expData}, {"exp2", &exp2Data}, {"exp10", &exp10Data},
-		{"log", &logData}, {"log2", &log2Data}, {"log10", &log10Data},
-	} {
+	for _, g := range fns {
 		for _, s := range Schemes {
-			name := funcIdent(fd.fn, s)
-			entries = append(entries, entry{key: fd.fn + "/" + s.String(), name: name})
-			if err := emitOneFunc(&bodies, fd.fn, fd.data, s, name); err != nil {
-				return fmt.Errorf("%s/%v: %w", fd.fn, s, err)
+			name := funcIdent(g.name, s)
+			entries = append(entries, entry{key: g.name + "/" + s.String(), name: name})
+			if err := emitOneFunc(&bodies, g.name, g.data, s, name); err != nil {
+				return fmt.Errorf("%s/%v: %w", g.name, s, err)
 			}
-			if err := emitOneBlockFunc(&bodies, fd.fn, fd.data, s, name+"Block"); err != nil {
-				return fmt.Errorf("%s/%v block: %w", fd.fn, s, err)
+			if err := emitOneBlockFunc(&bodies, g.name, g.data, s, name+"Block"); err != nil {
+				return fmt.Errorf("%s/%v block: %w", g.name, s, err)
 			}
-			emitOneBatchFunc(&bodies, fd.fn, s, name)
-			vspec, err := vecSpecFull(fd.fn, fd.data, s, name)
+			emitOneBatchFunc(&bodies, g.name, s, name)
+			vspec, err := vecSpecFull(g.name, g.data, s, name)
 			if err != nil {
-				return fmt.Errorf("%s/%v vec: %w", fd.fn, s, err)
+				return fmt.Errorf("%s/%v vec: %w", g.name, s, err)
 			}
 			if err := emitVecKernel(&bodies, vspec); err != nil {
-				return fmt.Errorf("%s/%v vec: %w", fd.fn, s, err)
+				return fmt.Errorf("%s/%v vec: %w", g.name, s, err)
 			}
 			emitVecBatchFuncs(&bodies, name)
 			for _, ps := range PrecSpecs {
-				pl, err := planPrefix(fd.fn, fd.data, s, ps)
+				pl, err := planPrefix(g.name, g.data, s, ps)
 				if err != nil {
-					return fmt.Errorf("%s/%v/%s: %w", fd.fn, s, ps.Name, err)
+					return fmt.Errorf("%s/%v/%s: %w", g.name, s, ps.Name, err)
 				}
 				pname := name + precIdent(ps.Name)
 				prefixEntries = append(prefixEntries, entry{
-					key: fd.fn + "/" + s.String() + "/" + ps.Name, name: pname, degree: pl.degree,
+					key: g.name + "/" + s.String() + "/" + ps.Name, name: pname, degree: pl.degree,
 				})
-				if err := emitOnePrefixFunc(&bodies, fd.fn, fd.data, s, ps, pl, pname); err != nil {
-					return fmt.Errorf("%s/%v/%s: %w", fd.fn, s, ps.Name, err)
+				if err := emitOnePrefixFunc(&bodies, g.name, g.data, s, ps, pl, pname); err != nil {
+					return fmt.Errorf("%s/%v/%s: %w", g.name, s, ps.Name, err)
 				}
-				if err := emitOnePrefixBlockFunc(&bodies, fd.fn, fd.data, s, ps, pl, pname+"Block"); err != nil {
-					return fmt.Errorf("%s/%v/%s block: %w", fd.fn, s, ps.Name, err)
+				if err := emitOnePrefixBlockFunc(&bodies, g.name, g.data, s, ps, pl, pname+"Block"); err != nil {
+					return fmt.Errorf("%s/%v/%s block: %w", g.name, s, ps.Name, err)
 				}
-				emitOneBatchFunc(&bodies, fd.fn, s, pname)
-				if err := emitVecKernel(&bodies, vecSpecPrefix(fd.fn, fd.data, ps, pl, pname)); err != nil {
-					return fmt.Errorf("%s/%v/%s vec: %w", fd.fn, s, ps.Name, err)
+				emitOneBatchFunc(&bodies, g.name, s, pname)
+				if err := emitVecKernel(&bodies, vecSpecPrefix(g.name, g.data, ps, pl, pname)); err != nil {
+					return fmt.Errorf("%s/%v/%s vec: %w", g.name, s, ps.Name, err)
 				}
 				emitVecBatchFuncs(&bodies, pname)
 			}
@@ -293,10 +283,6 @@ func funcIdent(fn string, s Scheme) string {
 	return "gen" + camel + strings.Join(parts, "")
 }
 
-func hexLit(v float64) string {
-	return strconv.FormatFloat(v, 'x', -1, 64)
-}
-
 func emitOneFunc(w io.Writer, fn string, fd *funcData, s Scheme, name string) error {
 	fmt.Fprintf(w, "\n// %s is the generated %s implementation with %v evaluation.\n", name, fn, s)
 	fmt.Fprintf(w, "func %s(x float64) float64 {\n", name)
@@ -350,10 +336,10 @@ func emitKernelBody(w io.Writer, fn string, fd *funcData, s Scheme, depth int, r
 		fmt.Fprintf(w, "%scase math.IsInf(x, 1):\n%s\n", ind, ret(ind2, "math.Inf(1)", false))
 		fmt.Fprintf(w, "%scase math.IsInf(x, -1):\n%s\n", ind, ret(ind2, "0", false))
 		fmt.Fprintf(w, "%scase x == 0:\n%s\n", ind, ret(ind2, "1", false))
-		fmt.Fprintf(w, "%scase x <= %s:\n%s\n", ind, hexLit(fd.domLo), ret(ind2, hexLit(fd.loVal), false))
-		fmt.Fprintf(w, "%scase x >= %s:\n%s\n", ind, hexLit(fd.domHi), ret(ind2, hexLit(fd.hiVal), false))
-		fmt.Fprintf(w, "%scase x < 0 && x >= %s:\n%s\n", ind, hexLit(fd.tinyLo), ret(ind2, hexLit(fd.tinyLoVal), false))
-		fmt.Fprintf(w, "%scase x > 0 && x <= %s:\n%s\n", ind, hexLit(fd.tinyHi), ret(ind2, hexLit(fd.tinyHiVal), false))
+		fmt.Fprintf(w, "%scase x <= %s:\n%s\n", ind, hexF(fd.domLo), ret(ind2, hexF(fd.loVal), false))
+		fmt.Fprintf(w, "%scase x >= %s:\n%s\n", ind, hexF(fd.domHi), ret(ind2, hexF(fd.hiVal), false))
+		fmt.Fprintf(w, "%scase x < 0 && x >= %s:\n%s\n", ind, hexF(fd.tinyLo), ret(ind2, hexF(fd.tinyLoVal), false))
+		fmt.Fprintf(w, "%scase x > 0 && x <= %s:\n%s\n", ind, hexF(fd.tinyHi), ret(ind2, hexF(fd.tinyHiVal), false))
 		fmt.Fprintf(w, "%s}\n", ind)
 	}
 
@@ -368,10 +354,10 @@ func emitKernelBody(w io.Writer, fn string, fd *funcData, s Scheme, depth int, r
 			v := math.Float64frombits(b)
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		fmt.Fprintf(w, "%sif x >= %s && x <= %s {\n", ind, hexLit(lo), hexLit(hi))
+		fmt.Fprintf(w, "%sif x >= %s && x <= %s {\n", ind, hexF(lo), hexF(hi))
 		fmt.Fprintf(w, "%sswitch math.Float64bits(x) {\n", ind2)
 		for i, b := range impl.specialBits {
-			fmt.Fprintf(w, "%scase %#x:\n%s\n", ind2, b, ret(ind2+"\t", hexLit(impl.specialVals[i]), false))
+			fmt.Fprintf(w, "%scase %#x:\n%s\n", ind2, b, ret(ind2+"\t", hexF(impl.specialVals[i]), false))
 		}
 		fmt.Fprintf(w, "%s}\n%s}\n", ind2, ind)
 	}
@@ -420,7 +406,7 @@ func emitPieceDispatch(w io.Writer, s Scheme, pieces []pieceData, depth int) err
 		return nil
 	}
 	mid := len(pieces) / 2
-	fmt.Fprintf(w, "%sif r < %s {\n", indent, hexLit(pieces[mid].lo))
+	fmt.Fprintf(w, "%sif r < %s {\n", indent, hexF(pieces[mid].lo))
 	if err := emitPieceDispatch(w, s, pieces[:mid], depth+1); err != nil {
 		return err
 	}
@@ -436,18 +422,7 @@ func emitPieceDispatch(w io.Writer, s Scheme, pieces []pieceData, depth int) err
 // variant NewEvaluator re-runs the adaptation, which is deterministic and
 // reproduces the embedded alpha coefficients exactly (asserted).
 func evaluatorFor(s Scheme, p pieceData) (*poly.Evaluator, error) {
-	var ps poly.Scheme
-	switch s {
-	case SchemeHorner:
-		ps = poly.Horner
-	case SchemeKnuth:
-		ps = poly.Knuth
-	case SchemeEstrin:
-		ps = poly.Estrin
-	case SchemeEstrinFMA:
-		ps = poly.EstrinFMA
-	}
-	ev, err := poly.NewEvaluator(ps, p.coeffs)
+	ev, err := poly.NewEvaluator(polySchemeOf(s), p.coeffs)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"rlibm/internal/fp"
 	"rlibm/internal/poly"
@@ -51,11 +50,6 @@ type prefixPlan struct {
 	specialBits []uint64  // residual special inputs (sorted float64 bits)
 	specialVals []float64 // their outputs, pre-rounded to the output format
 }
-
-// prefixPlanCache memoizes plans per "func/scheme/prec": the emission tests
-// emit twice to prove determinism, and the exhaustive sweeps are the
-// expensive part. Plans are deterministic, so caching cannot change output.
-var prefixPlanCache sync.Map
 
 // famOps carries the per-family reduction hooks in both runtime and codegen
 // form, so the emit-time sweep evaluates exactly what the emitted code will.
@@ -122,23 +116,18 @@ func (pl *prefixPlan) evalDouble(fam *famOps, x float64) float64 {
 	return fam.compensate(ev.Eval(r), k)
 }
 
-// fullKernelDouble is the full-degree raw-double kernel for fn under s.
-func fullKernelDouble(fn string, x float32, s Scheme) float64 {
-	for _, f := range Funcs {
-		if f.Name == fn {
-			return f.Double(x, s)
-		}
+// fullKernelDouble is the full-degree raw double of the fam function's
+// table fd under s.
+func fullKernelDouble(fam *famOps, fd *funcData, s Scheme, x float64) float64 {
+	if fam.isLog {
+		return logFamily64(x, fd, s, fam.compensate)
 	}
-	panic("libm: unknown function " + fn)
+	return expFamily64(x, fd, s, fam.reduce)
 }
 
-// planPrefix derives (and memoizes) the verified prefix plan for one
-// implementation and precision.
+// planPrefix derives the verified prefix plan for one implementation and
+// precision.
 func planPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec) (*prefixPlan, error) {
-	key := fn + "/" + s.String() + "/" + ps.Name
-	if v, ok := prefixPlanCache.Load(key); ok {
-		return v.(*prefixPlan), nil
-	}
 	fam, err := famFor(fn)
 	if err != nil {
 		return nil, err
@@ -171,7 +160,7 @@ func planPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec) (*prefixPlan, er
 				return true
 			}
 		}
-		full := fullKernelDouble(fn, float32(v), s)
+		full := fullKernelDouble(&fam, fd, s, v)
 		_, isSpec := impl.special(v)
 		grid = append(grid, sample{x: v, fullRTO: ps.Target.Round(full, fp.RTO), special: isSpec})
 		return true
@@ -232,7 +221,7 @@ func planPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec) (*prefixPlan, er
 	if chosen == nil {
 		// Unreachable: at maxDeg the truncation is the full polynomial, which
 		// t-agrees with itself at every non-special input.
-		return nil, fmt.Errorf("%s: no verifying prefix degree", key)
+		return nil, fmt.Errorf("%s/%v/%s: no verifying prefix degree", fn, s, ps.Name)
 	}
 
 	// Piece collapse: prefer a single straight-line body when the piece
@@ -271,8 +260,6 @@ func planPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec) (*prefixPlan, er
 		chosen.specialBits = append(chosen.specialBits, math.Float64bits(grid[i].x))
 		chosen.specialVals = append(chosen.specialVals, ps.Out.Round(y, fp.RNE))
 	}
-
-	prefixPlanCache.Store(key, chosen)
 	return chosen, nil
 }
 
@@ -326,17 +313,8 @@ func emitPrefixKernelBody(w io.Writer, fn string, fd *funcData, ps PrecSpec, pl 
 	ind2 := ind + "\t"
 	// Rounding a plateau constant to the output format can overflow to
 	// infinity (e.g. exp's top plateau: the RO34 saturation double rounds to
-	// +Inf at 8-bit precision), which has no hex literal.
-	lit := func(v float64) string {
-		switch {
-		case math.IsInf(v, 1):
-			return "math.Inf(1)"
-		case math.IsInf(v, -1):
-			return "math.Inf(-1)"
-		}
-		return hexLit(v)
-	}
-	rnd := func(v float64) string { return lit(ps.Out.Round(v, fp.RNE)) }
+	// +Inf at 8-bit precision), which hexF spells as math.Inf(1).
+	rnd := func(v float64) string { return hexF(ps.Out.Round(v, fp.RNE)) }
 	if strings.HasPrefix(fn, "log") {
 		fmt.Fprintf(w, "%sswitch {\n", ind)
 		fmt.Fprintf(w, "%scase math.IsNaN(x):\n%s\n", ind, ret(ind2, "x", false))
@@ -349,10 +327,10 @@ func emitPrefixKernelBody(w io.Writer, fn string, fd *funcData, ps PrecSpec, pl 
 		fmt.Fprintf(w, "%scase math.IsInf(x, 1):\n%s\n", ind, ret(ind2, "math.Inf(1)", false))
 		fmt.Fprintf(w, "%scase math.IsInf(x, -1):\n%s\n", ind, ret(ind2, "0", false))
 		fmt.Fprintf(w, "%scase x == 0:\n%s\n", ind, ret(ind2, "1", false))
-		fmt.Fprintf(w, "%scase x <= %s:\n%s\n", ind, hexLit(fd.domLo), ret(ind2, rnd(fd.loVal), false))
-		fmt.Fprintf(w, "%scase x >= %s:\n%s\n", ind, hexLit(fd.domHi), ret(ind2, rnd(fd.hiVal), false))
-		fmt.Fprintf(w, "%scase x < 0 && x >= %s:\n%s\n", ind, hexLit(fd.tinyLo), ret(ind2, rnd(fd.tinyLoVal), false))
-		fmt.Fprintf(w, "%scase x > 0 && x <= %s:\n%s\n", ind, hexLit(fd.tinyHi), ret(ind2, rnd(fd.tinyHiVal), false))
+		fmt.Fprintf(w, "%scase x <= %s:\n%s\n", ind, hexF(fd.domLo), ret(ind2, rnd(fd.loVal), false))
+		fmt.Fprintf(w, "%scase x >= %s:\n%s\n", ind, hexF(fd.domHi), ret(ind2, rnd(fd.hiVal), false))
+		fmt.Fprintf(w, "%scase x < 0 && x >= %s:\n%s\n", ind, hexF(fd.tinyLo), ret(ind2, rnd(fd.tinyLoVal), false))
+		fmt.Fprintf(w, "%scase x > 0 && x <= %s:\n%s\n", ind, hexF(fd.tinyHi), ret(ind2, rnd(fd.tinyHiVal), false))
 		fmt.Fprintf(w, "%s}\n", ind)
 	}
 
@@ -362,10 +340,10 @@ func emitPrefixKernelBody(w io.Writer, fn string, fd *funcData, ps PrecSpec, pl 
 			v := math.Float64frombits(b)
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		fmt.Fprintf(w, "%sif x >= %s && x <= %s {\n", ind, hexLit(lo), hexLit(hi))
+		fmt.Fprintf(w, "%sif x >= %s && x <= %s {\n", ind, hexF(lo), hexF(hi))
 		fmt.Fprintf(w, "%sswitch math.Float64bits(x) {\n", ind2)
 		for i, b := range pl.specialBits {
-			fmt.Fprintf(w, "%scase %#x:\n%s\n", ind2, b, ret(ind2+"\t", lit(pl.specialVals[i]), false))
+			fmt.Fprintf(w, "%scase %#x:\n%s\n", ind2, b, ret(ind2+"\t", hexF(pl.specialVals[i]), false))
 		}
 		fmt.Fprintf(w, "%s}\n%s}\n", ind2, ind)
 	}
@@ -398,7 +376,7 @@ func emitPrefixDispatch(w io.Writer, evs []*poly.Evaluator, los []float64, depth
 		return
 	}
 	mid := len(evs) / 2
-	fmt.Fprintf(w, "%sif r < %s {\n", indent, hexLit(los[mid]))
+	fmt.Fprintf(w, "%sif r < %s {\n", indent, hexF(los[mid]))
 	emitPrefixDispatch(w, evs[:mid], los[:mid], depth+1)
 	fmt.Fprintf(w, "%s} else {\n", indent)
 	emitPrefixDispatch(w, evs[mid:], los[mid:], depth+1)

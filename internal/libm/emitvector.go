@@ -178,7 +178,7 @@ func emitVecTable(w io.Writer, spec *vecSpec) {
 			if i > 0 {
 				fmt.Fprintf(w, ", ")
 			}
-			fmt.Fprintf(w, "%s", hexLit(c))
+			fmt.Fprintf(w, "%s", hexF(c))
 		}
 		fmt.Fprintf(w, "},\n")
 	}
@@ -296,7 +296,7 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 		fmt.Fprintf(w, "\t\t\tvs[l] = rangered.CompensateExpFamily(1, k)\n")
 		fd := spec.fd
 		fmt.Fprintf(w, "\t\t\tif !(x > %s && x < %s && (x < %s || x > %s)) {\n",
-			hexLit(fd.domLo), hexLit(fd.domHi), hexLit(fd.tinyLo), hexLit(fd.tinyHi))
+			hexF(fd.domLo), hexF(fd.domHi), hexF(fd.tinyLo), hexF(fd.tinyHi))
 		fmt.Fprintf(w, "\t\t\t\tsl[l], slow = true, true\n\t\t\t}\n")
 	}
 	if len(spec.specialBits) > 0 {
@@ -307,7 +307,7 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 			lo, hi = math.Min(lo, val), math.Max(hi, val)
 			cases[i] = fmt.Sprintf("%#x", bb)
 		}
-		fmt.Fprintf(w, "\t\t\tif x >= %s && x <= %s {\n", hexLit(lo), hexLit(hi))
+		fmt.Fprintf(w, "\t\t\tif x >= %s && x <= %s {\n", hexF(lo), hexF(hi))
 		fmt.Fprintf(w, "\t\t\t\tswitch math.Float64bits(x) {\n")
 		fmt.Fprintf(w, "\t\t\t\tcase %s:\n\t\t\t\t\tsl[l], slow = true, true\n", strings.Join(cases, ", "))
 		fmt.Fprintf(w, "\t\t\t\t}\n\t\t\t}\n")
@@ -326,9 +326,9 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 		// bounds ascend, so the count is the scalar dispatch's chosen index.
 		// r - lo is +0 only when r == lo (fast lanes are finite), making the
 		// sign bit an exact r >= lo on this path.
-		fmt.Fprintf(w, "\t\t\tsel := (math.Float64bits(r-(%s)) >> 63) ^ 1\n", hexLit(spec.los[1]))
+		fmt.Fprintf(w, "\t\t\tsel := (math.Float64bits(r-(%s)) >> 63) ^ 1\n", hexF(spec.los[1]))
 		for _, lo := range spec.los[2:] {
-			fmt.Fprintf(w, "\t\t\tsel += (math.Float64bits(r-(%s)) >> 63) ^ 1\n", hexLit(lo))
+			fmt.Fprintf(w, "\t\t\tsel += (math.Float64bits(r-(%s)) >> 63) ^ 1\n", hexF(lo))
 		}
 		fmt.Fprintf(w, "\t\t\tc := &%s[sel]\n", spec.tab)
 		lines, result = spec.evs[0].GenEvalCoeffs("r", "tv_", func(i int) string {

@@ -199,26 +199,22 @@ func TestMultiFormatSampled(t *testing.T) {
 // TestDomainCutsMatchPipeline: the generated plateau constants agree with a
 // fresh domain analysis against the FP34 target.
 func TestDomainCutsMatchPipeline(t *testing.T) {
-	cases := []struct {
-		fn   oracle.Func
-		data *funcData
-	}{
-		{oracle.Exp, &expData},
-		{oracle.Exp2, &exp2Data},
-		{oracle.Exp10, &exp10Data},
-	}
-	for _, tc := range cases {
-		dom := core.FindDomain(tc.fn, fp.FP34)
-		if dom.Lo != tc.data.domLo || dom.Hi != tc.data.domHi {
+	for _, g := range shippedTables {
+		fn, d := fnOracle[g.name], g.data
+		if fn.IsLog() {
+			continue
+		}
+		dom := core.FindDomain(fn, fp.FP34)
+		if dom.Lo != d.domLo || dom.Hi != d.domHi {
 			t.Errorf("%v: domain cuts (%.17g, %.17g) vs pipeline (%.17g, %.17g)",
-				tc.fn, tc.data.domLo, tc.data.domHi, dom.Lo, dom.Hi)
+				fn, d.domLo, d.domHi, dom.Lo, dom.Hi)
 		}
-		if dom.TinyLo != tc.data.tinyLo || dom.TinyHi != tc.data.tinyHi {
-			t.Errorf("%v: tiny cuts differ", tc.fn)
+		if dom.TinyLo != d.tinyLo || dom.TinyHi != d.tinyHi {
+			t.Errorf("%v: tiny cuts differ", fn)
 		}
-		if dom.LoVal != tc.data.loVal || dom.HiVal != tc.data.hiVal ||
-			dom.TinyLoVal != tc.data.tinyLoVal || dom.TinyHiVal != tc.data.tinyHiVal {
-			t.Errorf("%v: plateau values differ", tc.fn)
+		if dom.LoVal != d.loVal || dom.HiVal != d.hiVal ||
+			dom.TinyLoVal != d.tinyLoVal || dom.TinyHiVal != d.tinyHiVal {
+			t.Errorf("%v: plateau values differ", fn)
 		}
 	}
 }
@@ -272,18 +268,13 @@ func TestSubnormalOutputs(t *testing.T) {
 // cut, comparing against the oracle — the most failure-prone inputs.
 func TestBoundaryNeighborhoods(t *testing.T) {
 	f32 := fp.Float32
-	cuts := map[string][]float64{
-		"exp":   {expData.domLo, expData.domHi, expData.tinyLo, expData.tinyHi},
-		"exp2":  {exp2Data.domLo, exp2Data.domHi, exp2Data.tinyLo, exp2Data.tinyHi},
-		"exp10": {exp10Data.domLo, exp10Data.domHi, exp10Data.tinyLo, exp10Data.tinyHi},
-	}
 	for _, f := range Funcs {
-		cs, ok := cuts[f.Name]
-		if !ok {
+		ofn := fnOracle[f.Name]
+		if ofn.IsLog() {
 			continue
 		}
-		ofn := fnOracle[f.Name]
-		for _, cut := range cs {
+		d := shippedData(t, f.Name)
+		for _, cut := range []float64{d.domLo, d.domHi, d.tinyLo, d.tinyHi} {
 			x := float32(cut)
 			for k := -8; k <= 8; k++ {
 				xi := x
@@ -420,13 +411,7 @@ func TestExhaustiveTF32SampledModes(t *testing.T) {
 // boundaries and special tables, and the expected leading coefficients
 // (p(0)=1 for exponentials via c0~1; logs have c0~0).
 func TestShippedDataSanity(t *testing.T) {
-	for _, fd := range []struct {
-		name string
-		data *funcData
-	}{
-		{"exp", &expData}, {"exp2", &exp2Data}, {"exp10", &exp10Data},
-		{"log", &logData}, {"log2", &log2Data}, {"log10", &log10Data},
-	} {
+	for _, fd := range shippedTables {
 		isLog := fd.name[0] == 'l'
 		for si := range fd.data.impls {
 			impl := &fd.data.impls[si]

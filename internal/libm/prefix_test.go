@@ -10,27 +10,6 @@ import (
 	"rlibm/internal/oracle"
 )
 
-// prefixDataOf maps a function name to its embedded generation data.
-func prefixDataOf(t *testing.T, name string) *funcData {
-	t.Helper()
-	switch name {
-	case "exp":
-		return &expData
-	case "exp2":
-		return &exp2Data
-	case "exp10":
-		return &exp10Data
-	case "log":
-		return &logData
-	case "log2":
-		return &log2Data
-	case "log10":
-		return &log10Data
-	}
-	t.Fatalf("unknown function %q", name)
-	return nil
-}
-
 // splitPrefixKey splits "func/scheme/prec" into its components.
 func splitPrefixKey(t *testing.T, key string) (fn string, s Scheme, ps PrecSpec) {
 	t.Helper()
@@ -119,6 +98,11 @@ func TestPrefixKernelsMatchFullRounded(t *testing.T) {
 	}
 	for key, prefix := range GeneratedPrefixFuncs {
 		fn, s, ps := splitPrefixKey(t, key)
+		fam, err := famFor(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := shippedData(t, fn)
 		grid := ps.Out
 		if ps.Name == "tf32" && testing.Short() {
 			grid = fp.Format{Bits: 14, ExpBits: 8}
@@ -126,7 +110,7 @@ func TestPrefixKernelsMatchFullRounded(t *testing.T) {
 		wrong := 0
 		grid.FiniteValues(func(_ uint64, v float64) bool {
 			got := prefix(v)
-			want := ps.Out.Round(fullKernelDouble(fn, float32(v), s), fp.RNE)
+			want := ps.Out.Round(fullKernelDouble(&fam, fd, s, v), fp.RNE)
 			if math.Float64bits(got) != math.Float64bits(want) &&
 				!(math.IsNaN(got) && math.IsNaN(want)) {
 				wrong++
@@ -249,7 +233,7 @@ func TestPrefixDegreesProgressive(t *testing.T) {
 	sumFull, sumPrefix := 0, 0
 	for key, deg := range GeneratedPrefixDegrees {
 		fn, s, _ := splitPrefixKey(t, key)
-		impl := &prefixDataOf(t, fn).impls[s]
+		impl := &shippedData(t, fn).impls[s]
 		fullDeg := 0
 		for _, p := range impl.pieces {
 			if d := len(p.coeffs) - 1; d > fullDeg {

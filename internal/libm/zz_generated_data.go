@@ -2,6 +2,7 @@
 //
 // Polynomial coefficients, adapted coefficients, special-case tables and
 // domain cuts produced by the internal/core pipeline (input fp32_e8, target fp34_e8).
+
 package libm
 
 import "math"
@@ -241,9 +242,9 @@ var log10Data = funcData{
 		{
 			scheme: SchemeKnuth,
 			pieces: []pieceData{
-				{lo: math.Inf(-1), coeffs: []float64{0x1.abfccc2997c8bp-40, 0x1.bcb7af65571a6p-02, -0x1.bc71add9eaed8p-03, -0x1.f2840392dff06p-05, 0x1.6b1c476650c3ep+06}, a4: &[5]float64{-0x1.002beed39ef8ep-01, 0x1.0785138db227p-03, -0x1.3ef942b0c94dp-07, -0x1.f57a6a48e0f4p-07, 0x1.6b1c476650c3ep+06}},
-				{lo: 0x1.57e33c678cf1ap-10, coeffs: []float64{0x1.6da87dfb36661p-31, 0x1.bcb751d0aa964p-02, -0x1.ba657dd71ece1p-03, -0x1.030d6f69e9088p-02, 0x1.9dd819703b0c1p+05}, a4: &[5]float64{-0x1.01407ea76ec0cp-01, 0x1.0e2478a4e8ca9p-03, -0x1.26caff5e8a65p-06, -0x1.ec5ce12147c04p-07, 0x1.9dd819703b0c1p+05}},
-				{lo: 0x1.5765465465466p-09, coeffs: []float64{0x1.3d376990eb89p-31, 0x1.bcb78c65f3f84p-02, -0x1.bc4d1db702a84p-03, 0x1.c1da1b068525p-04, 0x1.2232615517475p+01}, a4: &[5]float64{-0x1.e73289988d701p-02, 0x1.0f0caf147e5a6p-02, -0x1.80af9ffd070dbp-02, 0x1.e14479c9b1eccp-06, 0x1.2232615517475p+01}},
+				{lo: math.Inf(-1), coeffs: []float64{0x1.abfcb6a6c4b22p-40, 0x1.bcb7af6557332p-02, -0x1.bc71addde2597p-03, -0x1.f2839e9fc3dacp-05, 0x1.6b1c2fd56e0eap+06}, a4: &[5]float64{-0x1.002beecd9367bp-01, 0x1.07851401c8939p-03, -0x1.3ef956498823p-07, -0x1.f57a698f46621p-07, 0x1.6b1c2fd56e0eap+06}},
+				{lo: 0x1.57e33c678cf1ap-10, coeffs: []float64{0x1.6da8544a6eef3p-31, 0x1.bcb751d0b413ep-02, -0x1.ba657e0a4c88fp-03, -0x1.030d512899b3cp-02, 0x1.9dd7fefa2405dp+05}, a4: &[5]float64{-0x1.01407e967e7b7p-01, 0x1.0e24796706f0ap-03, -0x1.26cb0fe590388p-06, -0x1.ec5cdfc092afep-07, 0x1.9dd7fefa2405dp+05}},
+				{lo: 0x1.5765465465466p-09, coeffs: []float64{0x1.3d376990b3e69p-31, 0x1.bcb78c65f3f85p-02, -0x1.bc4d1db702c5p-03, 0x1.c1da1b06b2014p-04, 0x1.22326154ae9bbp+01}, a4: &[5]float64{-0x1.e73289988204bp-02, 0x1.0f0caf14b2422p-02, -0x1.80af9ffd92c8ep-02, 0x1.e14479cb820acp-06, 0x1.22326154ae9bbp+01}},
 				{lo: 0x1.01578cbe9d5e3p-08, coeffs: []float64{-0x1.480a5d46bfe63p-28, 0x1.bcb89a2482d57p-02, -0x1.bea070f87c7bep-03, 0x1.04b69a8b37d31p-02, -0x1.39a36914d9f9p+02}, a4: &[5]float64{-0x1.0d4cd19d8fd6cp-01, 0x1.0e06713dee4ffp-04, 0x1.4bbae3e8b3e95p-03, -0x1.ec503eeb13357p-07, -0x1.39a36914d9f9p+02}},
 			},
 			specialBits: []uint64{},

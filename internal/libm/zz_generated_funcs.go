@@ -1,7 +1,7 @@
-// Code generated by rlibm-funcgen. DO NOT EDIT.
+// Code generated by rlibm-gen. DO NOT EDIT.
 //
 // Straight-line function backend emitted from the embedded generation
-// data; see EmitGeneratedFuncs.
+// data; see Emit.
 
 package libm
 
@@ -13738,36 +13738,36 @@ func genLog10RlibmKnuth(x float64) float64 {
 	var p float64
 	if r < 0x1.5765465465466p-09 {
 		if r < 0x1.57e33c678cf1ap-10 {
-			t3_0 := r + -0x1.002beed39ef8ep-01
+			t3_0 := r + -0x1.002beecd9367bp-01
 			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0785138db227p-03
+			t3_2 := t3_1 + 0x1.07851401c8939p-03
 			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.3ef942b0c94dp-07
+			t3_4 := t3_3 + -0x1.3ef956498823p-07
 			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.f57a6a48e0f4p-07
-			t3_7 := t3_6 * 0x1.6b1c476650c3ep+06
+			t3_6 := t3_5 + -0x1.f57a698f46621p-07
+			t3_7 := t3_6 * 0x1.6b1c2fd56e0eap+06
 			p = t3_7
 		} else {
-			t3_0 := r + -0x1.01407ea76ec0cp-01
+			t3_0 := r + -0x1.01407e967e7b7p-01
 			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0e2478a4e8ca9p-03
+			t3_2 := t3_1 + 0x1.0e24796706f0ap-03
 			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.26caff5e8a65p-06
+			t3_4 := t3_3 + -0x1.26cb0fe590388p-06
 			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.ec5ce12147c04p-07
-			t3_7 := t3_6 * 0x1.9dd819703b0c1p+05
+			t3_6 := t3_5 + -0x1.ec5cdfc092afep-07
+			t3_7 := t3_6 * 0x1.9dd7fefa2405dp+05
 			p = t3_7
 		}
 	} else {
 		if r < 0x1.01578cbe9d5e3p-08 {
-			t3_0 := r + -0x1.e73289988d701p-02
+			t3_0 := r + -0x1.e73289988204bp-02
 			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0f0caf147e5a6p-02
+			t3_2 := t3_1 + 0x1.0f0caf14b2422p-02
 			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.80af9ffd070dbp-02
+			t3_4 := t3_3 + -0x1.80af9ffd92c8ep-02
 			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + 0x1.e14479c9b1eccp-06
-			t3_7 := t3_6 * 0x1.2232615517475p+01
+			t3_6 := t3_5 + 0x1.e14479cb820acp-06
+			t3_7 := t3_6 * 0x1.22326154ae9bbp+01
 			p = t3_7
 		} else {
 			t3_0 := r + -0x1.0d4cd19d8fd6cp-01
@@ -13809,36 +13809,36 @@ func genLog10RlibmKnuthBlock(b []float64) {
 		var p float64
 		if r < 0x1.5765465465466p-09 {
 			if r < 0x1.57e33c678cf1ap-10 {
-				t4_0 := r + -0x1.002beed39ef8ep-01
+				t4_0 := r + -0x1.002beecd9367bp-01
 				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0785138db227p-03
+				t4_2 := t4_1 + 0x1.07851401c8939p-03
 				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.3ef942b0c94dp-07
+				t4_4 := t4_3 + -0x1.3ef956498823p-07
 				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.f57a6a48e0f4p-07
-				t4_7 := t4_6 * 0x1.6b1c476650c3ep+06
+				t4_6 := t4_5 + -0x1.f57a698f46621p-07
+				t4_7 := t4_6 * 0x1.6b1c2fd56e0eap+06
 				p = t4_7
 			} else {
-				t4_0 := r + -0x1.01407ea76ec0cp-01
+				t4_0 := r + -0x1.01407e967e7b7p-01
 				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0e2478a4e8ca9p-03
+				t4_2 := t4_1 + 0x1.0e24796706f0ap-03
 				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.26caff5e8a65p-06
+				t4_4 := t4_3 + -0x1.26cb0fe590388p-06
 				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.ec5ce12147c04p-07
-				t4_7 := t4_6 * 0x1.9dd819703b0c1p+05
+				t4_6 := t4_5 + -0x1.ec5cdfc092afep-07
+				t4_7 := t4_6 * 0x1.9dd7fefa2405dp+05
 				p = t4_7
 			}
 		} else {
 			if r < 0x1.01578cbe9d5e3p-08 {
-				t4_0 := r + -0x1.e73289988d701p-02
+				t4_0 := r + -0x1.e73289988204bp-02
 				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0f0caf147e5a6p-02
+				t4_2 := t4_1 + 0x1.0f0caf14b2422p-02
 				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.80af9ffd070dbp-02
+				t4_4 := t4_3 + -0x1.80af9ffd92c8ep-02
 				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + 0x1.e14479c9b1eccp-06
-				t4_7 := t4_6 * 0x1.2232615517475p+01
+				t4_6 := t4_5 + 0x1.e14479cb820acp-06
+				t4_7 := t4_6 * 0x1.22326154ae9bbp+01
 				p = t4_7
 			} else {
 				t4_0 := r + -0x1.0d4cd19d8fd6cp-01
@@ -13882,9 +13882,9 @@ func genLog10RlibmKnuthBatch(dst, src []float32) {
 // genLog10RlibmKnuthVecTab holds the per-piece coefficient rows of genLog10RlibmKnuthVecBlock, selected
 // branch-free by sign-bit counting against the piece bounds.
 var genLog10RlibmKnuthVecTab = [4][5]float64{
-	{-0x1.002beed39ef8ep-01, 0x1.0785138db227p-03, -0x1.3ef942b0c94dp-07, -0x1.f57a6a48e0f4p-07, 0x1.6b1c476650c3ep+06},
-	{-0x1.01407ea76ec0cp-01, 0x1.0e2478a4e8ca9p-03, -0x1.26caff5e8a65p-06, -0x1.ec5ce12147c04p-07, 0x1.9dd819703b0c1p+05},
-	{-0x1.e73289988d701p-02, 0x1.0f0caf147e5a6p-02, -0x1.80af9ffd070dbp-02, 0x1.e14479c9b1eccp-06, 0x1.2232615517475p+01},
+	{-0x1.002beecd9367bp-01, 0x1.07851401c8939p-03, -0x1.3ef956498823p-07, -0x1.f57a698f46621p-07, 0x1.6b1c2fd56e0eap+06},
+	{-0x1.01407e967e7b7p-01, 0x1.0e24796706f0ap-03, -0x1.26cb0fe590388p-06, -0x1.ec5cdfc092afep-07, 0x1.9dd7fefa2405dp+05},
+	{-0x1.e73289988204bp-02, 0x1.0f0caf14b2422p-02, -0x1.80af9ffd92c8ep-02, 0x1.e14479cb820acp-06, 0x1.22326154ae9bbp+01},
 	{-0x1.0d4cd19d8fd6cp-01, 0x1.0e06713dee4ffp-04, 0x1.4bbae3e8b3e95p-03, -0x1.ec503eeb13357p-07, -0x1.39a36914d9f9p+02},
 }
 
@@ -14006,36 +14006,36 @@ func genLog10RlibmKnuthTf32(x float64) float64 {
 	var p float64
 	if r < 0x1.5765465465466p-09 {
 		if r < 0x1.57e33c678cf1ap-10 {
-			t3_0 := r + -0x1.002beed39ef8ep-01
+			t3_0 := r + -0x1.002beecd9367bp-01
 			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0785138db227p-03
+			t3_2 := t3_1 + 0x1.07851401c8939p-03
 			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.3ef942b0c94dp-07
+			t3_4 := t3_3 + -0x1.3ef956498823p-07
 			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.f57a6a48e0f4p-07
-			t3_7 := t3_6 * 0x1.6b1c476650c3ep+06
+			t3_6 := t3_5 + -0x1.f57a698f46621p-07
+			t3_7 := t3_6 * 0x1.6b1c2fd56e0eap+06
 			p = t3_7
 		} else {
-			t3_0 := r + -0x1.01407ea76ec0cp-01
+			t3_0 := r + -0x1.01407e967e7b7p-01
 			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0e2478a4e8ca9p-03
+			t3_2 := t3_1 + 0x1.0e24796706f0ap-03
 			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.26caff5e8a65p-06
+			t3_4 := t3_3 + -0x1.26cb0fe590388p-06
 			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.ec5ce12147c04p-07
-			t3_7 := t3_6 * 0x1.9dd819703b0c1p+05
+			t3_6 := t3_5 + -0x1.ec5cdfc092afep-07
+			t3_7 := t3_6 * 0x1.9dd7fefa2405dp+05
 			p = t3_7
 		}
 	} else {
 		if r < 0x1.01578cbe9d5e3p-08 {
-			t3_0 := r + -0x1.e73289988d701p-02
+			t3_0 := r + -0x1.e73289988204bp-02
 			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0f0caf147e5a6p-02
+			t3_2 := t3_1 + 0x1.0f0caf14b2422p-02
 			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.80af9ffd070dbp-02
+			t3_4 := t3_3 + -0x1.80af9ffd92c8ep-02
 			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + 0x1.e14479c9b1eccp-06
-			t3_7 := t3_6 * 0x1.2232615517475p+01
+			t3_6 := t3_5 + 0x1.e14479cb820acp-06
+			t3_7 := t3_6 * 0x1.22326154ae9bbp+01
 			p = t3_7
 		} else {
 			t3_0 := r + -0x1.0d4cd19d8fd6cp-01
@@ -14077,36 +14077,36 @@ func genLog10RlibmKnuthTf32Block(b []float64) {
 		var p float64
 		if r < 0x1.5765465465466p-09 {
 			if r < 0x1.57e33c678cf1ap-10 {
-				t4_0 := r + -0x1.002beed39ef8ep-01
+				t4_0 := r + -0x1.002beecd9367bp-01
 				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0785138db227p-03
+				t4_2 := t4_1 + 0x1.07851401c8939p-03
 				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.3ef942b0c94dp-07
+				t4_4 := t4_3 + -0x1.3ef956498823p-07
 				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.f57a6a48e0f4p-07
-				t4_7 := t4_6 * 0x1.6b1c476650c3ep+06
+				t4_6 := t4_5 + -0x1.f57a698f46621p-07
+				t4_7 := t4_6 * 0x1.6b1c2fd56e0eap+06
 				p = t4_7
 			} else {
-				t4_0 := r + -0x1.01407ea76ec0cp-01
+				t4_0 := r + -0x1.01407e967e7b7p-01
 				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0e2478a4e8ca9p-03
+				t4_2 := t4_1 + 0x1.0e24796706f0ap-03
 				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.26caff5e8a65p-06
+				t4_4 := t4_3 + -0x1.26cb0fe590388p-06
 				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.ec5ce12147c04p-07
-				t4_7 := t4_6 * 0x1.9dd819703b0c1p+05
+				t4_6 := t4_5 + -0x1.ec5cdfc092afep-07
+				t4_7 := t4_6 * 0x1.9dd7fefa2405dp+05
 				p = t4_7
 			}
 		} else {
 			if r < 0x1.01578cbe9d5e3p-08 {
-				t4_0 := r + -0x1.e73289988d701p-02
+				t4_0 := r + -0x1.e73289988204bp-02
 				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0f0caf147e5a6p-02
+				t4_2 := t4_1 + 0x1.0f0caf14b2422p-02
 				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.80af9ffd070dbp-02
+				t4_4 := t4_3 + -0x1.80af9ffd92c8ep-02
 				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + 0x1.e14479c9b1eccp-06
-				t4_7 := t4_6 * 0x1.2232615517475p+01
+				t4_6 := t4_5 + 0x1.e14479cb820acp-06
+				t4_7 := t4_6 * 0x1.22326154ae9bbp+01
 				p = t4_7
 			} else {
 				t4_0 := r + -0x1.0d4cd19d8fd6cp-01
@@ -14150,9 +14150,9 @@ func genLog10RlibmKnuthTf32Batch(dst, src []float32) {
 // genLog10RlibmKnuthTf32VecTab holds the per-piece coefficient rows of genLog10RlibmKnuthTf32VecBlock, selected
 // branch-free by sign-bit counting against the piece bounds.
 var genLog10RlibmKnuthTf32VecTab = [4][5]float64{
-	{-0x1.002beed39ef8ep-01, 0x1.0785138db227p-03, -0x1.3ef942b0c94dp-07, -0x1.f57a6a48e0f4p-07, 0x1.6b1c476650c3ep+06},
-	{-0x1.01407ea76ec0cp-01, 0x1.0e2478a4e8ca9p-03, -0x1.26caff5e8a65p-06, -0x1.ec5ce12147c04p-07, 0x1.9dd819703b0c1p+05},
-	{-0x1.e73289988d701p-02, 0x1.0f0caf147e5a6p-02, -0x1.80af9ffd070dbp-02, 0x1.e14479c9b1eccp-06, 0x1.2232615517475p+01},
+	{-0x1.002beecd9367bp-01, 0x1.07851401c8939p-03, -0x1.3ef956498823p-07, -0x1.f57a698f46621p-07, 0x1.6b1c2fd56e0eap+06},
+	{-0x1.01407e967e7b7p-01, 0x1.0e24796706f0ap-03, -0x1.26cb0fe590388p-06, -0x1.ec5cdfc092afep-07, 0x1.9dd7fefa2405dp+05},
+	{-0x1.e73289988204bp-02, 0x1.0f0caf14b2422p-02, -0x1.80af9ffd92c8ep-02, 0x1.e14479cb820acp-06, 0x1.22326154ae9bbp+01},
 	{-0x1.0d4cd19d8fd6cp-01, 0x1.0e06713dee4ffp-04, 0x1.4bbae3e8b3e95p-03, -0x1.ec503eeb13357p-07, -0x1.39a36914d9f9p+02},
 }
 
@@ -14279,8 +14279,8 @@ func genLog10RlibmKnuthBf16(x float64) float64 {
 		return roundBf16(rangered.CompensateLog10(0, k))
 	}
 	var p float64
-	t1_0 := 0x1.bcb7af65571a6p-02 * r
-	t1_1 := t1_0 + 0x1.abfccc2997c8bp-40
+	t1_0 := 0x1.bcb7af6557332p-02 * r
+	t1_1 := t1_0 + 0x1.abfcb6a6c4b22p-40
 	p = t1_1
 	return roundBf16(rangered.CompensateLog10(p, k))
 }
@@ -14308,8 +14308,8 @@ func genLog10RlibmKnuthBf16Block(b []float64) {
 			continue
 		}
 		var p float64
-		t2_0 := 0x1.bcb7af65571a6p-02 * r
-		t2_1 := t2_0 + 0x1.abfccc2997c8bp-40
+		t2_0 := 0x1.bcb7af6557332p-02 * r
+		t2_1 := t2_0 + 0x1.abfcb6a6c4b22p-40
 		p = t2_1
 		b[i] = roundBf16(rangered.CompensateLog10(p, k))
 	}
@@ -14365,8 +14365,8 @@ func genLog10RlibmKnuthBf16VecBlock(b []float64) {
 		}
 		for l := 0; l < generatedVecLanes; l++ {
 			r := vr[l]
-			tv_0 := 0x1.bcb7af65571a6p-02 * r
-			tv_1 := tv_0 + 0x1.abfccc2997c8bp-40
+			tv_0 := 0x1.bcb7af6557332p-02 * r
+			tv_1 := tv_0 + 0x1.abfcb6a6c4b22p-40
 			z := math.Float64bits(r) << 1
 			m := (z | -z) >> 63
 			pb := math.Float64bits(tv_1) & -m
