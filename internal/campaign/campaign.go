@@ -5,11 +5,13 @@
 // float32 inputs. A single uninterrupted process can prove that claim only
 // with hours to spare; this package makes it a restartable background job
 // instead. A campaign is a deterministic Plan: a work queue of float32
-// bit-pattern range Units per (function, scheme, lane), where a lane is one
-// way of driving the implementations against the Ziv oracle — the full
+// bit-pattern range Units per (function, lane), where a lane is one way of
+// driving the implementations against the Ziv oracle — the full
 // widths-by-modes sweep of the double kernels, the bfloat16 sweep of the
-// progressive prefix kernels, or a seeded random-input lane. Each completed
-// unit's tally is committed to a versioned, CRC-validated checkpoint file
+// progressive prefix kernels, or a seeded random-input lane. A unit asks
+// the oracle once per input and checks every scheme's kernel against that
+// one value, keeping one tally per scheme. Each completed unit's tallies
+// are committed to a versioned, CRC-validated checkpoint file
 // (atomic-rename commits; a file that fails validation is quarantined and
 // the campaign restarts rather than fails), so a killed sweep resumes
 // exactly where it stopped: per-unit results are deterministic and their
@@ -35,7 +37,7 @@ import (
 // first-failure rendering changes: the version participates in the plan
 // hash, so a stale checkpoint can never silently resume under different
 // semantics.
-const PlanVersion = 2
+const PlanVersion = 3
 
 // Lane selects one verification drive of the implementations.
 type Lane uint8
@@ -101,8 +103,8 @@ type Config struct {
 	// Ranges restricts the float32 lane to these bit-pattern ranges; empty
 	// means the full [0, 2^32).
 	Ranges []Range
-	// RandomN is the number of seeded random inputs per (func, scheme) on
-	// the random lane (the same sequence for every combo).
+	// RandomN is the number of seeded random inputs per function on the
+	// random lane (the same sequence for every function and scheme).
 	RandomN int
 	// Seed seeds the random lane.
 	Seed int64
@@ -115,10 +117,13 @@ type Config struct {
 	UseFuncs bool
 }
 
-// DefaultUnitSize is the full-sweep resume grain: 2^24 inputs per unit puts
-// a 2^32 exhaustive combo at 256 units, so a kill loses at most ~0.4% of a
-// combo's progress while the checkpoint stays small.
-const DefaultUnitSize = 1 << 24
+// DefaultUnitSize is the full-sweep resume grain: 2^22 inputs per unit puts
+// a 2^32 exhaustive (function, lane) at 1024 units, so a kill loses at most
+// ~0.1% of its progress while the checkpoint stays small. A unit checks
+// every scheme, so with the four schemes it is as much kernel work as a
+// 2^24-input unit of one scheme, and a stride sweep still splits into
+// enough units to keep every worker busy.
+const DefaultUnitSize = 1 << 22
 
 // SmokeStride is the float32-lane step of the smoke slice: prime, so
 // sampled mantissa bit patterns vary instead of repeating a power-of-two
@@ -178,13 +183,13 @@ func FullConfig(funcs, schemes []string, widths []int, seed int64, randomN int) 
 }
 
 // Unit is one work item: a contiguous index range of one lane of one
-// (function, scheme). Lo/Hi are float32 bit patterns on the float32 lane
-// (stepped by Stride), bfloat16 bit patterns on the bf16 lane, and indices
-// into the seeded random sequence on the random lane.
+// function, checked for every scheme of the plan. Lo/Hi are float32 bit
+// patterns on the float32 lane (stepped by Stride), bfloat16 bit patterns
+// on the bf16 lane, and indices into the seeded random sequence on the
+// random lane.
 type Unit struct {
 	ID     int
 	Fn     string
-	Scheme string
 	Lane   Lane
 	Lo, Hi uint64
 	Stride uint64
@@ -204,11 +209,22 @@ type Plan struct {
 }
 
 // NewPlan validates cfg and enumerates its units in deterministic order
-// (function, scheme, lane, range, offset). The same Config always produces
+// (function, lane, range, offset). The same Config always produces
 // the same plan and the same hash, on every machine.
 func NewPlan(cfg Config) (*Plan, error) {
 	if len(cfg.Funcs) == 0 || len(cfg.Schemes) == 0 {
 		return nil, fmt.Errorf("campaign: empty function or scheme list")
+	}
+	// Tallies are kept per (function, scheme, lane), so each may appear
+	// only once.
+	if d, ok := duplicate(cfg.Funcs); ok {
+		return nil, fmt.Errorf("campaign: function %q listed twice", d)
+	}
+	if d, ok := duplicate(cfg.Schemes); ok {
+		return nil, fmt.Errorf("campaign: scheme %q listed twice", d)
+	}
+	if d, ok := duplicate(cfg.Lanes); ok {
+		return nil, fmt.Errorf("campaign: lane %s listed twice", d)
 	}
 	for _, fn := range cfg.Funcs {
 		if !knownFunc(fn) {
@@ -258,34 +274,32 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}
 
 	p := &Plan{Cfg: cfg}
-	add := func(fn, scheme string, lane Lane, lo, hi, stride uint64) {
+	add := func(fn string, lane Lane, lo, hi, stride uint64) {
 		p.Units = append(p.Units, Unit{
-			ID: len(p.Units), Fn: fn, Scheme: scheme, Lane: lane,
+			ID: len(p.Units), Fn: fn, Lane: lane,
 			Lo: lo, Hi: hi, Stride: stride,
 		})
 	}
 	for _, fn := range cfg.Funcs {
-		for _, scheme := range cfg.Schemes {
-			for _, lane := range cfg.Lanes {
-				switch lane {
-				case LaneFloat32:
-					// Unit boundaries fall on stride multiples from each
-					// range's base, so splitting a range into units visits
-					// exactly the inputs an unsplit sweep would.
-					span := unit * cfg.Stride
-					for _, r := range ranges {
-						for lo := r.Lo; lo < r.Hi; lo += span {
-							add(fn, scheme, lane, lo, min(lo+span, r.Hi), cfg.Stride)
-						}
+		for _, lane := range cfg.Lanes {
+			switch lane {
+			case LaneFloat32:
+				// Unit boundaries fall on stride multiples from each
+				// range's base, so splitting a range into units visits
+				// exactly the inputs an unsplit sweep would.
+				span := unit * cfg.Stride
+				for _, r := range ranges {
+					for lo := r.Lo; lo < r.Hi; lo += span {
+						add(fn, lane, lo, min(lo+span, r.Hi), cfg.Stride)
 					}
-				case LaneBf16:
-					for lo := uint64(0); lo < 1<<16; lo += unit {
-						add(fn, scheme, lane, lo, min(lo+unit, 1<<16), 1)
-					}
-				case LaneRandom:
-					for lo := uint64(0); lo < uint64(cfg.RandomN); lo += unit {
-						add(fn, scheme, lane, lo, min(lo+unit, uint64(cfg.RandomN)), 1)
-					}
+				}
+			case LaneBf16:
+				for lo := uint64(0); lo < 1<<16; lo += unit {
+					add(fn, lane, lo, min(lo+unit, 1<<16), 1)
+				}
+			case LaneRandom:
+				for lo := uint64(0); lo < uint64(cfg.RandomN); lo += unit {
+					add(fn, lane, lo, min(lo+unit, uint64(cfg.RandomN)), 1)
 				}
 			}
 		}
@@ -317,6 +331,19 @@ func hashConfig(cfg Config) string {
 		cfg.RandomN, cfg.Seed, cfg.UnitSize, cfg.UseFuncs)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
+}
+
+// duplicate returns the first element of xs that occurs twice.
+func duplicate[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // knownFunc reports whether the library implements fn.

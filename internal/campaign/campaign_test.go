@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -65,8 +67,10 @@ func TestPlanDeterministic(t *testing.T) {
 		}
 		inputs += u.Inputs()
 	}
-	perCombo := uint64(0x4000/64 + 128) // strided range + random lane
-	if want := perCombo * 4; inputs != want {
+	// Units cover each (function, lane) once; every scheme is checked
+	// inside them.
+	perFunc := uint64(0x4000/64 + 128) // strided range + random lane
+	if want := perFunc * 2; inputs != want {
 		t.Fatalf("plan covers %d inputs, want %d", inputs, want)
 	}
 }
@@ -81,6 +85,9 @@ func TestPlanValidation(t *testing.T) {
 		func(c *Config) { c.Lanes = nil },
 		func(c *Config) { c.Ranges = []Range{{8, 4}} },
 		func(c *Config) { c.Ranges = []Range{{0, 1<<32 + 1}} },
+		func(c *Config) { c.Funcs = []string{"exp2", "log2", "exp2"} },
+		func(c *Config) { c.Schemes = []string{"rlibm", "rlibm"} },
+		func(c *Config) { c.Lanes = []Lane{LaneRandom, LaneFloat32, LaneRandom} },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig()
@@ -101,8 +108,11 @@ func TestPlanValidation(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), CheckpointFile)
 	units := map[int]UnitResult{
-		0: {ID: 0, Checked: 320, Wrong: 0},
-		3: {ID: 3, Checked: 320, Wrong: 2, FirstIdx: 17, First: "exp2(1.5) w=10 RNE: got 2 want 3"},
+		0: {ID: 0, Schemes: []SchemeTally{{Checked: 320}, {Checked: 320}}},
+		3: {ID: 3, Schemes: []SchemeTally{
+			{Checked: 320},
+			{Checked: 320, Wrong: 2, FirstIdx: 17, First: "exp2(1.5) w=10 RNE: got 2 want 3"},
+		}},
 	}
 	if err := SaveCheckpoint(path, "deadbeef", units); err != nil {
 		t.Fatal(err)
@@ -140,7 +150,7 @@ func TestCheckpointMissingIsFresh(t *testing.T) {
 // of resuming from garbage.
 func TestCheckpointCorruptQuarantines(t *testing.T) {
 	dir := t.TempDir()
-	units := map[int]UnitResult{1: {ID: 1, Checked: 10}}
+	units := map[int]UnitResult{1: {ID: 1, Schemes: []SchemeTally{{Checked: 10}}}}
 	corruptions := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -189,19 +199,17 @@ func TestEngineRejectsForeignCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Plan: plan, CheckpointPath: path, Cache: oracle.NewCache(0)}
+	e := &Engine{Plan: plan, CheckpointPath: path}
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("engine resumed from a foreign checkpoint")
 	}
 }
 
 // TestReportCacheSection: a small campaign's report carries the cache
-// section. With no Cache every oracle query of the run is computed; with
-// one, the Cache's counters split the same queries. On the float32 lane one
-// round-to-odd query settles all of an input's (width, mode) checks, so
-// the run asks for fewer queries than it counts checks. The random lane
-// expands a fixed sample of its inputs to every target, so it asks for more
-// than one query per input but still fewer than one per check.
+// section, and the run computes exactly one oracle value per verified
+// input, on every lane, however many schemes and targets it checks against
+// that value. The deprecated Engine.Cache is ignored: it stays empty, and
+// the report shows no hits.
 func TestReportCacheSection(t *testing.T) {
 	lanePlan := func(lanes ...Lane) *Plan {
 		cfg := testConfig()
@@ -212,34 +220,70 @@ func TestReportCacheSection(t *testing.T) {
 		}
 		return plan
 	}
-	mixed := lanePlan(LaneFloat32, LaneRandom)
-	float32Only := lanePlan(LaneFloat32)
-	randomOnly := lanePlan(LaneRandom)
-	for _, plan := range []*Plan{mixed, float32Only, randomOnly} {
+	targets := int64(len(testConfig().Schemes) * len(testConfig().Widths) * len(fp.StandardModes))
+	for _, plan := range []*Plan{lanePlan(LaneFloat32, LaneRandom), lanePlan(LaneFloat32), lanePlan(LaneRandom)} {
+		inputs := verifiedInputs(plan)
 		for _, cache := range []*oracle.Cache{nil, oracle.NewCache(0)} {
-			totals := runToCompletion(t, plan, cache, 2, "", false)
+			e := &Engine{Plan: plan, Workers: 2, Cache: cache}
+			totals, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			rep := NewReport("custom", plan)
 			rep.SetTotals(totals, time.Second)
 			c := rep.Cache
 			if c == nil {
 				t.Fatal("report has no cache section")
 			}
-			if c.OracleMisses <= 0 || c.OracleHits+c.OracleMisses != totals.OracleQueries {
-				t.Errorf("cache %v: hits %d + misses %d, want %d queries with misses > 0",
-					cache != nil, c.OracleHits, c.OracleMisses, totals.OracleQueries)
+			lanes := fmt.Sprint(plan.Cfg.Lanes)
+			if totals.OracleQueries != inputs {
+				t.Errorf("lanes %s: %d oracle values for %d verified inputs", lanes, totals.OracleQueries, inputs)
 			}
-			if cache == nil && c.OracleHits != 0 {
-				t.Errorf("no cache but %d hits", c.OracleHits)
+			if totals.Checked != inputs*targets {
+				t.Errorf("lanes %s: %d checks, want %d inputs x %d schemes x targets", lanes, totals.Checked, inputs, len(plan.Cfg.Schemes))
 			}
-			if plan == float32Only && totals.OracleQueries >= totals.Checked {
-				t.Errorf("float32 lane: %d queries for %d checks, want fewer", totals.OracleQueries, totals.Checked)
+			if c.OracleHits != 0 || c.OracleMisses != totals.OracleQueries {
+				t.Errorf("lanes %s: hits %d, misses %d; want 0 and %d", lanes, c.OracleHits, c.OracleMisses, totals.OracleQueries)
 			}
-			inputs := totals.Checked / int64(len(plan.Cfg.Widths)*len(fp.StandardModes))
-			if plan == randomOnly && (totals.OracleQueries <= inputs || totals.OracleQueries >= totals.Checked) {
-				t.Errorf("random lane: %d queries for %d inputs and %d checks, want between", totals.OracleQueries, inputs, totals.Checked)
+			if cache != nil && cache.Len() != 0 {
+				t.Errorf("lanes %s: the ignored cache holds %d entries", lanes, cache.Len())
 			}
 		}
 	}
+}
+
+// verifiedInputs counts, without the engine, the inputs of a float32 and
+// random plan that no lane skips: the strided ranges and the seeded random
+// sequence, once per function.
+func verifiedInputs(plan *Plan) int64 {
+	cfg := plan.Cfg
+	var n int64
+	count := func(ofn oracle.Func, x float64) {
+		if !skippable(ofn, x) {
+			n++
+		}
+	}
+	for _, fn := range cfg.Funcs {
+		ofn, err := oracle.ParseFunc(fn)
+		if err != nil {
+			panic(err)
+		}
+		for _, lane := range cfg.Lanes {
+			switch lane {
+			case LaneFloat32:
+				for _, r := range cfg.Ranges {
+					for b := r.Lo; b < r.Hi; b += cfg.Stride {
+						count(ofn, float64(math.Float32frombits(uint32(b))))
+					}
+				}
+			case LaneRandom:
+				for _, x := range drawRandoms(cfg.Seed, cfg.RandomN) {
+					count(ofn, float64(x))
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestCustomPlanMatchesSweepCounts pins rlibm-check's default plan shape —
@@ -269,7 +313,7 @@ func TestCustomPlanMatchesSweepCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			totals := runToCompletion(t, plan, nil, 2, "", false)
+			totals := runToCompletion(t, plan, 2, "", false)
 			var checked, wrong int64
 			first := ""
 			for _, combo := range totals.Combos {

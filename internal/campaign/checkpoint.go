@@ -15,7 +15,7 @@ import (
 // (magics, length and CRC) on every load:
 //
 //	header:  magic "RLCC" | version uint32 | payloadLen uint64
-//	payload: JSON {plan_hash, units:[{id, checked, wrong, first_idx, first}]}
+//	payload: JSON {plan_hash, units:[{id, schemes:[{checked, wrong, first_idx, first}]}]}
 //	trailer: magic "RLCE" | crc32(IEEE, payload)
 //
 // Commits are atomic: the new image is written to a sibling .tmp file,
@@ -30,29 +30,54 @@ const (
 	checkpointHeaderLen = 16
 	checkpointFooterLen = 8
 	// CheckpointVersion gates the checkpoint layout: a file of any other
-	// version fails validation and is quarantined.
-	CheckpointVersion = 1
+	// version fails validation and is quarantined. Version 2 holds one
+	// tally per scheme in each unit; version 1 files, written when a unit
+	// covered a single scheme, are quarantined, never resumed.
+	CheckpointVersion = 2
 	// CheckpointFile is the file name inside a campaign state directory.
 	CheckpointFile = "checkpoint.rlcc"
 
 	quarantineSuffix = ".quarantined"
 )
 
-// UnitResult is one completed unit's tally. Checked counts checks (inputs
-// x widths x modes on the widths lanes), Wrong the mismatches;
+// UnitResult is one completed unit's tallies, one per scheme of the plan
+// in Config.Schemes order.
+type UnitResult struct {
+	ID      int           `json:"id"`
+	Schemes []SchemeTally `json:"schemes"`
+	// Queries counts the oracle values the unit computed: one per verified
+	// input, shared by every scheme. It describes this run's work, not the
+	// tally, so it is not checkpointed: a resumed unit reads 0.
+	Queries int64 `json:"-"`
+}
+
+// SchemeTally is one scheme's tally over a unit. Checked counts checks
+// (inputs x widths x modes on the widths lanes), Wrong the mismatches;
 // FirstIdx/First pin the unit-local index and rendering of the first
 // failure, so the campaign's overall first failure is reconstructible from
 // any commit order.
-type UnitResult struct {
-	ID       int    `json:"id"`
+type SchemeTally struct {
 	Checked  int64  `json:"checked"`
 	Wrong    int64  `json:"wrong"`
 	FirstIdx uint64 `json:"first_idx,omitempty"`
 	First    string `json:"first,omitempty"`
-	// Queries counts the oracle answers the unit asked for. It describes
-	// this run's work, not the tally, so it is not checkpointed: a resumed
-	// unit reads 0.
-	Queries int64 `json:"-"`
+}
+
+// Checked and Wrong sum the unit's tallies over its schemes.
+func (r *UnitResult) Checked() int64 {
+	var n int64
+	for _, s := range r.Schemes {
+		n += s.Checked
+	}
+	return n
+}
+
+func (r *UnitResult) Wrong() int64 {
+	var n int64
+	for _, s := range r.Schemes {
+		n += s.Wrong
+	}
+	return n
 }
 
 type checkpointPayload struct {

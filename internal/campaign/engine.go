@@ -22,10 +22,12 @@ type Engine struct {
 	// CheckpointPath is where completed units commit ("" = no
 	// checkpointing: an interrupted run saves nothing).
 	CheckpointPath string
-	// Cache, when non-nil, memoizes oracle answers across units and
-	// schemes. Without one every oracle query is computed: one per verified
-	// float32-lane input, plus one per target of an input that expands, of
-	// a random-lane input and of a bf16 input.
+	// Cache is ignored: no lane consults it.
+	//
+	// Deprecated: every unit computes one oracle value per input and checks
+	// all of the plan's schemes against it, so there is nothing left to
+	// memoize, and a cache lookup and insert per input cost as much as the
+	// computation they save.
 	Cache *oracle.Cache
 	// Log receives progress and resume lines (nil = silent).
 	Log *obs.Logger
@@ -40,13 +42,15 @@ type Engine struct {
 
 	// implOverride, when set, substitutes implementations on the
 	// float32/random lanes (return nil to fall through). Tests inject
-	// deliberately wrong kernels to exercise mismatch tallying.
+	// deliberately wrong kernels to exercise mismatch tallying, for one
+	// scheme or for all.
 	implOverride func(fn, scheme string) func(float32) float64
 }
 
-// ComboTotal aggregates one (function, scheme, lane)'s tally across its
-// units. First renders the failure at the lowest (unit, index) position —
-// exactly what an uninterrupted serial sweep would report first.
+// ComboTotal aggregates one (function, scheme, lane)'s tally across the
+// units of its (function, lane). First renders the failure at the lowest
+// (unit, index) position — exactly what an uninterrupted serial sweep
+// would report first.
 type ComboTotal struct {
 	Fn      string `json:"fn"`
 	Scheme  string `json:"scheme"`
@@ -66,10 +70,11 @@ type Totals struct {
 	Wrong        int64
 	Interrupted  bool
 	Combos       []ComboTotal
-	// OracleQueries counts the oracle answers the units this run committed
-	// asked for. OracleHits and OracleMisses split this run's queries into
-	// those the Cache answered and those computed: the Cache's counters,
-	// or, with no Cache, zero hits and OracleQueries misses.
+	// OracleQueries counts the oracle values the units this run committed
+	// computed: exactly one per verified input, on every lane, however many
+	// schemes the plan checks against it. Nothing is memoized, so
+	// OracleHits is 0 and OracleMisses equals OracleQueries; the split
+	// remains for the report's cache section.
 	OracleQueries            int64
 	OracleHits, OracleMisses int64
 }
@@ -103,6 +108,10 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 			for id, u := range loaded {
 				if id < 0 || id >= len(plan.Units) {
 					return nil, fmt.Errorf("campaign: checkpoint unit %d outside plan of %d units", id, len(plan.Units))
+				}
+				if len(u.Schemes) != len(plan.Cfg.Schemes) {
+					return nil, fmt.Errorf("campaign: checkpoint unit %d has %d scheme tallies, plan has %d schemes",
+						id, len(u.Schemes), len(plan.Cfg.Schemes))
 				}
 				done[id] = u
 			}
@@ -185,8 +194,8 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 		done[res.ID] = res
 		freshDone++
 		freshQueries += res.Queries
-		checkedC.Add(res.Checked)
-		wrongC.Add(res.Wrong)
+		checkedC.Add(res.Checked())
+		wrongC.Add(res.Wrong())
 		unitsDone.Set(int64(len(done)))
 		if e.CheckpointPath != "" && commitErr == nil {
 			commitErr = SaveCheckpoint(e.CheckpointPath, plan.Hash, done)
@@ -206,9 +215,6 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	totals := e.reduce(done, resumed)
 	totals.OracleQueries = freshQueries
 	totals.OracleMisses = freshQueries
-	if e.Cache != nil {
-		totals.OracleHits, totals.OracleMisses = e.Cache.Stats()
-	}
 	if len(done) < len(plan.Units) {
 		totals.Interrupted = true
 		if e.CheckpointPath != "" {
@@ -223,49 +229,51 @@ func (e *Engine) Run(ctx context.Context) (*Totals, error) {
 	return totals, nil
 }
 
-// reduce folds committed unit results into per-combo and overall totals, in
-// plan order, independent of commit order.
+// reduce folds committed unit results into per-combo and overall totals,
+// independent of commit order. Combos come in plan order (function,
+// scheme, lane); a combo appears once any unit of its (function, lane) is
+// committed.
 func (e *Engine) reduce(done map[int]UnitResult, resumed int) *Totals {
 	t := &Totals{
 		UnitsTotal:   len(e.Plan.Units),
 		UnitsResumed: resumed,
 		UnitsDone:    len(done),
 	}
-	type comboKey struct {
-		fn, scheme string
-		lane       Lane
+	type fnLane struct {
+		fn   string
+		lane Lane
 	}
-	idx := map[comboKey]int{}
-	firstAt := map[comboKey]struct {
-		unit int
-		idx  uint64
-	}{}
+	// The committed units of each (function, lane), in plan order.
+	units := map[fnLane][]UnitResult{}
 	for i := range e.Plan.Units {
 		u := &e.Plan.Units[i]
-		res, ok := done[u.ID]
-		if !ok {
-			continue
+		if res, ok := done[u.ID]; ok {
+			k := fnLane{u.Fn, u.Lane}
+			units[k] = append(units[k], res)
 		}
-		k := comboKey{u.Fn, u.Scheme, u.Lane}
-		ci, ok := idx[k]
-		if !ok {
-			ci = len(t.Combos)
-			idx[k] = ci
-			t.Combos = append(t.Combos, ComboTotal{Fn: u.Fn, Scheme: u.Scheme, Lane: u.Lane.String()})
-		}
-		c := &t.Combos[ci]
-		c.Checked += res.Checked
-		c.Wrong += res.Wrong
-		t.Checked += res.Checked
-		t.Wrong += res.Wrong
-		if res.Wrong > 0 {
-			at, have := firstAt[k]
-			if !have || u.ID < at.unit || (u.ID == at.unit && res.FirstIdx < at.idx) {
-				firstAt[k] = struct {
-					unit int
-					idx  uint64
-				}{u.ID, res.FirstIdx}
-				c.First = res.First
+	}
+	cfg := &e.Plan.Cfg
+	for _, fn := range cfg.Funcs {
+		for si, scheme := range cfg.Schemes {
+			for _, lane := range cfg.Lanes {
+				rs := units[fnLane{fn, lane}]
+				if len(rs) == 0 {
+					continue
+				}
+				c := ComboTotal{Fn: fn, Scheme: scheme, Lane: lane.String()}
+				// Units are in plan order, so the first one with a failure
+				// holds the combo's first failure.
+				for _, res := range rs {
+					st := res.Schemes[si]
+					c.Checked += st.Checked
+					c.Wrong += st.Wrong
+					if st.Wrong > 0 && c.First == "" {
+						c.First = st.First
+					}
+				}
+				t.Checked += c.Checked
+				t.Wrong += c.Wrong
+				t.Combos = append(t.Combos, c)
 			}
 		}
 	}

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"rlibm/internal/oracle"
 )
 
 // brokenImpl perturbs the kernel result for a deterministic subset of inputs
@@ -36,9 +34,9 @@ func brokenImpl(e *Engine) {
 }
 
 // runToCompletion runs a fresh engine over the plan and returns its totals.
-func runToCompletion(t *testing.T, plan *Plan, cache *oracle.Cache, workers int, checkpoint string, breakImpl bool) *Totals {
+func runToCompletion(t *testing.T, plan *Plan, workers int, checkpoint string, breakImpl bool) *Totals {
 	t.Helper()
-	e := &Engine{Plan: plan, Workers: workers, CheckpointPath: checkpoint, Cache: cache}
+	e := &Engine{Plan: plan, Workers: workers, CheckpointPath: checkpoint}
 	if breakImpl {
 		brokenImpl(e)
 	}
@@ -62,18 +60,13 @@ func TestResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One shared in-memory cache across all runs: correctness must not
-	// depend on cache temperature, and sharing makes the repeated sweeps
-	// cheap.
-	cache := oracle.NewCache(0)
-
 	for _, breakImpl := range []bool{false, true} {
 		name := "clean"
 		if breakImpl {
 			name = "injected-failures"
 		}
 		t.Run(name, func(t *testing.T) {
-			baseline := runToCompletion(t, plan, cache, 4, "", breakImpl)
+			baseline := runToCompletion(t, plan, 4, "", breakImpl)
 			if breakImpl && baseline.Wrong == 0 {
 				t.Fatal("injected-failure baseline found nothing wrong; injection is broken")
 			}
@@ -86,7 +79,7 @@ func TestResumeBitIdentical(t *testing.T) {
 
 				// Phase 1: cancel after about a third of the units commit.
 				ctx, cancel := context.WithCancel(context.Background())
-				e := &Engine{Plan: plan, Workers: workers, CheckpointPath: ckpt, Cache: cache}
+				e := &Engine{Plan: plan, Workers: workers, CheckpointPath: ckpt}
 				if breakImpl {
 					brokenImpl(e)
 				}
@@ -109,7 +102,7 @@ func TestResumeBitIdentical(t *testing.T) {
 
 				// Phase 2: a fresh engine on the same checkpoint finishes the
 				// campaign.
-				e2 := &Engine{Plan: plan, Workers: workers, CheckpointPath: ckpt, Cache: cache}
+				e2 := &Engine{Plan: plan, Workers: workers, CheckpointPath: ckpt}
 				if breakImpl {
 					brokenImpl(e2)
 				}
@@ -145,11 +138,10 @@ func TestResumeCompletedCampaignIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := oracle.NewCache(0)
 	ckpt := filepath.Join(t.TempDir(), CheckpointFile)
-	first := runToCompletion(t, plan, cache, 4, ckpt, false)
+	first := runToCompletion(t, plan, 4, ckpt, false)
 
-	e := &Engine{Plan: plan, Workers: 4, CheckpointPath: ckpt, Cache: cache}
+	e := &Engine{Plan: plan, Workers: 4, CheckpointPath: ckpt}
 	reran := 0
 	e.OnUnit = func(UnitResult) { reran++ }
 	again, err := e.Run(context.Background())
@@ -183,7 +175,7 @@ func TestBf16LaneExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Plan: plan, Workers: 4, Cache: oracle.NewCache(0)}
+	e := &Engine{Plan: plan, Workers: 4}
 	totals, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

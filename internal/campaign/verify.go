@@ -45,11 +45,15 @@ func (e *Engine) implFor(fn, scheme string) (func(float32) float64, error) {
 	return nil, fmt.Errorf("campaign: unknown function %q", fn)
 }
 
-// runUnit verifies one unit. completed is false when the context was
-// cancelled mid-range: the partial tally is discarded and the unit reruns
-// in full on resume, which is what keeps resumed totals bit-identical.
+// runUnit verifies one unit for every scheme of the plan. completed is
+// false when the context was cancelled mid-range: the partial tallies are
+// discarded and the unit reruns in full on resume, which is what keeps
+// resumed totals bit-identical.
 func (e *Engine) runUnit(ctx context.Context, u *Unit, randoms []float32) (res UnitResult, completed bool) {
-	res = UnitResult{ID: u.ID, FirstIdx: math.MaxUint64}
+	res = UnitResult{ID: u.ID, Schemes: make([]SchemeTally, len(e.Plan.Cfg.Schemes))}
+	for i := range res.Schemes {
+		res.Schemes[i].FirstIdx = math.MaxUint64
+	}
 	ofn, err := oracle.ParseFunc(u.Fn)
 	if err != nil {
 		// Plans are validated at construction; an unknown function here is a
@@ -60,11 +64,7 @@ func (e *Engine) runUnit(ctx context.Context, u *Unit, randoms []float32) (res U
 	var verify func(idx uint64, x float64)
 	switch u.Lane {
 	case LaneFloat32, LaneRandom:
-		impl, err := e.implFor(u.Fn, u.Scheme)
-		if err != nil {
-			panic(err)
-		}
-		verify = e.widthsVerifier(u, ofn, impl, &res)
+		verify = e.widthsVerifier(u, ofn, &res)
 	case LaneBf16:
 		verify = e.bf16Verifier(u, ofn, &res)
 	default:
@@ -98,10 +98,26 @@ func (e *Engine) runUnit(ctx context.Context, u *Unit, randoms []float32) (res U
 			verify((bits-u.Lo)/u.Stride, float64(math.Float32frombits(uint32(bits))))
 		}
 	}
-	if res.Wrong == 0 {
-		res.FirstIdx = 0
+	for i := range res.Schemes {
+		if res.Schemes[i].Wrong == 0 {
+			res.Schemes[i].FirstIdx = 0
+		}
 	}
 	return res, true
+}
+
+// tally adds one check's outcome at unit-local index idx to s; first
+// renders the failure when it is the unit's earliest for the scheme.
+func (s *SchemeTally) tally(idx uint64, checked, wrong int, first func() string) {
+	s.Checked += int64(checked)
+	if wrong == 0 {
+		return
+	}
+	s.Wrong += int64(wrong)
+	if idx < s.FirstIdx {
+		s.FirstIdx = idx
+		s.First = first()
+	}
 }
 
 // skippable reports inputs no lane verifies: NaN/Inf/zero propagate through
@@ -119,74 +135,81 @@ func skippable(ofn oracle.Func, fx float64) bool {
 // target even when the round-to-odd comparison agrees.
 const randomExpandEvery = 64
 
-// widthsVerifier checks one double-kernel result across every configured
-// output width under all five IEEE rounding modes (oracle.Targets.Check):
-// one round-to-odd comparison per input settles them all unless it fails.
+// widthsVerifier checks every scheme's double-kernel result across every
+// configured output width under all five IEEE rounding modes. Each input
+// costs one oracle value, rounded once to round-to-odd (oracle.Expected):
+// one comparison per scheme settles all of its targets unless it fails,
+// and a failing scheme expands to per-target roundings of the same value.
 // On the random lane, a fixed sample (every randomExpandEvery-th input of
-// the sequence) expands to the per-target comparison, an independent check
-// that the shortcut is applied correctly; the tallies are the same either
-// way, only the oracle queries differ.
-func (e *Engine) widthsVerifier(u *Unit, ofn oracle.Func, impl func(float32) float64, res *UnitResult) func(uint64, float64) {
+// the sequence) expands for every scheme, an independent check that the
+// shortcut is applied correctly; the tallies are the same either way.
+func (e *Engine) widthsVerifier(u *Unit, ofn oracle.Func, res *UnitResult) func(uint64, float64) {
+	impls := make([]func(float32) float64, len(e.Plan.Cfg.Schemes))
+	for i, scheme := range e.Plan.Cfg.Schemes {
+		impl, err := e.implFor(u.Fn, scheme)
+		if err != nil {
+			panic(err)
+		}
+		impls[i] = impl
+	}
 	ts := oracle.Targets{Widths: e.Plan.Cfg.Widths, ExpBits: 8, Modes: fp.StandardModes}
 	expanded := ts
 	expanded.Expand = true
-	cache := e.Cache
+	var v oracle.Value
+	var want oracle.Expected
 	return func(idx uint64, fx float64) {
 		if skippable(ofn, fx) {
 			return
 		}
+		v.Reset(ofn, fx)
+		res.Queries++
 		check := &ts
 		if u.Lane == LaneRandom && (u.Lo+idx)%randomExpandEvery == 0 {
 			check = &expanded
 		}
-		t := check.Check(cache, ofn, fx, impl(float32(fx)))
-		res.Checked += int64(t.Checked)
-		res.Queries += int64(t.Queries)
-		if t.Wrong > 0 {
-			res.Wrong += int64(t.Wrong)
-			if idx < res.FirstIdx {
-				res.FirstIdx = idx
-				res.First = fmt.Sprintf("%s w=%d %v: got %g want %g",
+		check.Expect(&want, &v)
+		x := float32(fx)
+		for i, impl := range impls {
+			t := want.Check(impl(x))
+			res.Schemes[i].tally(idx, t.Checked, t.Wrong, func() string {
+				return fmt.Sprintf("%s w=%d %v: got %g want %g",
 					callString(ofn.String(), fx), t.First.Bits, t.First.Mode, t.First.Got, t.First.Want)
-			}
+			})
 		}
 	}
 }
 
-// bf16Verifier checks the progressive prefix kernel's bfloat16 result
-// against the oracle's RNE rounding — the per-request narrow-precision
-// serving path, proven at all 2^16 representable patterns.
+// bf16Verifier checks every scheme's progressive prefix kernel's bfloat16
+// result against the oracle's RNE rounding of one value per input — the
+// per-request narrow-precision serving path, proven at all 2^16
+// representable patterns.
 func (e *Engine) bf16Verifier(u *Unit, ofn oracle.Func, res *UnitResult) func(uint64, float64) {
-	key := u.Fn + "/" + u.Scheme + "/bf16"
-	kern := libm.GeneratedPrefixFuncs[key]
-	if kern == nil {
-		panic(fmt.Sprintf("campaign: no prefix kernel %q", key))
+	keys := make([]string, len(e.Plan.Cfg.Schemes))
+	kerns := make([]func(float64) float64, len(keys))
+	for i, scheme := range e.Plan.Cfg.Schemes {
+		keys[i] = u.Fn + "/" + scheme + "/bf16"
+		kerns[i] = libm.GeneratedPrefixFuncs[keys[i]]
+		if kerns[i] == nil {
+			panic(fmt.Sprintf("campaign: no prefix kernel %q", keys[i]))
+		}
 	}
-	cache := e.Cache
+	var val oracle.Value
 	return func(idx uint64, v float64) {
 		if skippable(ofn, v) {
 			return
 		}
-		got := kern(v)
-		var want float64
-		hit := false
-		if cache != nil {
-			want, hit = cache.Lookup(ofn, v, fp.Bfloat16, fp.RNE)
-		}
-		if !hit {
-			want = oracle.Compute(ofn, v).Round(fp.Bfloat16, fp.RNE)
-			if cache != nil {
-				cache.Insert(ofn, v, fp.Bfloat16, fp.RNE, want)
-			}
-		}
-		res.Checked++
+		val.Reset(ofn, v)
 		res.Queries++
-		if math.Float64bits(got) != math.Float64bits(want) {
-			res.Wrong++
-			if idx < res.FirstIdx {
-				res.FirstIdx = idx
-				res.First = fmt.Sprintf("%s: got %g want %g", callString(key, v), got, want)
+		want := val.Round(fp.Bfloat16, fp.RNE)
+		for i, kern := range kerns {
+			got := kern(v)
+			wrong := 0
+			if math.Float64bits(got) != math.Float64bits(want) {
+				wrong = 1
 			}
+			res.Schemes[i].tally(idx, 1, wrong, func() string {
+				return fmt.Sprintf("%s: got %g want %g", callString(keys[i], v), got, want)
+			})
 		}
 	}
 }

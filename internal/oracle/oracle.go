@@ -323,6 +323,12 @@ func compute(f Func, x float64, tryRung bool) *Value {
 	return v
 }
 
+// Reset evaluates f(x) into v like Compute, reusing v's storage: a loop
+// that evaluates one input after another keeps a single Value off the heap.
+func (v *Value) Reset(f Func, x float64) {
+	v.init(f, x, true)
+}
+
 func (v *Value) init(f Func, x float64, tryRung bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		panic("oracle: non-finite input")

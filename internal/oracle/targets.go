@@ -37,7 +37,7 @@ type Tally struct {
 	Checked, Wrong int
 	// Queries counts the oracle answers the check asked for, from the cache
 	// or computed: one for the round-to-odd comparison, plus one per target
-	// when the check expands.
+	// when the check expands. Expected.Check asks none.
 	Queries int
 	// First is the first wrong target, widths before modes, when Wrong > 0.
 	First Miss
@@ -70,25 +70,88 @@ func (ts *Targets) Check(c *Cache, f Func, x, d float64) Tally {
 			return t
 		}
 	}
+	t = ts.compare(d, func(_ int, tf fp.Format, m fp.Mode) float64 { return q.round(tf, m) })
+	t.Queries = q.n
+	return t
+}
+
+// compare rounds d to every target, widths before modes, and compares it
+// with want's answer for the same target; i numbers the targets in that
+// order.
+func (ts *Targets) compare(d float64, want func(i int, tf fp.Format, m fp.Mode) float64) Tally {
+	var t Tally
+	i := 0
 	for _, w := range ts.Widths {
 		tf := fp.Format{Bits: w, ExpBits: ts.ExpBits}
 		for _, m := range ts.Modes {
 			got := tf.Round(d, m)
-			want := q.round(tf, m)
+			y := want(i, tf, m)
+			i++
 			t.Checked++
-			if ts.SignlessZero && got == 0 && want == 0 {
+			if ts.SignlessZero && got == 0 && y == 0 {
 				continue
 			}
-			if !sameFloat(got, want) {
+			if !sameFloat(got, y) {
 				if t.Wrong == 0 {
-					t.First = Miss{Bits: w, Mode: m, Got: got, Want: want}
+					t.First = Miss{Bits: w, Mode: m, Got: got, Want: y}
 				}
 				t.Wrong++
 			}
 		}
 	}
-	t.Queries = q.n
 	return t
+}
+
+// Expected is one input's oracle side of a check, prepared from a Value
+// that is already computed: the value rounded once to the round-to-odd
+// format of the shortcut, and on the first check that expands, to every
+// target. Any number of kernel outputs for the same input (one per scheme,
+// say) are then checked without asking the oracle again, and without a
+// Cache. Reuse one Expected across inputs. Not safe for concurrent use.
+type Expected struct {
+	ts   *Targets
+	v    *Value
+	wide fp.Format
+	ro   float64   // v in wide under round-to-odd; unused with Expand
+	want []float64 // v per target, in compare order; valid when expanded
+	// expanded reports that want holds this input's per-target roundings.
+	expanded bool
+}
+
+// Expect prepares e to check kernel outputs for v's input against ts. v
+// must not change while e is in use: every per-target rounding comes from
+// it.
+func (ts *Targets) Expect(e *Expected, v *Value) {
+	e.ts, e.v, e.expanded = ts, v, false
+	if len(ts.Widths) == 0 || len(ts.Modes) == 0 || ts.Expand {
+		return
+	}
+	e.wide = ts.wide()
+	e.ro = v.Round(e.wide, fp.RTO)
+}
+
+// Check verifies the kernel output d on every target, exactly like
+// Targets.Check of the same input, against the prepared value. Its Queries
+// stay 0: the caller computed the value, once for all of its checks.
+func (e *Expected) Check(d float64) Tally {
+	ts := e.ts
+	if len(ts.Widths) == 0 || len(ts.Modes) == 0 {
+		return Tally{}
+	}
+	if !ts.Expand && sameFloat(e.wide.Round(d, fp.RTO), e.ro) {
+		return Tally{Checked: len(ts.Widths) * len(ts.Modes)}
+	}
+	if !e.expanded {
+		e.want = e.want[:0]
+		for _, w := range ts.Widths {
+			tf := fp.Format{Bits: w, ExpBits: ts.ExpBits}
+			for _, m := range ts.Modes {
+				e.want = append(e.want, e.v.Round(tf, m))
+			}
+		}
+		e.expanded = true
+	}
+	return ts.compare(d, func(i int, _ fp.Format, _ fp.Mode) float64 { return e.want[i] })
 }
 
 // wide returns the round-to-odd format of the shortcut: two bits wider

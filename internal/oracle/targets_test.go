@@ -62,6 +62,39 @@ func TestTargetsShortcutMatchesExpanded(t *testing.T) {
 	}
 }
 
+// TestExpectedMatchesCheck: checking many outputs against one prepared
+// Value reports, output by output, exactly what Targets.Check reports, for
+// the shortcut and the expanded form alike, without a single oracle query.
+func TestExpectedMatchesCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	short := Targets{Widths: []int{10, 19, 27, 32}, ExpBits: 8, Modes: fp.AllModes}
+	full := short
+	full.Expand = true
+	var v Value
+	var e Expected
+	for _, f := range Funcs {
+		for i := 0; i < 32; i++ {
+			x := float64(float32(rng.Float64()*160 - 80))
+			if f.IsLog() {
+				x = float64(math.Float32frombits(rng.Uint32() &^ (1 << 31)))
+			}
+			if x == 0 || math.IsInf(x, 0) || math.IsNaN(x) {
+				continue
+			}
+			v.Reset(f, x)
+			for _, ts := range []*Targets{&short, &full} {
+				ts.Expect(&e, &v)
+				for _, d := range targetOutputs(CorrectRO34(f, x)) {
+					a, b := e.Check(d), ts.Check(nil, f, x, d)
+					if a.Checked != b.Checked || a.Wrong != b.Wrong || !sameMiss(a.First, b.First) || a.Queries != 0 {
+						t.Fatalf("%v(%g) d=%g expand=%v: prepared %+v, Check %+v", f, x, d, ts.Expand, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 func sameMiss(a, b Miss) bool {
 	return a.Bits == b.Bits && a.Mode == b.Mode && sameFloat(a.Got, b.Got) && sameFloat(a.Want, b.Want)
 }
