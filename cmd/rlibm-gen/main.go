@@ -106,7 +106,7 @@ func main() {
 
 	failed := false
 	var results []*core.Result
-	var cacheHits, cacheMisses int64
+	var oracleValues int64
 	for _, fn := range fns {
 		cfg := core.Config{
 			Fn:      fn,
@@ -130,7 +130,7 @@ func main() {
 					for _, scheme := range schemes {
 						report.AddFailure(fn.String(), scheme.String(), err)
 					}
-					report.Cache = oracle.NewCacheReport(cacheHits, cacheMisses)
+					report.Cache = oracle.NewCacheReport(0, oracleValues)
 					report.AttachMetrics(reg, obs.Default())
 					if werr := report.WriteFile(opts.Obs.ReportPath); werr != nil {
 						fatal(werr)
@@ -153,17 +153,15 @@ func main() {
 		}
 		ro.Log.Infof("%v: all schemes done in %v", fn, time.Since(start).Round(time.Millisecond))
 		if len(rs) > 0 {
-			// The per-run cache counters are cumulative and shared by every
-			// scheme of this function's run.
-			cacheHits += rs[0].Stats.OracleHits
-			cacheMisses += rs[0].Stats.OracleMisses
+			// Every scheme of this function's run carries the run's total.
+			oracleValues += rs[0].Stats.OracleMisses
 		}
 		for _, res := range rs {
-			ro.Log.Infof("  generated %s (%d constraints, %d LP solves, %d exact fallbacks, %d exact + %d float pivots, %d iterations, collect %v, solve %v, oracle cache %d hits / %d misses)",
+			ro.Log.Infof("  generated %s (%d constraints, %d LP solves, %d exact fallbacks, %d exact + %d float pivots, %d iterations, collect %v, solve %v, %d oracle values)",
 				res.Describe(), res.Stats.Constraints, res.Stats.LPSolves, res.Stats.LPExactFallbacks,
 				res.Stats.LPPivots, res.Stats.LPFloatPivots, res.Stats.Iterations,
 				res.Stats.CollectTime.Round(time.Millisecond), res.Stats.SolveTime.Round(time.Millisecond),
-				res.Stats.OracleHits, res.Stats.OracleMisses)
+				res.Stats.OracleMisses)
 			results = append(results, res)
 			if report != nil {
 				report.AddResult(res)
@@ -184,7 +182,7 @@ func main() {
 		ro.Log.Infof("wrote zz_generated_data.go and zz_generated_funcs.go in %s", *emit)
 	}
 	if report != nil {
-		report.Cache = oracle.NewCacheReport(cacheHits, cacheMisses)
+		report.Cache = oracle.NewCacheReport(0, oracleValues)
 		report.AttachMetrics(reg, obs.Default())
 		if err := report.WriteFile(opts.Obs.ReportPath); err != nil {
 			fatal(err)

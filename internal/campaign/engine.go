@@ -22,12 +22,10 @@ type Engine struct {
 	// CheckpointPath is where completed units commit ("" = no
 	// checkpointing: an interrupted run saves nothing).
 	CheckpointPath string
-	// Cache is ignored: no lane consults it.
+	// Cache is ignored: no lane consults it, and oracle.Cache is empty.
 	//
 	// Deprecated: every unit computes one oracle value per input and checks
-	// all of the plan's schemes against it, so there is nothing left to
-	// memoize, and a cache lookup and insert per input cost as much as the
-	// computation they save.
+	// all of the plan's schemes against it, so there is nothing to memoize.
 	Cache *oracle.Cache
 	// Log receives progress and resume lines (nil = silent).
 	Log *obs.Logger

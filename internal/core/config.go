@@ -102,12 +102,6 @@ type Config struct {
 	// events. Tracing is write-only instrumentation — enabling it cannot
 	// change the generated coefficients.
 	Trace *obs.Tracer
-
-	// cache memoizes oracle queries across the whole run — the aligned pass,
-	// domain-cut neighbourhoods, demotions and multi-scheme GenerateAll all
-	// re-ask for inputs the stride sweep already paid the Ziv escalation for.
-	// Shared by pointer across the per-scheme Config copies.
-	cache *oracle.Cache
 }
 
 func (c *Config) setDefaults() error {
@@ -169,9 +163,6 @@ func (c *Config) setDefaults() error {
 		if l.MaxPrefixDegree < 0 {
 			return fmt.Errorf("progressive level %d: negative MaxPrefixDegree", i)
 		}
-	}
-	if c.cache == nil {
-		c.cache = oracle.NewCache(0)
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()

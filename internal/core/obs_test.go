@@ -198,11 +198,29 @@ func TestRunReportCacheRung(t *testing.T) {
 }
 
 // TestRunReportCacheSection: a report of a small generation carries the
-// cache section with the run's oracle misses.
+// cache section with no hits and, as misses, the oracle values the run
+// computed: every oracle Round of the generation except FindDomain's
+// boundary search, per the oracle's process-wide counters. The progressive
+// level makes the scheme's solve ask the oracle too, not only collect.
 func TestRunReportCacheSection(t *testing.T) {
-	res, err := Generate(context.Background(), Config{Fn: oracle.Exp2, Scheme: poly.Horner, Input: fp.Format{Bits: 10, ExpBits: 8}, Seed: 1, Workers: 1})
+	cfg := Config{Fn: oracle.Exp2, Scheme: poly.Horner, Input: fp.Format{Bits: 14, ExpBits: 8}, Seed: 1, Workers: 1,
+		Progressive: []ProgressiveLevel{{Bits: 10}}}
+	rounds := func() int64 {
+		reg, name := obs.Default(), "oracle/"+cfg.Fn.String()+"/"
+		return reg.Counter(name+"exact_results").Value() + reg.Counter(name+"fast_rung_hits").Value() +
+			reg.Counter(name+"fast_rung_declines").Value()
+	}
+	r0 := rounds()
+	FindDomain(cfg.Fn, fp.Format{Bits: 16, ExpBits: 8})
+	r1 := rounds()
+	res, err := Generate(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	computed := rounds() - r1 - (r1 - r0)
+	if res.Stats.OracleHits != 0 || res.Stats.OracleMisses <= 0 || res.Stats.OracleMisses != computed {
+		t.Errorf("stats: %d hits, %d misses; want 0 and the %d oracle values computed",
+			res.Stats.OracleHits, res.Stats.OracleMisses, computed)
 	}
 	rep := NewRunReport("core-test")
 	rep.AddResult(res)
@@ -218,8 +236,8 @@ func TestRunReportCacheSection(t *testing.T) {
 	if back.Cache == nil {
 		t.Fatal("report has no cache section")
 	}
-	if back.Cache.OracleMisses <= 0 || back.Cache.OracleMisses != res.Stats.OracleMisses {
-		t.Errorf("oracle_misses %d, want the run's %d (> 0)", back.Cache.OracleMisses, res.Stats.OracleMisses)
+	if back.Cache.OracleHits != 0 || back.Cache.OracleMisses != computed {
+		t.Errorf("oracle_hits %d, oracle_misses %d; want 0 and %d", back.Cache.OracleHits, back.Cache.OracleMisses, computed)
 	}
 	if back.Cache.RungHits == 0 {
 		t.Error("fast_rung_hits is 0 after a generation")

@@ -55,7 +55,8 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 // nondeterminism bug: for a fixed Config.Seed, the generated coefficients,
 // specials, and constraint counts must be byte-identical across repeated
 // runs AND across worker counts (the sharded collection and parallel check
-// reduce deterministically).
+// reduce deterministically), and so must the count of oracle values
+// computed.
 func TestGenerateDeterministic(t *testing.T) {
 	in := fp.Format{Bits: 12, ExpBits: 8}
 	base := func(fn oracle.Func, scheme poly.Scheme) *Result {
@@ -72,13 +73,20 @@ func TestGenerateDeterministic(t *testing.T) {
 			// the output (this failed when LP constraints were fed in Go map
 			// order).
 			sameResult(t, fn.String()+"/rerun", ref, base(fn, scheme))
-			// Parallel run: sharded collection + parallel check must reduce
-			// to the identical constraint system and trajectory.
-			par, err := Generate(context.Background(), Config{Fn: fn, Scheme: scheme, Input: in, Seed: 11, Workers: 4})
-			if err != nil {
-				t.Fatalf("%v/%v workers=4: %v", fn, scheme, err)
+			// Parallel runs: sharded collection + parallel check must reduce
+			// to the identical constraint system and trajectory, and compute
+			// the same number of oracle values.
+			for _, workers := range []int{2, 4} {
+				par, err := Generate(context.Background(), Config{Fn: fn, Scheme: scheme, Input: in, Seed: 11, Workers: workers})
+				if err != nil {
+					t.Fatalf("%v/%v workers=%d: %v", fn, scheme, workers, err)
+				}
+				label := fmt.Sprintf("%v/workers%d", fn, workers)
+				sameResult(t, label, ref, par)
+				if par.Stats.OracleMisses != ref.Stats.OracleMisses {
+					t.Errorf("%s: %d oracle values computed, %d with one worker", label, par.Stats.OracleMisses, ref.Stats.OracleMisses)
+				}
 			}
-			sameResult(t, fn.String()+"/workers4", ref, par)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func (st *levelState) demote(cfg *Config, res *Result, it *workItem) error {
 			return fmt.Errorf("%d-bit level special-case budget exhausted (%d)", st.format.Bits, cfg.MaxSpecials)
 		}
 		x := math.Float64frombits(xb)
-		st.scratch[xb] = cfg.cache.Correct(cfg.Fn, x, st.target, fp.RTO)
+		st.scratch[xb] = res.correct(x, st.target)
 		st.budget--
 	}
 	it.Iv = interval.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
@@ -146,7 +146,7 @@ func buildLevelWork(cfg *Config, res *Result, work []*workItem) [][]*workItem {
 				if _, ok := pl.Specials[xb]; ok {
 					continue
 				}
-				y := cfg.cache.Correct(cfg.Fn, x, pl.Target, fp.RTO)
+				y := res.correct(x, pl.Target)
 				riv, ok := levelInterval(res.red, pl.Target, x, y)
 				if !ok {
 					pl.Specials[xb] = y
@@ -306,7 +306,7 @@ func (r *Result) VerifyPrefix(level int, modes []fp.Mode) VerifyReport {
 		if r.Fn.IsLog() && x <= 0 {
 			continue
 		}
-		t := ts.Check(nil, r.Fn, x, r.EvalPrefix(x, level))
+		t := ts.Check(r.Fn, x, r.EvalPrefix(x, level))
 		rep.Checked += t.Checked
 		if t.Wrong > 0 {
 			if rep.Wrong == 0 {

@@ -27,9 +27,9 @@ type RunReport struct {
 	// Results holds one entry per (function, scheme) attempted, in the order
 	// they finished being recorded.
 	Results []SchemeReport `json:"results"`
-	// Cache splits the run's oracle queries into cache hits and computed
-	// misses, with the double-double rung's share of the roundings. CI
-	// prints this section.
+	// Cache carries the oracle values the run computed (as misses; hits
+	// are 0) and the double-double rung's share of the roundings. CI prints
+	// this section.
 	Cache *oracle.CacheReport `json:"cache"`
 	// Metrics is the merged snapshot of every registry the run recorded into
 	// (the run's registry plus the process-default one the oracle uses).

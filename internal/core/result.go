@@ -159,7 +159,7 @@ func (r *Result) Verify(inputs fp.Format, stride uint64, widths []int, modes []f
 				if r.Fn.IsLog() && x <= 0 {
 					continue
 				}
-				t := ts.Check(nil, r.Fn, x, r.Eval(x))
+				t := ts.Check(r.Fn, x, r.Eval(x))
 				rep.Checked += t.Checked
 				if t.Wrong > 0 {
 					if rep.Wrong == 0 {

@@ -248,8 +248,8 @@ func (s *Snapshot) Merge(other Snapshot) {
 }
 
 // Counter returns the named counter's value, or 0 when the snapshot does
-// not carry it — report consumers (CI scripts, tests) read cache hit/miss
-// style counters without caring whether the producing run instrumented them.
+// not carry it — report consumers (CI scripts, tests) read hit/miss style
+// counters without caring whether the producing run instrumented them.
 func (s Snapshot) Counter(name string) int64 {
 	return s.Counters[name]
 }

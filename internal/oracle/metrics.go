@@ -7,13 +7,12 @@ import (
 )
 
 // fnMetrics caches one function's instrument handles into obs.Default().
-// The oracle sits below any per-run configuration (the cache and Value are
-// shared by every layer above), so its metrics are process-wide; CLIs merge
+// The oracle sits below any per-run configuration (Value is shared by every
+// layer above), so its metrics are process-wide; CLIs merge
 // the default registry into their run reports.
 //
-// Handles are resolved once per process — Round and the cache are the
-// hottest paths in the repository (one call per enumerated input per
-// (format, mode)), and a name lookup per call would contend on the registry
+// Handles are resolved once per process — Round is the hottest path in the
+// repository (one call per enumerated input per (format, mode)), and a name lookup per call would contend on the registry
 // mutex, so all updates go through pre-resolved atomic instruments.
 type fnMetrics struct {
 	// zivDepth is the Ziv escalation depth histogram: how many times one
@@ -27,9 +26,6 @@ type fnMetrics struct {
 	// exact counts Round calls answered from the algebraic exact-result or
 	// symbolic overflow/underflow paths (no Ziv loop at all).
 	exact *obs.Counter
-	// cacheHits / cacheMisses count Cache lookups served by the in-memory
-	// stripes vs computed fresh.
-	cacheHits, cacheMisses *obs.Counter
 	// ladderStart is the precision-ladder starting rung histogram: the
 	// working precision fresh evaluations begin at (basePrec when the
 	// ladder is cold). Together with zivDepth — the ladder-depth histogram —
@@ -59,8 +55,6 @@ func metricsFor(f Func) *fnMetrics {
 				zivPrec:      reg.Histogram("oracle/" + name + "/terminal_prec"),
 				zivPrecMax:   reg.Gauge("oracle/" + name + "/terminal_prec_max"),
 				exact:        reg.Counter("oracle/" + name + "/exact_results"),
-				cacheHits:    reg.Counter("oracle/" + name + "/cache_hits"),
-				cacheMisses:  reg.Counter("oracle/" + name + "/cache_misses"),
 				ladderStart:  reg.Histogram("oracle/" + name + "/ladder_start_prec"),
 				rungHits:     reg.Counter("oracle/" + name + "/fast_rung_hits"),
 				rungDeclines: reg.Counter("oracle/" + name + "/fast_rung_declines"),
@@ -89,18 +83,6 @@ func (m *fnMetrics) observeExact() {
 		return
 	}
 	m.exact.Inc()
-}
-
-// observeCache records one cache lookup outcome.
-func (m *fnMetrics) observeCache(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.cacheHits.Inc()
-	} else {
-		m.cacheMisses.Inc()
-	}
 }
 
 // observeRung records whether the rung answered one Round call.

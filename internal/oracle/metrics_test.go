@@ -52,22 +52,5 @@ func TestZivMetricsRecorded(t *testing.T) {
 	bad := metricsFor(Func(99))
 	bad.observeZiv(1, 80) // nil-safe no-ops
 	bad.observeExact()
-	bad.observeCache(true)
 	bad.observeRung(true)
-}
-
-// TestCacheMetricsByFunction: per-function hit/miss counters advance with
-// the cache's own counts.
-func TestCacheMetricsByFunction(t *testing.T) {
-	m := metricsFor(Log2)
-	hits0, misses0 := m.cacheHits.Value(), m.cacheMisses.Value()
-	c := NewCache(4)
-	c.Correct(Log2, 3, fp.FP34, fp.RTO)
-	c.Correct(Log2, 3, fp.FP34, fp.RTO)
-	if m.cacheMisses.Value() != misses0+1 {
-		t.Errorf("misses %d -> %d, want +1", misses0, m.cacheMisses.Value())
-	}
-	if m.cacheHits.Value() != hits0+1 {
-		t.Errorf("hits %d -> %d, want +1", hits0, m.cacheHits.Value())
-	}
 }

@@ -35,16 +35,15 @@ type Miss struct {
 type Tally struct {
 	// Checked counts targets, Wrong the wrong ones among them.
 	Checked, Wrong int
-	// Queries counts the oracle answers the check asked for, from the cache
-	// or computed: one for the round-to-odd comparison, plus one per target
-	// when the check expands. Expected.Check asks none.
+	// Queries counts the oracle answers the check asked for: one for the
+	// round-to-odd comparison, plus one per target when the check expands.
+	// Expected.Check asks none.
 	Queries int
 	// First is the first wrong target, widths before modes, when Wrong > 0.
 	First Miss
 }
 
-// Check verifies the kernel output d for f(x) on every target. c, when
-// non-nil, memoizes the oracle's answers.
+// Check verifies the kernel output d for f(x) on every target.
 //
 // It first rounds d and f(x) once each to round-to-odd in the format two
 // bits wider than the widest target (FP34 when the widest is binary32's 32
@@ -56,12 +55,12 @@ type Tally struct {
 // the wrong targets. Non-finite and zero outputs need no special case: they
 // never match a nonzero oracle value in round-to-odd space, so they take
 // the per-target comparison.
-func (ts *Targets) Check(c *Cache, f Func, x, d float64) Tally {
+func (ts *Targets) Check(f Func, x, d float64) Tally {
 	var t Tally
 	if len(ts.Widths) == 0 || len(ts.Modes) == 0 {
 		return t
 	}
-	q := query{c: c, f: f, x: x}
+	q := query{f: f, x: x}
 	if !ts.Expand {
 		wide := ts.wide()
 		if sameFloat(wide.Round(d, fp.RTO), q.round(wide, fp.RTO)) {
@@ -106,8 +105,7 @@ func (ts *Targets) compare(d float64, want func(i int, tf fp.Format, m fp.Mode) 
 // that is already computed: the value rounded once to the round-to-odd
 // format of the shortcut, and on the first check that expands, to every
 // target. Any number of kernel outputs for the same input (one per scheme,
-// say) are then checked without asking the oracle again, and without a
-// Cache. Reuse one Expected across inputs. Not safe for concurrent use.
+// say) are then checked without asking the oracle again. Reuse one Expected across inputs. Not safe for concurrent use.
 type Expected struct {
 	ts   *Targets
 	v    *Value
@@ -164,11 +162,9 @@ func (ts *Targets) wide() fp.Format {
 	return fp.Format{Bits: n + 2, ExpBits: ts.ExpBits}
 }
 
-// query answers one check's oracle questions about f(x): from the cache
-// when it has them, otherwise from one Value evaluated on first need and
-// reused for every later (format, mode).
+// query answers one check's oracle questions about f(x) from one Value,
+// evaluated on first need and reused for every later (format, mode).
 type query struct {
-	c    *Cache
 	f    Func
 	x    float64
 	val  Value
@@ -178,18 +174,9 @@ type query struct {
 
 func (q *query) round(t fp.Format, m fp.Mode) float64 {
 	q.n++
-	if q.c != nil {
-		if y, ok := q.c.Lookup(q.f, q.x, t, m); ok {
-			return y
-		}
-	}
 	if !q.have {
 		q.val.init(q.f, q.x, true)
 		q.have = true
 	}
-	y := q.val.Round(t, m)
-	if q.c != nil {
-		q.c.Insert(q.f, q.x, t, m, y)
-	}
-	return y
+	return q.val.Round(t, m)
 }

@@ -43,7 +43,7 @@ func TestTargetsShortcutMatchesExpanded(t *testing.T) {
 			}
 			y34 := CorrectRO34(f, x)
 			for _, d := range targetOutputs(y34) {
-				a, b := short.Check(nil, f, x, d), full.Check(nil, f, x, d)
+				a, b := short.Check(f, x, d), full.Check(f, x, d)
 				if a.Checked != b.Checked || a.Wrong != b.Wrong || !sameMiss(a.First, b.First) {
 					t.Fatalf("%v(%g) d=%g: shortcut %+v, expanded %+v", f, x, d, a, b)
 				}
@@ -85,7 +85,7 @@ func TestExpectedMatchesCheck(t *testing.T) {
 			for _, ts := range []*Targets{&short, &full} {
 				ts.Expect(&e, &v)
 				for _, d := range targetOutputs(CorrectRO34(f, x)) {
-					a, b := e.Check(d), ts.Check(nil, f, x, d)
+					a, b := e.Check(d), ts.Check(f, x, d)
 					if a.Checked != b.Checked || a.Wrong != b.Wrong || !sameMiss(a.First, b.First) || a.Queries != 0 {
 						t.Fatalf("%v(%g) d=%g expand=%v: prepared %+v, Check %+v", f, x, d, ts.Expand, a, b)
 					}
@@ -99,40 +99,16 @@ func sameMiss(a, b Miss) bool {
 	return a.Bits == b.Bits && a.Mode == b.Mode && sameFloat(a.Got, b.Got) && sameFloat(a.Want, b.Want)
 }
 
-// TestTargetsCacheQueries: with a cache, the shortcut stores one RO key
-// per input, every query is a hit or a miss, and a repeated check is all
-// hits.
-func TestTargetsCacheQueries(t *testing.T) {
-	c := NewCache(0)
-	ts := Targets{Widths: []int{19, 27, 32}, ExpBits: 8, Modes: fp.StandardModes}
-	xs := []float64{0.5, 1.25, 3.75}
-	queries := 0
-	for round := 0; round < 2; round++ {
-		for _, x := range xs {
-			tl := ts.Check(c, Exp, x, CorrectRO34(Exp, x))
-			if tl.Checked != 15 || tl.Wrong != 0 {
-				t.Fatalf("exp(%g): %+v", x, tl)
-			}
-			queries += tl.Queries
-		}
-	}
-	hits, misses := c.Stats()
-	if hits+misses != int64(queries) || misses != int64(len(xs)) || c.Len() != len(xs) {
-		t.Fatalf("%d queries: hits %d, misses %d, %d entries; want %d misses and entries",
-			queries, hits, misses, c.Len(), len(xs))
-	}
-}
-
 // TestTargetsSignlessZero: an exact zero result is compared
 // sign-insensitively only when the targets ask for it.
 func TestTargetsSignlessZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	ts := Targets{Widths: []int{16, 32}, ExpBits: 8, Modes: fp.StandardModes}
-	if tl := ts.Check(nil, Log, 1, negZero); tl.Wrong != tl.Checked || tl.Checked != 10 {
+	if tl := ts.Check(Log, 1, negZero); tl.Wrong != tl.Checked || tl.Checked != 10 {
 		t.Fatalf("log(1) = -0, signed: %+v", tl)
 	}
 	ts.SignlessZero = true
-	if tl := ts.Check(nil, Log, 1, negZero); tl.Wrong != 0 || tl.Checked != 10 {
+	if tl := ts.Check(Log, 1, negZero); tl.Wrong != 0 || tl.Checked != 10 {
 		t.Fatalf("log(1) = -0, signless: %+v", tl)
 	}
 }

@@ -41,7 +41,6 @@ type canary struct {
 	exited chan struct{} // closed by the worker on exit
 	once   sync.Once
 
-	cache *oracle.Cache
 	ofns  [rlibm.NumFuncs]oracle.Func
 	log   *obs.Logger
 	trace *obs.Tracer
@@ -82,7 +81,6 @@ func newCanary(cfg Config, reg *obs.Registry) *canary {
 		queue:    make(chan canaryItem, cfg.CanaryQueue),
 		done:     make(chan struct{}),
 		exited:   make(chan struct{}),
-		cache:    oracle.NewCache(0),
 		log:      cfg.Log,
 		trace:    cfg.Tracer,
 		checked:  reg.Counter("serve.canary.checked_total"),
@@ -191,7 +189,7 @@ func (c *canary) verify(it canaryItem) {
 		c.verifyHook(it)
 		return
 	}
-	want := c.cache.Correct(c.ofns[it.f], float64(it.x), precFormats[it.p], fp.RNE)
+	want := oracle.Correct(c.ofns[it.f], float64(it.x), precFormats[it.p], fp.RNE)
 	c.checked.Inc()
 	if math.Float64bits(float64(it.y)) == math.Float64bits(want) {
 		return
