@@ -166,25 +166,28 @@ func (f Format) SignBit() uint64 { return uint64(1) << uint(f.Bits-1) }
 // FromBits decodes a bit pattern of the format into the float64 carrying its
 // exact value. NaN patterns decode to float64 NaN.
 func (f Format) FromBits(b uint64) float64 {
-	sign := b&f.SignBit() != 0
-	exp := (b >> uint(f.SigBits())) & f.expMask()
+	sigBits := uint(f.SigBits())
+	exp := (b >> sigBits) & f.expMask()
 	sig := b & f.sigMask()
-	var v float64
+	var r uint64
 	switch {
 	case exp == f.expMask():
 		if sig != 0 {
 			return math.NaN()
 		}
-		v = math.Inf(1)
+		r = 0x7FF << 52
 	case exp == 0:
-		v = math.Ldexp(float64(sig), f.MinExp()-f.Prec()+1)
+		// sig units of the smallest subnormal: the product is exact.
+		r = math.Float64bits(float64(sig) * f.MinSubnormal())
 	default:
-		v = math.Ldexp(float64(sig|uint64(1)<<uint(f.SigBits())), int(exp)-f.Bias()-f.Prec()+1)
+		// A normal value of the format is a float64 normal with the
+		// same significand bits, left-aligned.
+		r = uint64(int(exp)-f.Bias()+1023)<<52 | sig<<(52-sigBits)
 	}
-	if sign {
-		v = -v
+	if b&f.SignBit() != 0 {
+		r |= 1 << 63
 	}
-	return v
+	return math.Float64frombits(r)
 }
 
 // ToBits encodes a float64 into the format's bit pattern. ok is false when
@@ -192,44 +195,38 @@ func (f Format) FromBits(b uint64) float64 {
 // encodes to the canonical NaN pattern; infinities and signed zeros encode
 // exactly.
 func (f Format) ToBits(x float64) (bits uint64, ok bool) {
-	switch {
-	case math.IsNaN(x):
-		return f.NaNBits(), true
-	case math.IsInf(x, 1):
-		return f.InfBits(), true
-	case math.IsInf(x, -1):
-		return f.InfBits() | f.SignBit(), true
-	case x == 0:
-		if math.Signbit(x) {
-			return f.SignBit(), true
-		}
-		return 0, true
-	}
+	b := math.Float64bits(x)
+	a := b &^ (1 << 63)
 	var sign uint64
-	a := x
-	if a < 0 {
+	if a != b {
 		sign = f.SignBit()
-		a = -a
 	}
-	if a > f.MaxFinite() {
+	switch {
+	case a > 0x7FF<<52:
+		return f.NaNBits(), true
+	case a == 0x7FF<<52:
+		return f.InfBits() | sign, true
+	case a == 0:
+		return sign, true
+	}
+	prec, bias, maxBits := f.layout()
+	if a > maxBits {
 		return 0, false
 	}
-	e := math.Ilogb(a)
-	if e >= f.MinExp() {
-		// Normal candidate: significand in [2^(P-1), 2^P).
-		sig := math.Ldexp(a, f.Prec()-1-e)
-		if sig != math.Trunc(sig) {
-			return 0, false
-		}
-		m := uint64(sig)
-		return sign | uint64(e+f.Bias())<<uint(f.SigBits()) | (m &^ (uint64(1) << uint(f.SigBits()))), true
-	}
-	// Subnormal candidate.
-	sig := math.Ldexp(a, f.Prec()-1-f.MinExp())
-	if sig != math.Trunc(sig) || sig >= math.Ldexp(1, f.SigBits()) {
+	// Representable exactly when no bit below the format's ulp is set.
+	shift := ulpShift(a, prec, bias)
+	if shift > 52 || a&(1<<shift-1) != 0 {
 		return 0, false
 	}
-	return sign | uint64(sig), true
+	q := a & (1<<52 - 1)
+	if a>>52 != 0 {
+		q |= 1 << 52
+	}
+	q >>= shift
+	// q carries the implicit bit of a normal value, which adds one to the
+	// biased exponent field below it; a subnormal's field is 0.
+	field := max(max(int(a>>52), 1)-1024+bias, 0)
+	return sign | (uint64(field)<<uint(prec-1) + q), true
 }
 
 // IsRepresentable reports whether x (including infinities and NaN) is exactly
