@@ -157,9 +157,9 @@ func main() {
 			oracleValues += rs[0].Stats.OracleMisses
 		}
 		for _, res := range rs {
-			ro.Log.Infof("  generated %s (%d constraints, %d LP solves, %d exact fallbacks, %d exact + %d float pivots, %d iterations, collect %v, solve %v, %d oracle values)",
+			ro.Log.Infof("  generated %s (%d constraints, %d LP solves, %d exact fallbacks [%s], %d exact + %d float pivots, %d iterations, collect %v, solve %v, %d oracle values)",
 				res.Describe(), res.Stats.Constraints, res.Stats.LPSolves, res.Stats.LPExactFallbacks,
-				res.Stats.LPPivots, res.Stats.LPFloatPivots, res.Stats.Iterations,
+				formatReasons(res.Stats.LPExactReasons), res.Stats.LPPivots, res.Stats.LPFloatPivots, res.Stats.Iterations,
 				res.Stats.CollectTime.Round(time.Millisecond), res.Stats.SolveTime.Round(time.Millisecond),
 				res.Stats.OracleMisses)
 			results = append(results, res)
@@ -245,9 +245,32 @@ func printResult(res *core.Result) {
 			}
 		}
 	}
-	for b, y := range res.Specials {
-		fmt.Printf("  special: x=%g -> %.17g\n", math.Float64frombits(b), y)
+	bits := make([]uint64, 0, len(res.Specials))
+	for b := range res.Specials {
+		bits = append(bits, b)
 	}
+	slices.Sort(bits)
+	for _, b := range bits {
+		fmt.Printf("  special: x=%g -> %.17g\n", math.Float64frombits(b), res.Specials[b])
+	}
+}
+
+// formatReasons renders an lp_exact_reasons map as "reason n, ..." in
+// reason order ("none" when empty).
+func formatReasons(reasons map[string]int) string {
+	if len(reasons) == 0 {
+		return "none"
+	}
+	names := make([]string, 0, len(reasons))
+	for r := range reasons {
+		names = append(names, r)
+	}
+	slices.Sort(names)
+	parts := make([]string, len(names))
+	for i, r := range names {
+		parts[i] = fmt.Sprintf("%s %d", r, reasons[r])
+	}
+	return strings.Join(parts, ", ")
 }
 
 func fatal(err error) {

@@ -80,13 +80,6 @@ type Config struct {
 	// Levels should be ordered widest to narrowest. Empty generates a plain
 	// (non-progressive) polynomial, exactly as before.
 	Progressive []ProgressiveLevel
-	// ColdLP disables the warm-started incremental LP engine: every
-	// constrain iteration solves its system from scratch, as the pipeline
-	// did before the lp.Solver redesign. The generated coefficients are
-	// bit-identical either way (the solver canonicalizes its optimum);
-	// this switch exists for regression testing and for isolating the
-	// warm-start machinery when debugging.
-	ColdLP bool
 	// Logger, when non-nil, receives leveled progress lines: per-run
 	// summaries at Info, inner-loop detail at Debug. Nil silences the
 	// pipeline.

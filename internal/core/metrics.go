@@ -24,45 +24,37 @@ type schemeMetrics struct {
 	constrainEvents *obs.Counter
 	demotedSources  *obs.Counter
 
-	lpPivots       *obs.Counter // exact tableau pivots, all phases
-	lpFloatPivots  *obs.Counter // float simplex pivots before the certificate
-	lpFallbacks    *obs.Counter // solves the exact tableau ran for (no certificate)
-	lpPivotsPhase1 *obs.Counter
-	lpPivotsPhase2 *obs.Counter
-	lpPivotsDual   *obs.Counter   // dual-simplex pivots of warm resolves
-	lpPivotsCanon  *obs.Counter   // lex-canonicalization pivots
-	lpWarm         *obs.Counter   // resolves served from the previous basis, float or exact
-	lpCold         *obs.Counter   // from-scratch two-phase solves
-	lpPivotsSaved  *obs.Counter   // estimated exact pivots avoided by warm dual re-solves
-	lpPerSolve     *obs.Histogram // pivots per LP solve
-	lpTime         *obs.Histogram // wall-clock per LP solve (ns)
-	lpTimeWarm     *obs.Histogram // wall-clock per warm resolve (ns)
-	lpTimeCold     *obs.Histogram // wall-clock per cold solve (ns)
-	lpRowsMax      *obs.Gauge     // largest tableau seen
-	lpColsMax      *obs.Gauge
-	checkTime      *obs.Histogram // wall-clock per full-constraint check (ns)
-	solveTime      *obs.Gauge     // this scheme's whole solve loop (ns)
+	lpPivots      *obs.Counter // exact continuation pivots
+	lpFloatPivots *obs.Counter // float simplex pivots before the certificate
+	lpFallbacks   *obs.Counter // solves that went exact (no certified float basis)
+	// lpReasons counts the solves that went exact, by lp.ExactReason
+	// (index 0, lp.ExactNone, stays nil).
+	lpReasons  [lp.ExactInfeasible + 1]*obs.Counter
+	lpWarm     *obs.Counter   // solves whose float search started from the previous basis
+	lpCold     *obs.Counter   // solves whose float search started from scratch
+	lpPerSolve *obs.Histogram // exact pivots per LP solve
+	lpTime     *obs.Histogram // wall-clock per LP solve (ns)
+	lpTimeWarm *obs.Histogram // wall-clock per warm resolve (ns)
+	lpTimeCold *obs.Histogram // wall-clock per cold solve (ns)
+	lpRowsMax  *obs.Gauge     // largest LP seen
+	lpColsMax  *obs.Gauge
+	checkTime  *obs.Histogram // wall-clock per full-constraint check (ns)
+	solveTime  *obs.Gauge     // this scheme's whole solve loop (ns)
 
 	reg    *obs.Registry
 	prefix string
-
-	// lastColdPivots remembers the most recent exact cold solve's two-phase
-	// pivot count; an exact warm resolve's savings are estimated against it
-	// (the cold solve it replaced would have been at least as large — the
-	// system has only grown since). Written and read from the scheme's
-	// single solve goroutine only.
-	lastColdPivots int64
 
 	// Registry values at the start of this run. Stats is a per-run view, but
 	// a caller-supplied registry (Config.Metrics) outlives runs and its
 	// counters are monotonic, so fillStats reports deltas from these.
 	baseIter, baseLP, baseConstrain, basePivots, baseWarm, baseCold int64
 	baseFloatPivots, baseFallbacks                                  int64
+	baseReasons                                                     [lp.ExactInfeasible + 1]int64
 }
 
 func newSchemeMetrics(reg *obs.Registry, fn oracle.Func, scheme poly.Scheme) *schemeMetrics {
 	p := "core/" + fn.String() + "/" + scheme.String() + "/"
-	return &schemeMetrics{
+	m := &schemeMetrics{
 		iterations:      reg.Counter(p + "iterations"),
 		lpSolves:        reg.Counter(p + "lp_solves"),
 		constrainEvents: reg.Counter(p + "constrain_events"),
@@ -70,13 +62,8 @@ func newSchemeMetrics(reg *obs.Registry, fn oracle.Func, scheme poly.Scheme) *sc
 		lpPivots:        reg.Counter(p + "lp_pivots"),
 		lpFloatPivots:   reg.Counter(p + "lp_float_pivots"),
 		lpFallbacks:     reg.Counter(p + "lp_exact_fallbacks"),
-		lpPivotsPhase1:  reg.Counter(p + "lp_pivots_phase1"),
-		lpPivotsPhase2:  reg.Counter(p + "lp_pivots_phase2"),
-		lpPivotsDual:    reg.Counter(p + "lp_pivots_dual"),
-		lpPivotsCanon:   reg.Counter(p + "lp_pivots_canon"),
 		lpWarm:          reg.Counter(p + "lp_warm_resolves"),
 		lpCold:          reg.Counter(p + "lp_cold_solves"),
-		lpPivotsSaved:   reg.Counter(p + "lp_pivots_saved"),
 		lpPerSolve:      reg.Histogram(p + "lp_pivots_per_solve"),
 		lpTime:          reg.Histogram(p + "lp_solve_time_ns"),
 		lpTimeWarm:      reg.Histogram(p + "lp_warm_resolve_time_ns"),
@@ -88,6 +75,12 @@ func newSchemeMetrics(reg *obs.Registry, fn oracle.Func, scheme poly.Scheme) *sc
 		reg:             reg,
 		prefix:          p,
 	}
+	for r := range m.lpReasons {
+		if r := lp.ExactReason(r); r != lp.ExactNone {
+			m.lpReasons[r] = reg.Counter(p + "lp_exact_reason/" + r.String())
+		}
+	}
+	return m
 }
 
 // snapshotBase records the current counter values; fillStats later reports
@@ -102,6 +95,11 @@ func (m *schemeMetrics) snapshotBase() *schemeMetrics {
 	m.baseCold = m.lpCold.Value()
 	m.baseFloatPivots = m.lpFloatPivots.Value()
 	m.baseFallbacks = m.lpFallbacks.Value()
+	for r, c := range m.lpReasons {
+		if c != nil {
+			m.baseReasons[r] = c.Value()
+		}
+	}
 	return m
 }
 
@@ -122,35 +120,22 @@ func isCanceled(err error) bool {
 // observeLP records one LP solve outcome: stats always, split by warm vs
 // cold resolve, the infeasibility cause by name when the solve failed.
 func (m *schemeMetrics) observeLP(st lp.Stats, dur time.Duration, err error) {
-	m.lpPivots.Add(int64(st.Pivots()))
+	m.lpPivots.Add(int64(st.Pivots))
 	m.lpFloatPivots.Add(int64(st.FloatPivots))
-	if st.Exact {
+	if st.ExactReason != lp.ExactNone {
 		m.lpFallbacks.Inc()
+		m.lpReasons[st.ExactReason].Inc()
 	}
-	m.lpPivotsPhase1.Add(int64(st.Phase1Pivots))
-	m.lpPivotsPhase2.Add(int64(st.Phase2Pivots))
-	m.lpPivotsDual.Add(int64(st.DualPivots))
-	m.lpPivotsCanon.Add(int64(st.CanonPivots))
-	m.lpPerSolve.Observe(int64(st.Pivots()))
+	m.lpPerSolve.Observe(int64(st.Pivots))
 	m.lpTime.ObserveDuration(dur)
 	m.lpRowsMax.SetMax(int64(st.Rows))
 	m.lpColsMax.SetMax(int64(st.Cols))
 	if st.Warm {
 		m.lpWarm.Inc()
 		m.lpTimeWarm.ObserveDuration(dur)
-		// The avoided cold solve would have pivoted at least as much as the
-		// previous exact cold solve of this (only grown since) system; count
-		// the difference to the dual-simplex work actually done as saved. A
-		// certified solve does no exact work, so it saves nothing here.
-		if saved := m.lastColdPivots - int64(st.DualPivots); st.Exact && saved > 0 {
-			m.lpPivotsSaved.Add(saved)
-		}
 	} else {
 		m.lpCold.Inc()
 		m.lpTimeCold.ObserveDuration(dur)
-		if st.Exact {
-			m.lastColdPivots = int64(st.Phase1Pivots + st.Phase2Pivots)
-		}
 	}
 	if cause := lp.InfeasibilityCause(err); cause != "" {
 		m.reg.Counter(m.prefix + "lp_" + cause).Inc()
@@ -168,4 +153,16 @@ func (m *schemeMetrics) fillStats(s *Stats) {
 	s.ColdSolves = int(m.lpCold.Value() - m.baseCold)
 	s.LPFloatPivots = m.lpFloatPivots.Value() - m.baseFloatPivots
 	s.LPExactFallbacks = int(m.lpFallbacks.Value() - m.baseFallbacks)
+	s.LPExactReasons = nil
+	for r, c := range m.lpReasons {
+		if c == nil {
+			continue
+		}
+		if n := int(c.Value() - m.baseReasons[r]); n > 0 {
+			if s.LPExactReasons == nil {
+				s.LPExactReasons = map[string]int{}
+			}
+			s.LPExactReasons[lp.ExactReason(r).String()] = n
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func TestStatsViewFromRegistry(t *testing.T) {
 	if first.Stats.LPSolves == 0 || first.Stats.Iterations == 0 {
 		t.Fatalf("stats view empty: %+v", first.Stats)
 	}
-	if first.Stats.LPPivots == 0 {
+	if first.Stats.LPPivots+first.Stats.LPFloatPivots == 0 {
 		t.Fatal("no LP pivots recorded")
 	}
 	snap := reg.Snapshot()
@@ -84,6 +85,9 @@ func TestStatsViewFromRegistry(t *testing.T) {
 	}
 	if got := snap.Counters[p+"lp_pivots"]; got != first.Stats.LPPivots {
 		t.Errorf("registry lp_pivots = %d, Stats view = %d", got, first.Stats.LPPivots)
+	}
+	if got := snap.Counters[p+"lp_float_pivots"]; got != first.Stats.LPFloatPivots {
+		t.Errorf("registry lp_float_pivots = %d, Stats view = %d", got, first.Stats.LPFloatPivots)
 	}
 	if snap.Histograms[p+"lp_solve_time_ns"].Count != int64(first.Stats.LPSolves) {
 		t.Errorf("lp_solve_time_ns count %d, want %d",
@@ -145,8 +149,11 @@ func TestRunReport(t *testing.T) {
 		if sr.CollectMs <= 0 || sr.SolveMs <= 0 {
 			t.Errorf("%s: phase times missing: collect=%v solve=%v", sr.Fn, sr.CollectMs, sr.SolveMs)
 		}
-		if sr.LPPivots == 0 || sr.LPSolves == 0 {
-			t.Errorf("%s: LP totals missing: pivots=%d solves=%d", sr.Fn, sr.LPPivots, sr.LPSolves)
+		// Every solve pivots in float or goes exact (the empty log2
+		// systems are answered directly, with no pivot).
+		if sr.LPSolves == 0 || sr.LPFloatPivots+sr.LPPivots == 0 && sr.LPExactFallbacks == 0 {
+			t.Errorf("%s: LP totals missing: float pivots=%d exact pivots=%d fallbacks=%d solves=%d",
+				sr.Fn, sr.LPFloatPivots, sr.LPPivots, sr.LPExactFallbacks, sr.LPSolves)
 		}
 		if len(sr.Degrees) != sr.Pieces {
 			t.Errorf("%s: %d degrees for %d pieces", sr.Fn, len(sr.Degrees), sr.Pieces)
@@ -270,28 +277,29 @@ func TestRungAnswersGenerationSet(t *testing.T) {
 }
 
 // TestObserveLPSplitsFloatAndExact: lp_exact_fallbacks counts only solves
-// the exact tableau ran for (not a cancellation during the float search),
-// and lp_pivots_saved compares only exact dual re-solves with the last
-// exact cold solve.
+// that went exact (not a cancellation during the float search), split by
+// reason, and lp_pivots counts only exact pivots.
 func TestObserveLPSplitsFloatAndExact(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newSchemeMetrics(reg, oracle.Exp2, poly.Horner).snapshotBase()
 	ms := time.Millisecond
-	m.observeLP(lp.Stats{Phase1Pivots: 7, Phase2Pivots: 3, Exact: true}, ms, nil)
-	m.observeLP(lp.Stats{FloatPivots: 5, Warm: true, Certified: true, Canonical: true}, ms, nil)
-	m.observeLP(lp.Stats{FloatPivots: 6, Certified: true, Canonical: true}, ms, nil)
+	m.observeLP(lp.Stats{Pivots: 10, ExactReason: lp.ExactFloatNoEntering}, ms, nil)
+	m.observeLP(lp.Stats{FloatPivots: 5, Warm: true, Certified: true}, ms, nil)
+	m.observeLP(lp.Stats{FloatPivots: 6, Certified: true}, ms, nil)
 	m.observeLP(lp.Stats{FloatPivots: 2}, ms, &lp.CanceledError{Phase: "float", Err: context.Canceled})
-	m.observeLP(lp.Stats{DualPivots: 4, Warm: true, Exact: true}, ms, nil)
+	m.observeLP(lp.Stats{Pivots: 4, Warm: true, ExactReason: lp.ExactCertificate}, ms, nil)
+	m.observeLP(lp.Stats{ExactReason: lp.ExactFreeCoefficients}, ms, nil)
 	var s Stats
 	m.fillStats(&s)
-	if s.LPExactFallbacks != 2 || s.LPFloatPivots != 13 || s.LPPivots != 14 {
-		t.Errorf("fallbacks %d, float pivots %d, exact pivots %d; want 2, 13, 14",
+	if s.LPExactFallbacks != 3 || s.LPFloatPivots != 13 || s.LPPivots != 14 {
+		t.Errorf("fallbacks %d, float pivots %d, exact pivots %d; want 3, 13, 14",
 			s.LPExactFallbacks, s.LPFloatPivots, s.LPPivots)
 	}
-	if s.WarmResolves != 2 || s.ColdSolves != 3 {
-		t.Errorf("warm %d cold %d; want 2 and 3", s.WarmResolves, s.ColdSolves)
+	want := map[string]int{"float-no-entering": 1, "certificate": 1, "free-coefficients": 1}
+	if !reflect.DeepEqual(s.LPExactReasons, want) {
+		t.Errorf("exact reasons %v, want %v", s.LPExactReasons, want)
 	}
-	if saved := m.lpPivotsSaved.Value(); saved != 6 {
-		t.Errorf("lp_pivots_saved = %d, want 6 (10 cold pivots - 4 dual)", saved)
+	if s.WarmResolves != 2 || s.ColdSolves != 4 {
+		t.Errorf("warm %d cold %d; want 2 and 4", s.WarmResolves, s.ColdSolves)
 	}
 }

@@ -72,16 +72,17 @@ type Stats struct {
 	LPSolves        int
 	Iterations      int
 	ConstrainEvents int   // intervals shrunk by the check step
-	LPPivots        int64 // exact big.Rat tableau pivots across every LP solve
+	LPPivots        int64 // exact continuation pivots across every LP solve
 	// LPFloatPivots counts the float64 simplex pivots that searched for a
-	// basis to certify; LPExactFallbacks counts the LP solves the exact
-	// tableau ran for, because the float search ended without a certificate.
+	// basis to certify; LPExactFallbacks counts the LP solves that went
+	// exact, because the float search ended without a certified basis, and
+	// LPExactReasons splits them by lp.ExactReason name (nil when none).
 	LPFloatPivots    int64
 	LPExactFallbacks int
-	// WarmResolves counts LP solves that resumed from the previous basis
-	// (the float basis, or the exact tableau's dual re-solve); ColdSolves
-	// counts solves from scratch (always at least one per piece, plus
-	// warm-path fallbacks).
+	LPExactReasons   map[string]int
+	// WarmResolves counts LP solves whose float search resumed from the
+	// previous basis; ColdSolves counts solves from scratch (at least one
+	// per piece and degree).
 	WarmResolves int
 	ColdSolves   int
 
@@ -647,17 +648,17 @@ func splitByValue(work []*workItem, pieces int) [][]*workItem {
 
 // solvePiece runs Algorithm 2 on one sub-domain, escalating the degree when
 // the iteration budget runs out. It owns this piece's incremental LP solver:
-// the optimal tableau survives across adaptLoop's constrain iterations, so
-// each re-solve after an interval shrink warm-starts from the previous basis
-// instead of running the two-phase method from nothing (SetDegree resets it
-// when the degree escalates — the variable space changes shape).
+// the optimal basis survives across adaptLoop's constrain iterations, so
+// each re-solve after an interval shrink warm-starts from it instead of
+// searching from nothing (SetDegree resets it when the degree escalates —
+// the variable space changes shape).
 func solvePiece(ctx context.Context, cfg *Config, work []*workItem, rng *rand.Rand, res *Result, m *schemeMetrics) (*Piece, error) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, it := range work {
 		lo = math.Min(lo, it.R)
 		hi = math.Max(hi, it.R)
 	}
-	solver := lp.NewSolver(lp.Options{Degree: cfg.Degree, WarmStart: !cfg.ColdLP})
+	solver := lp.NewSolver(lp.Options{Degree: cfg.Degree})
 	for degree := cfg.Degree; degree <= cfg.DegreeMax; degree++ {
 		solver.SetDegree(degree)
 		ev, err := adaptLoop(ctx, cfg, solver, work, degree, rng, res, m, nil)
@@ -918,9 +919,9 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			}
 			isp.End(obs.Attrs{
 				"sample": len(cons), "lp": lp.InfeasibilityCause(lpErr),
-				"lp_us": lpDur.Microseconds(), "pivots": lpStats.Pivots(),
+				"lp_us": lpDur.Microseconds(), "pivots": lpStats.Pivots,
 				"float_pivots": lpStats.FloatPivots, "forced_rows": lpStats.ForcedRows,
-				"certified": lpStats.Certified,
+				"certified": lpStats.Certified, "exact_reason": lpStats.ExactReason.String(),
 			})
 			continue
 		}
@@ -988,8 +989,9 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 		isp.End(obs.Attrs{
 			"sample": len(cons), "violations": violations,
 			"lp_us": lpDur.Microseconds(), "check_us": checkDur.Microseconds(),
-			"pivots": lpStats.Pivots(), "float_pivots": lpStats.FloatPivots,
+			"pivots": lpStats.Pivots, "float_pivots": lpStats.FloatPivots,
 			"forced_rows": lpStats.ForcedRows, "certified": lpStats.Certified,
+			"exact_reason": lpStats.ExactReason.String(),
 		})
 		if violations == 0 {
 			return ev, nil

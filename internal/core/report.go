@@ -52,17 +52,19 @@ type SchemeReport struct {
 	Inputs          int   `json:"inputs,omitempty"`
 	Constraints     int   `json:"constraints,omitempty"`
 	LPSolves        int   `json:"lp_solves,omitempty"`
-	LPPivots        int64 `json:"lp_pivots,omitempty"` // exact tableau pivots
+	LPPivots        int64 `json:"lp_pivots,omitempty"` // exact continuation pivots
 	LPWarmResolves  int   `json:"lp_warm_resolves,omitempty"`
 	LPColdSolves    int   `json:"lp_cold_solves,omitempty"`
 	Iterations      int   `json:"iterations,omitempty"`
 	ConstrainEvents int   `json:"constrain_events,omitempty"`
 
 	// LPFloatPivots and LPExactFallbacks split the LP work between the
-	// float simplex and the exact tableau, which runs when the float search
-	// ends without a certified basis.
-	LPFloatPivots    int64 `json:"lp_float_pivots,omitempty"`
-	LPExactFallbacks int   `json:"lp_exact_fallbacks,omitempty"`
+	// float simplex and the exact continuation, which runs when the float
+	// search ends without a certified basis; LPExactReasons counts those
+	// solves by lp.ExactReason name.
+	LPFloatPivots    int64          `json:"lp_float_pivots,omitempty"`
+	LPExactFallbacks int            `json:"lp_exact_fallbacks,omitempty"`
+	LPExactReasons   map[string]int `json:"lp_exact_reasons,omitempty"`
 
 	CollectMs float64 `json:"collect_ms,omitempty"`
 	SolveMs   float64 `json:"solve_ms,omitempty"`
@@ -100,6 +102,7 @@ func (r *RunReport) AddResult(res *Result) {
 
 		LPFloatPivots:    res.Stats.LPFloatPivots,
 		LPExactFallbacks: res.Stats.LPExactFallbacks,
+		LPExactReasons:   res.Stats.LPExactReasons,
 	}
 	for _, p := range res.Pieces {
 		sr.Degrees = append(sr.Degrees, p.Coeffs.Trim().Degree())

@@ -14,12 +14,14 @@
 // simplex over the nc+1 structural columns finds an optimal basis, and
 // big.Rat arithmetic then certifies it exactly (primal feasibility of every
 // row and strictly positive dual multipliers, which make the optimum
-// unique). Only when the certificate fails does the exact big.Rat tableau
-// (tableau.go) solve the LP. Both paths return the same coefficients bit
-// for bit: the unique lex-min optimum.
+// unique). When the certificate fails, the exact continuation (exact.go)
+// runs the same dual simplex on the same small basis in big.Rat until it
+// reaches an exact verdict. Every path returns one defined point: the
+// lex-min optimum (maximize the margin, then minimize C_0, C_1, ... in
+// turn, with any coefficient the constraints leave free set to 0).
 //
 // The package's entry point is the incremental Solver, which keeps the
-// optimal basis (float and exact) alive across the loop's repeated solves
-// and reoptimizes with the dual simplex (see solver.go). One-shot callers construct a
+// optimal basis alive across the loop's repeated solves and reoptimizes
+// with the dual simplex (see solver.go). One-shot callers construct a
 // Solver, add their constraints and Resolve once.
 package lp

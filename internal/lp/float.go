@@ -8,9 +8,8 @@ import (
 )
 
 // floatLP is the float64 image of the solver's LP, written as inequalities
-// over y = (C_0, ..., C_d, t): maximize t subject to a_i·y <= b_i. The rows
-// are numbered as in the exact tableau: row 0 is the margin cap t <= 1, and
-// accepted constraint k contributes the lo row 1+2k
+// over y = (C_0, ..., C_d, t): maximize t subject to a_i·y <= b_i. Row 0 is
+// the margin cap t <= 1, and accepted constraint k contributes the lo row 1+2k
 // (-P(X) + w·t <= -Lo) and the hi row 2+2k (P(X) + w·t <= Hi), where
 // w = (Hi-Lo)/2 and a prefix constraint leaves its excluded coefficients'
 // entries at zero.
@@ -19,7 +18,8 @@ import (
 // simplex is the dual simplex in this form: its basis always keeps the
 // objective gradient e_t in the cone of the active rows (dual feasible) and
 // each pivot brings the most violated row into the basis. Its answer is only
-// a guide: certify re-solves the basis in big.Rat and checks it exactly.
+// a guide: certify re-solves the basis in big.Rat and checks it exactly, and
+// the exact continuation (exact.go) carries on from it when it fails.
 type floatLP struct {
 	n    int       // columns: nc coefficients, then t
 	a, b []float64 // unscaled rows, row-major m×n, and right-hand sides
@@ -49,23 +49,11 @@ const (
 	floatDualTol  = 1e-12 // Harris ratio-test relaxation of the duals
 	floatPivotTol = 1e-11 // smallest usable pivot, relative to max |alpha|
 	// floatRefineRounds bounds how many exactly-violated rows are forced
-	// into the float basis before the solve falls back to the tableau. A
+	// into the float basis before the solve goes exact. A
 	// warm float basis can end a hair off the exact optimum: in the 32-bit
 	// stride-4093 regeneration 47 of 256 solves certify only after one to
 	// four forced rows, 31 of them log10/knuth's.
 	floatRefineRounds = 4
-)
-
-// floatStatus is the outcome of a float simplex run.
-type floatStatus int
-
-const (
-	floatOptimal floatStatus = iota
-	// floatFailed covers a singular basis, the pivot budget, and a violated
-	// row no basis exchange can repair (a float "infeasible" verdict): the
-	// tableau decides all of them.
-	floatFailed
-	floatCanceled
 )
 
 func newFloatLP(nc int) *floatLP {
@@ -292,9 +280,12 @@ func (f *floatLP) solveT(z []float64) {
 }
 
 // optimize runs the dual simplex from basis (modified in place) until no row
-// is violated. force >= 0 names a row that must enter first: a row the exact
-// certificate found violated although the float slack said otherwise.
-func (f *floatLP) optimize(ctx context.Context, basis []int, force, limit int, pivots *int) floatStatus {
+// is violated, and returns ExactNone there, or the reason it stopped short:
+// a singular basis, the pivot budget, or a violated row no basis exchange
+// can repair (a float "infeasible" verdict). force >= 0 names a row that
+// must enter first: a row the exact certificate found violated although the
+// float slack said otherwise.
+func (f *floatLP) optimize(ctx context.Context, basis []int, force, limit int, pivots *int) (ExactReason, error) {
 	m, n := f.rows(), f.n
 	if cap(f.inBasis) < m {
 		f.inBasis = make([]bool, m)
@@ -312,10 +303,10 @@ func (f *floatLP) optimize(ctx context.Context, basis []int, force, limit int, p
 	degenerate := 0
 	for {
 		if ctx != nil && ctx.Err() != nil {
-			return floatCanceled
+			return ExactNone, &CanceledError{Phase: "float", Err: ctx.Err()}
 		}
 		if !f.factor(basis) {
-			return floatFailed
+			return ExactFloatSingular, nil
 		}
 		for k, i := range basis {
 			f.y[k] = f.sb[i]
@@ -354,10 +345,10 @@ func (f *floatLP) optimize(ctx context.Context, basis []int, force, limit int, p
 			}
 		}
 		if r < 0 {
-			return floatOptimal
+			return ExactNone, nil
 		}
 		if *pivots >= limit {
-			return floatFailed
+			return ExactFloatPivotBudget, nil
 		}
 		copy(f.alpha, f.sa[r*n:(r+1)*n])
 		f.solveT(f.alpha)
@@ -397,7 +388,7 @@ func (f *floatLP) optimize(ctx context.Context, basis []int, force, limit int, p
 			}
 		}
 		if k < 0 {
-			return floatFailed
+			return ExactFloatNoEntering, nil
 		}
 		if math.Max(f.lam[k], 0)/f.alpha[k] <= floatDualTol {
 			degenerate++
@@ -411,8 +402,8 @@ func (f *floatLP) optimize(ctx context.Context, basis []int, force, limit int, p
 	}
 }
 
-// floatMaxPivots bounds one float simplex run; beyond it the solve falls
-// back to the exact tableau (a float run that long is cycling).
+// floatMaxPivots bounds one float simplex run; beyond it the solve goes
+// exact (a float run that long is cycling).
 func floatMaxPivots(m, n int) int { return 50 * (m + n) }
 
 // exactRow returns row i of the LP as exact rationals.
@@ -442,6 +433,34 @@ func (s *Solver) exactRow(i int) ([]*big.Rat, *big.Rat) {
 		return row, new(big.Rat).Neg(c.Lo)
 	}
 	return row, new(big.Rat).Set(c.Hi)
+}
+
+// rowValues returns a·v for the lo and hi rows of accepted constraint k,
+// for v = (C, t) over all nc+1 components.
+func (s *Solver) rowValues(k int, v []*big.Rat) (lo, hi *big.Rat) {
+	c := &s.accepted[k]
+	p := EvalRat(v[:c.prefixCount(s.nc)], c.X)
+	wt := new(big.Rat).Mul(s.flp.w[k], v[s.nc])
+	return new(big.Rat).Sub(wt, p), p.Add(p, wt)
+}
+
+// violations calls visit, in row order, with the excess a_i·y - b_i of
+// every row that y violates.
+func (s *Solver) violations(y []*big.Rat, visit func(i int, excess *big.Rat)) {
+	if d := new(big.Rat).Sub(y[s.nc], big.NewRat(1, 1)); d.Sign() > 0 {
+		visit(0, d)
+	}
+	for k := range s.accepted {
+		c := &s.accepted[k]
+		lo, hi := s.rowValues(k, y)
+		// lo row: P - w·t >= Lo; hi row: P + w·t <= Hi.
+		if d := lo.Add(lo, c.Lo); d.Sign() > 0 {
+			visit(1+2*k, d)
+		}
+		if d := hi.Sub(hi, c.Hi); d.Sign() > 0 {
+			visit(2+2*k, d)
+		}
+	}
 }
 
 // solveRat solves a·z = rhs exactly (a is n×n and is overwritten). Returns
@@ -484,15 +503,24 @@ func solveRat(a [][]*big.Rat, rhs []*big.Rat) []*big.Rat {
 	return z
 }
 
+// certVerdict is the outcome of certify.
+type certVerdict int
+
+const (
+	certUnique     certVerdict = iota // y is the unique optimum
+	certInfeasible                    // λ >= 0, so no feasible t exceeds y's, and y's t < 0
+	certViolated                      // y violates a row; violated names the worst one
+	certRefused                       // singular, a negative λ, or a zero λ at an optimum
+)
+
 // certify checks a float basis exactly. It solves the basis rows as
 // equalities for y = (C, t) and the transposed system for the dual
 // multipliers, in big.Rat. The basis is certified when the multipliers are
-// all strictly positive and y satisfies every row and t >= 0: y is then an
-// optimum, and by complementary slackness every optimum makes the basis rows
-// active, so y is the unique optimum — the lex-min point canonicalize would
-// pin. On a primal violation, violated names the row to force into the
-// float basis (-1 when the failure is not a violated row).
-func (s *Solver) certify(basis []int) (coeffs []*big.Rat, violated int) {
+// all strictly positive and y satisfies every row: y is then an optimum,
+// and by complementary slackness every optimum makes the basis rows active,
+// so y is the unique optimum, the point the lex-min rule picks. On a primal
+// violation, violated names the row to force into the float basis.
+func (s *Solver) certify(basis []int) (coeffs []*big.Rat, violated int, verdict certVerdict) {
 	n := s.nc + 1
 	a := make([][]*big.Rat, n)
 	at := make([][]*big.Rat, n)
@@ -510,7 +538,7 @@ func (s *Solver) certify(basis []int) (coeffs []*big.Rat, violated int) {
 	copy(rows, a)
 	y := solveRat(rows, rhs)
 	if y == nil {
-		return nil, -1
+		return nil, -1, certRefused
 	}
 	et := make([]*big.Rat, n)
 	for j := range et {
@@ -519,92 +547,76 @@ func (s *Solver) certify(basis []int) (coeffs []*big.Rat, violated int) {
 	et[n-1].SetInt64(1)
 	lam := solveRat(at, et)
 	if lam == nil {
-		return nil, -1
+		return nil, -1, certRefused
 	}
+	zero := false
 	for _, l := range lam {
-		if l.Sign() <= 0 {
-			return nil, -1
+		if l.Sign() < 0 {
+			return nil, -1, certRefused
 		}
+		zero = zero || l.Sign() == 0
 	}
-	t := y[s.nc]
-	if t.Sign() < 0 {
-		return nil, -1
+	if y[s.nc].Sign() < 0 {
+		return nil, -1, certInfeasible
 	}
 	violated, worst := -1, 0.0
-	note := func(i int, excess *big.Rat) {
+	s.violations(y, func(i int, excess *big.Rat) {
 		if v := ratFloat(excess) * s.flp.rowScale[i]; violated < 0 || v > worst {
 			violated, worst = i, v
 		}
+	})
+	switch {
+	case violated >= 0:
+		return nil, violated, certViolated
+	case zero:
+		return nil, -1, certRefused
 	}
-	if t.Cmp(big.NewRat(1, 1)) > 0 {
-		note(0, new(big.Rat).Sub(t, big.NewRat(1, 1)))
-	}
-	wt := new(big.Rat)
-	for k := range s.accepted {
-		c := &s.accepted[k]
-		v := EvalRat(y[:c.prefixCount(s.nc)], c.X)
-		wt.Mul(s.flp.w[k], t)
-		// lo row: P - w·t >= Lo; hi row: P + w·t <= Hi.
-		if d := new(big.Rat).Sub(c.Lo, new(big.Rat).Sub(v, wt)); d.Sign() > 0 {
-			note(1+2*k, d)
-		}
-		if d := new(big.Rat).Sub(new(big.Rat).Add(v, wt), c.Hi); d.Sign() > 0 {
-			note(2+2*k, d)
-		}
-	}
-	if violated >= 0 {
-		return nil, violated
-	}
-	return y[:s.nc], -1
+	return y[:s.nc], -1, certUnique
 }
 
 // floatResolve is the fast path of Resolve: a float64 dual simplex finds an
-// optimal basis, warm-started from the previous one when WarmStart is set,
-// and certify proves it exactly. ok reports a certified result; otherwise
-// the caller runs the exact tableau, and res.Stats carries the float work
-// done. The only error is a cancellation.
-func (s *Solver) floatResolve(ctx context.Context) (res Result, ok bool, err error) {
-	if s.flp == nil {
-		s.flp = newFloatLP(s.nc)
-	}
+// optimal basis, warm-started from the previous one, and certify proves it
+// exactly. It returns the certified coefficients and basis, or ErrInfeasible
+// when the certificate proves the system infeasible. Otherwise coeffs is nil,
+// st.ExactReason says why, and basis is the float basis the exact
+// continuation may resume from (nil when there is none). The only other
+// error is a cancellation.
+func (s *Solver) floatResolve(ctx context.Context, st *Stats) (coeffs []*big.Rat, basis []int, err error) {
 	f := s.flp
-	for k := len(f.full); k < len(s.accepted); k++ {
-		f.addConstraint(&s.accepted[k])
-	}
-	var st Stats
-	st.Rows = f.rows()
-	st.Cols = 2*s.nc + 1 + st.Rows
-	basis := f.basis
+	basis = f.basis
 	f.basis = nil
-	if s.opts.WarmStart && basis != nil {
+	if basis != nil {
 		st.Warm = true
 	} else {
 		basis = f.coldBasis()
 	}
 	if basis == nil || !f.scale() {
-		return Result{Stats: st}, false, nil
+		st.ExactReason = ExactFloatSingular
+		return nil, nil, nil
 	}
 	limit := floatMaxPivots(f.rows(), f.n)
 	force := -1
 	for round := 0; ; round++ {
-		switch f.optimize(ctx, basis, force, limit, &st.FloatPivots) {
-		case floatCanceled:
-			f.basis = nil
-			return Result{Stats: st}, false, &CanceledError{Phase: "float", Err: ctx.Err()}
-		case floatFailed:
-			f.basis = nil
-			return Result{Stats: st}, false, nil
+		reason, err := f.optimize(ctx, basis, force, limit, &st.FloatPivots)
+		if err != nil || reason != ExactNone {
+			st.ExactReason = reason
+			return nil, basis, err
 		}
-		f.basis = basis
-		coeffs, violated := s.certify(basis)
-		if coeffs != nil {
-			st.Certified, st.Canonical = true, true
-			return Result{Coeffs: coeffs, Stats: st, Basis: append([]int(nil), basis...)}, true, nil
+		coeffs, violated, verdict := s.certify(basis)
+		switch {
+		case verdict == certUnique:
+			f.basis = basis
+			st.Certified = true
+			return coeffs, basis, nil
+		case verdict == certInfeasible:
+			st.ExactReason = ExactInfeasible
+			return nil, nil, ErrInfeasible
+		case verdict == certViolated && round < floatRefineRounds:
+			force = violated
+			st.ForcedRows++
+		default:
+			st.ExactReason = ExactCertificate
+			return nil, basis, nil
 		}
-		if violated < 0 || round == floatRefineRounds {
-			return Result{Stats: st}, false, nil
-		}
-		force = violated
-		st.ForcedRows++
 	}
 }

@@ -70,44 +70,61 @@ func exp2Instances(tb testing.TB) []string {
 	return paths
 }
 
-// solveBoth solves cons with the float-guided Resolve and with the exact
-// tableau alone, and fails unless both return the same verdict and the same
-// coefficients bit for bit. It returns the float-guided stats.
-func solveBoth(t *testing.T, degree int, cons []Constraint) Stats {
+// solveBoth solves cons with Resolve and checks the outcome against the
+// reference tableau (matchReference). It returns Resolve's result.
+func solveBoth(t *testing.T, degree int, cons []Constraint) Result {
 	t.Helper()
-	ctx := context.Background()
-	fs := NewSolver(Options{Degree: degree})
-	fs.AddConstraints(cons...)
-	fres, ferr := fs.Resolve(ctx)
-	es := NewSolver(Options{Degree: degree})
-	es.exactOnly = true
-	es.AddConstraints(cons...)
-	eres, eerr := es.Resolve(ctx)
-	sameOutcome(t, fres, ferr, eres, eerr)
-	return fres.Stats
+	s := NewSolver(Options{Degree: degree})
+	s.AddConstraints(cons...)
+	res, err := s.Resolve(context.Background())
+	matchReference(t, degree, s.accepted, res, err)
+	return res
 }
 
-func sameOutcome(t *testing.T, fres Result, ferr error, eres Result, eerr error) {
+// matchReference fails unless a Resolve outcome over accepted matches the
+// reference tableau's: the same verdict, an answer that meets every row at
+// the reference's optimal margin, and, where the reference is canonical,
+// the same coefficients bit for bit.
+func matchReference(t *testing.T, degree int, accepted []Constraint, res Result, err error) {
 	t.Helper()
-	if (ferr == nil) != (eerr == nil) || errors.Is(ferr, ErrInfeasible) != errors.Is(eerr, ErrInfeasible) {
-		t.Fatalf("float-guided err %v vs exact err %v", ferr, eerr)
+	want, tRef, st, rerr := refSolve(degree, accepted, DefaultMaxPivots)
+	if (err == nil) != (rerr == nil) || errors.Is(err, ErrInfeasible) != errors.Is(rerr, ErrInfeasible) {
+		t.Fatalf("Resolve err %v vs reference err %v", err, rerr)
 	}
-	if ferr == nil {
-		sameCoeffs(t, fres.Coeffs, eres.Coeffs)
+	if err != nil {
+		return
 	}
-	if eres.Stats.FloatPivots != 0 || eres.Stats.Certified || !eres.Stats.Exact {
-		t.Fatalf("exact-only solve reports float work: %+v", eres.Stats)
+	if !meetsMargin(res.Coeffs, tRef, accepted) {
+		t.Fatalf("Resolve's coefficients miss the reference's optimal margin %s", tRef.RatString())
 	}
+	if st.Canonical {
+		sameCoeffs(t, res.Coeffs, want)
+	}
+}
+
+// meetsMargin reports whether coeffs satisfies every LP row at margin t:
+// Lo + w·t <= P(X) <= Hi - w·t with w = (Hi-Lo)/2.
+func meetsMargin(coeffs []*big.Rat, t *big.Rat, cons []Constraint) bool {
+	for _, c := range cons {
+		wt := new(big.Rat).Sub(c.Hi, c.Lo)
+		wt.Mul(wt, big.NewRat(1, 2))
+		wt.Mul(wt, t)
+		v := EvalRat(coeffs[:c.prefixCount(len(coeffs))], c.X)
+		if v.Cmp(new(big.Rat).Add(c.Lo, wt)) < 0 || v.Cmp(new(big.Rat).Sub(c.Hi, wt)) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFloatGuidedMatchesExactInstances: on the generator's own LPs the float
 // basis certifies, with no exact pivot, and the coefficients equal the
-// exact tableau's.
+// reference's.
 func TestFloatGuidedMatchesExactInstances(t *testing.T) {
 	for _, path := range exp2Instances(t) {
 		degree, cons, _ := loadLP(t, path)
-		st := solveBoth(t, degree, cons)
-		if !st.Certified || st.Pivots() != 0 || st.FloatPivots == 0 {
+		st := solveBoth(t, degree, cons).Stats
+		if !st.Certified || st.Pivots != 0 || st.FloatPivots == 0 {
 			t.Errorf("%s: not certified on the float path: %+v", path, st)
 		}
 	}
@@ -115,19 +132,15 @@ func TestFloatGuidedMatchesExactInstances(t *testing.T) {
 
 // TestFloatGuidedWarmSequence replays the three instances as one warm
 // sequence (each extends the previous accepted list), as the generator
-// solves them, against a cold exact solve at every step.
+// solves them, against the reference at every step.
 func TestFloatGuidedWarmSequence(t *testing.T) {
 	ctx := context.Background()
-	warm := NewSolver(Options{Degree: 5, WarmStart: true})
+	warm := NewSolver(Options{Degree: 5})
 	for step, path := range exp2Instances(t) {
 		degree, cons, _ := loadLP(t, path)
 		warm.AddConstraints(cons[len(warm.accepted):]...)
 		wres, werr := warm.Resolve(ctx)
-		es := NewSolver(Options{Degree: degree})
-		es.exactOnly = true
-		es.AddConstraints(cons...)
-		eres, eerr := es.Resolve(ctx)
-		sameOutcome(t, wres, werr, eres, eerr)
+		matchReference(t, degree, cons, wres, werr)
 		if !wres.Stats.Certified || wres.Stats.Warm != (step > 0) {
 			t.Errorf("%s: certified %v warm %v", path, wres.Stats.Certified, wres.Stats.Warm)
 		}
@@ -139,38 +152,64 @@ func TestFloatGuidedWarmSequence(t *testing.T) {
 // -stride 4093): a cold solve of 32 constraints, then a warm one after
 // three more. The warm float search stops at a basis whose exact point
 // violates a row, so the certificate forces violated rows into the basis
-// until it certifies. Both steps must match a cold exact solve.
+// until it certifies. Both steps must match the reference.
 func TestFloatGuidedForcedRows(t *testing.T) {
-	ctx := context.Background()
 	degree, cons, steps := loadLP(t, "testdata/log10-32-knuth-warm.lp")
 	if len(steps) != 2 {
 		t.Fatalf("want 2 resolve steps, got %v", steps)
 	}
-	warm := NewSolver(Options{Degree: degree, WarmStart: true})
-	prev := 0
-	var st Stats
-	for _, n := range steps {
-		warm.AddConstraints(cons[prev:n]...)
-		prev = n
-		wres, werr := warm.Resolve(ctx)
-		es := NewSolver(Options{Degree: degree})
-		es.exactOnly = true
-		es.AddConstraints(cons[:n]...)
-		eres, eerr := es.Resolve(ctx)
-		sameOutcome(t, wres, werr, eres, eerr)
-		st = wres.Stats
-	}
-	if !st.Warm || !st.Certified || st.ForcedRows == 0 || st.Exact {
-		t.Errorf("warm step did not certify after forced rows: %+v", st)
+	st := replaySteps(t, degree, cons, steps, true)
+	if last := st[len(st)-1]; !last.Warm || !last.Certified || last.ForcedRows == 0 || last.ExactReason != ExactNone {
+		t.Errorf("warm step did not certify after forced rows: %+v", last)
 	}
 }
 
+// TestFloatGuidedNoEntering replays a warm sequence of the exp10 stride-1
+// generation (rlibm-gen -func exp10 -scheme estrin -bits 16 -stride 1): three
+// solves of 86, 111 and 113 constraints. At the last one the float dual
+// ratio test finds no basis position for a violated row, a false
+// "infeasible" verdict, and the exact continuation carries the float basis
+// on to the optimum. Every step must match the reference (under -short,
+// only the steps that went exact).
+func TestFloatGuidedNoEntering(t *testing.T) {
+	degree, cons, steps := loadLP(t, "testdata/exp10-16-estrin-warm.lp")
+	noEntering := 0
+	for _, st := range replaySteps(t, degree, cons, steps, !testing.Short()) {
+		if st.ExactReason == ExactFloatNoEntering {
+			noEntering++
+		}
+	}
+	if noEntering == 0 {
+		t.Error("no step went exact on a float no-entering verdict: the continuation was tested vacuously")
+	}
+}
+
+// replaySteps feeds cons to one Solver in the recorded steps, resolving
+// after each, checks the steps against the reference (with all false, only
+// those that went exact), and returns the steps' stats.
+func replaySteps(t *testing.T, degree int, cons []Constraint, steps []int, all bool) []Stats {
+	t.Helper()
+	s := NewSolver(Options{Degree: degree})
+	prev := 0
+	var out []Stats
+	for _, n := range steps {
+		s.AddConstraints(cons[prev:n]...)
+		prev = n
+		res, err := s.Resolve(context.Background())
+		if all || res.Stats.ExactReason != ExactNone {
+			matchReference(t, degree, s.accepted, res, err)
+		}
+		out = append(out, res.Stats)
+	}
+	return out
+}
+
 // TestFloatGuidedMatchesExactRandom replays the randomized add-and-tighten
-// sequences of TestWarmMatchesColdRandom and TestPrefixWarmMatchesCold: a
-// warm float-guided solver must match a fresh exact-only solver at every
-// step. Those systems center every interval on the truth polynomial, so
-// their optimum sits at the margin cap with no strictly positive
-// certificate and every step falls back. The jittered variant moves each
+// sequences of TestWarmMatchesColdRandom and TestPrefixWarmMatchesCold: an
+// incremental solver must match the reference at every step. Those systems
+// center every interval on the truth polynomial, so their optimum sits at
+// the margin cap with no strictly positive certificate and every step goes
+// exact. The jittered variant moves each
 // lower bound up by a fixed share of its interval, which makes the optimum
 // a proper vertex, and there the float path must certify.
 func TestFloatGuidedMatchesExactRandom(t *testing.T) {
@@ -207,7 +246,7 @@ func floatRandomSequence(ctx context.Context, t *testing.T, seed int64, prefix, 
 	for i := range share {
 		share[i] = big.NewRat(sys.rng.Int63n(64), 160)
 	}
-	warm := NewSolver(Options{Degree: 3, WarmStart: true})
+	warm := NewSolver(Options{Degree: 3})
 	for step := 0; step < 12; step++ {
 		switch {
 		case step == 0:
@@ -232,11 +271,7 @@ func floatRandomSequence(ctx context.Context, t *testing.T, seed int64, prefix, 
 			}
 		}
 		wres, werr := warm.Solve(ctx, cons)
-		es := NewSolver(Options{Degree: 3})
-		es.exactOnly = true
-		es.AddConstraints(warm.accepted...)
-		eres, eerr := es.Resolve(ctx)
-		sameOutcome(t, wres, werr, eres, eerr)
+		matchReference(t, 3, warm.accepted, wres, werr)
 		if wres.Stats.Certified {
 			certified++
 		}
@@ -244,11 +279,14 @@ func floatRandomSequence(ctx context.Context, t *testing.T, seed int64, prefix, 
 	return certified
 }
 
-// TestFloatGuidedFallbacks: LPs the certificate must refuse — a degenerate
+// TestFloatGuidedFallbacks: LPs the certificate must refuse (a degenerate
 // system, a huge dynamic range, an infeasible system, an under-determined
-// one — come from the exact tableau, with identical results.
+// one, an empty one) go exact and match the reference. Where constraints
+// leave coefficients free, the expected answer is pinned: those
+// coefficients are 0 and the rest follow the lex-min rule.
 func TestFloatGuidedFallbacks(t *testing.T) {
-	tiny := new(big.Rat).Mul(big.NewRat(1, 1<<62), big.NewRat(1, 1<<62))
+	tiny := new(big.Rat).Mul(big.NewRat(1, 1<<62), big.NewRat(1, 1<<62)) // 2^-124
+	half := new(big.Rat).Mul(tiny, big.NewRat(1, 2))
 	var degenerate []Constraint
 	for i := 0; i < 40; i++ {
 		degenerate = append(degenerate,
@@ -259,34 +297,52 @@ func TestFloatGuidedFallbacks(t *testing.T) {
 		name   string
 		degree int
 		cons   []Constraint
+		want   []*big.Rat // nil: infeasible
+		reason ExactReason
 	}{
-		{"degenerate", 3, degenerate},
+		// C_0 and C_1 are free; C_2/4 + C_3/8 = 1 and C_2/9 + C_3/27 = 2.
+		{"degenerate", 3, degenerate, []*big.Rat{r(0, 1), r(0, 1), r(46, 1), r(-84, 1)}, ExactFreeCoefficients},
+		// C_1 is free; t = 1 puts P(0) at 1 + 2^-125 and P(2^-20) at 3/2.
 		{"huge-dynamic-range", 2, []Constraint{
 			{X: r(0, 1), Lo: r(1, 1), Hi: new(big.Rat).Add(r(1, 1), tiny)},
 			{X: r(1, 1<<20), Lo: r(1, 1), Hi: r(2, 1)},
-		}},
+		}, []*big.Rat{new(big.Rat).Add(r(1, 1), half), r(0, 1),
+			new(big.Rat).Mul(new(big.Rat).Sub(r(1, 2), half), r(1<<40, 1))}, ExactFreeCoefficients},
 		{"infeasible", 1, []Constraint{
 			{X: r(0, 1), Lo: r(0, 1), Hi: r(0, 1)},
 			{X: r(1, 1), Lo: r(1, 1), Hi: r(1, 1)},
 			{X: r(2, 1), Lo: r(4, 1), Hi: r(4, 1)},
-		}},
+		}, nil, 0},
+		// C_1 and C_2 are free; t = 1 centers P(0) at 1/2 and P(1) at 3/2.
 		{"under-determined", 3, []Constraint{
 			{X: r(0, 1), Lo: r(0, 1), Hi: r(1, 1)},
 			{X: r(1, 1), Lo: r(1, 1), Hi: r(2, 1)},
-		}},
+		}, []*big.Rat{r(1, 2), r(0, 1), r(0, 1), r(1, 1)}, ExactFreeCoefficients},
+		{"empty", 2, nil, []*big.Rat{r(0, 1), r(0, 1), r(0, 1)}, ExactFreeCoefficients},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if st := solveBoth(t, tc.degree, tc.cons); st.Certified {
+			res := solveBoth(t, tc.degree, tc.cons)
+			if st := res.Stats; st.Certified || st.ExactReason == ExactNone {
 				t.Errorf("certified an LP without a unique optimum: %+v", st)
+			}
+			if tc.want == nil {
+				return
+			}
+			sameCoeffs(t, res.Coeffs, tc.want)
+			if res.Stats.ExactReason != tc.reason {
+				t.Errorf("reason %v, want %v", res.Stats.ExactReason, tc.reason)
+			}
+			if len(tc.cons) == 0 && res.Stats.Pivots != 0 {
+				t.Errorf("an empty system took %d exact pivots, want a direct answer", res.Stats.Pivots)
 			}
 		})
 	}
 }
 
 // FuzzFloatGuidedMatchesExact: for any small system of intervals around a
-// polynomial, the float-guided Resolve returns what the exact tableau
-// returns, including the infeasible verdict.
+// polynomial, Resolve matches the reference tableau (matchReference),
+// including the infeasible verdict.
 func FuzzFloatGuidedMatchesExact(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(8), uint16(1000))
 	f.Add(int64(7), uint8(5), uint8(20), uint16(3))
@@ -316,25 +372,26 @@ func FuzzFloatGuidedMatchesExact(f *testing.F) {
 }
 
 // BenchmarkSolveExp2Instance is the per-solve cost on the largest committed
-// exp2@14 LP, float-guided against the exact tableau alone.
+// exp2@14 LP: Resolve against the reference tableau.
 func BenchmarkSolveExp2Instance(b *testing.B) {
 	paths := exp2Instances(b)
 	degree, cons, _ := loadLP(b, paths[len(paths)-1])
-	for _, exact := range []bool{false, true} {
-		name := "float-guided"
-		if exact {
-			name = "exact"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := NewSolver(Options{Degree: degree})
-				s.exactOnly = exact
-				s.AddConstraints(cons...)
-				if _, err := s.Resolve(context.Background()); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("resolve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := NewSolver(Options{Degree: degree})
+			s.AddConstraints(cons...)
+			if _, err := s.Resolve(context.Background()); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := refSolve(degree, cons, DefaultMaxPivots); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

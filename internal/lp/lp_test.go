@@ -11,46 +11,45 @@ func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
 // solvePolyStats solves one polynomial system with a fresh Solver — the
 // one-shot usage pattern the old free functions wrapped.
-func solvePolyStats(cons []Constraint, degree, maxPivots int) ([]*big.Rat, Stats, error) {
-	s := NewSolver(Options{Degree: degree, MaxPivots: maxPivots})
+func solvePolyStats(cons []Constraint, degree int) ([]*big.Rat, Stats, error) {
+	s := NewSolver(Options{Degree: degree})
 	s.AddConstraints(cons...)
 	res, err := s.Resolve(context.Background())
 	return res.Coeffs, res.Stats, err
 }
 
 func solvePoly(cons []Constraint, degree int) ([]*big.Rat, bool) {
-	coeffs, _, err := solvePolyStats(cons, degree, 0)
+	coeffs, _, err := solvePolyStats(cons, degree)
 	return coeffs, err == nil
 }
 
 // solveStandardStats minimizes cost·z subject to A z = b, z >= 0, directly on
-// the tableau layer: the polynomial formulation never produces an unbounded
-// program, so the raw standard form is the only way to reach every verdict.
-func solveStandardStats(a [][]*big.Rat, b []*big.Rat, cost []*big.Rat, maxPivots int) ([]*big.Rat, Stats, error) {
+// the reference tableau: the polynomial formulation never produces an
+// unbounded program, so the raw standard form is the only way to reach every
+// verdict of the reference the Solver is tested against.
+func solveStandardStats(a [][]*big.Rat, b []*big.Rat, cost []*big.Rat, maxPivots int) ([]*big.Rat, refStats, error) {
 	if maxPivots <= 0 {
 		maxPivots = DefaultMaxPivots
 	}
 	m, n := len(a), len(cost)
-	var st Stats
-	st.Rows, st.Cols = m, n
-	tb := newTableau(m, n)
+	st := refStats{Rows: m, Cols: n}
+	tb := newRefTableau(m, n+m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			tb.rows[i][j].setRat(a[i][j])
+			tb.rows[i][j].Set(a[i][j])
 		}
-		tb.rows[i][n].setRat(b[i])
+		tb.rows[i][n+m].Set(b[i])
 	}
-	cost2 := make([]sc, n)
+	cost2 := make([]big.Rat, n)
 	for j := 0; j < n; j++ {
-		cost2[j].setRat(cost[j])
+		cost2[j].Set(cost[j])
 	}
-	if err := tb.twoPhase(nil, cost2, maxPivots, &st); err != nil {
+	if err := tb.twoPhase(cost2, maxPivots, &st); err != nil {
 		return nil, st, err
 	}
 	z := make([]*big.Rat, n)
 	for j := 0; j < n; j++ {
-		v := tb.solution(j)
-		z[j] = v.rat()
+		z[j] = tb.solution(j)
 	}
 	return z, st, nil
 }
@@ -223,16 +222,16 @@ func TestEvalRat(t *testing.T) {
 }
 
 // TestSolvePolyDegenerate: many duplicated constraints at the same point
-// create degenerate pivots; the Dantzig/Bland hybrid must still terminate.
-// The Solver's per-point bound tightening collapses exact duplicates, so the
-// tableau must shrink to the two distinct points.
+// create degenerate pivots; the solve must still terminate. The Solver's
+// per-point bound tightening collapses exact duplicates, so the LP must
+// shrink to the two distinct points.
 func TestSolvePolyDegenerate(t *testing.T) {
 	var cons []Constraint
 	for i := 0; i < 40; i++ {
 		cons = append(cons, Constraint{X: r(1, 2), Lo: r(1, 1), Hi: r(1, 1)})
 		cons = append(cons, Constraint{X: r(1, 3), Lo: r(2, 1), Hi: r(2, 1)})
 	}
-	coeffs, st, err := solvePolyStats(cons, 3, 0)
+	coeffs, st, err := solvePolyStats(cons, 3)
 	if err != nil {
 		t.Fatalf("degenerate but feasible system reported infeasible: %v", err)
 	}

@@ -95,9 +95,9 @@ func TestCheckPolyPrefix(t *testing.T) {
 }
 
 // TestPrefixWarmMatchesCold: the incremental engine's golden property holds
-// for mixed full/prefix systems — warm resolves after appending prefix
-// constraints return bit-identical coefficients to a cold solve of the same
-// accumulated system.
+// for mixed full/prefix systems — an incremental Solver's resolves after
+// appending prefix constraints return bit-identical coefficients to a fresh
+// one-shot Solver of the same system.
 func TestPrefixWarmMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -105,7 +105,7 @@ func TestPrefixWarmMatchesCold(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			sys.addPoint()
 		}
-		warm := NewSolver(Options{Degree: 3, WarmStart: true})
+		warm := NewSolver(Options{Degree: 3})
 		warmUsed := 0
 		var cons []Constraint
 		for step := 0; step < 8; step++ {

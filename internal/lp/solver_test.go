@@ -57,17 +57,17 @@ func (s *randomSystem) cons() []Constraint {
 
 // sameCoeffs compares two coefficient vectors exactly and after rounding to
 // float64 — the representation the generator ships.
-func sameCoeffs(t *testing.T, warm, cold []*big.Rat) {
+func sameCoeffs(t *testing.T, got, want []*big.Rat) {
 	t.Helper()
-	if len(warm) != len(cold) {
-		t.Fatalf("coefficient counts differ: %d vs %d", len(warm), len(cold))
+	if len(got) != len(want) {
+		t.Fatalf("coefficient counts differ: %d vs %d", len(got), len(want))
 	}
-	for j := range warm {
-		if warm[j].Cmp(cold[j]) != 0 {
-			t.Fatalf("coefficient %d differs: warm %s vs cold %s", j, warm[j].RatString(), cold[j].RatString())
+	for j := range got {
+		if got[j].Cmp(want[j]) != 0 {
+			t.Fatalf("coefficient %d differs: got %s, want %s", j, got[j].RatString(), want[j].RatString())
 		}
-		wf, _ := warm[j].Float64()
-		cf, _ := cold[j].Float64()
+		wf, _ := got[j].Float64()
+		cf, _ := want[j].Float64()
 		if wf != cf {
 			t.Fatalf("coefficient %d rounds differently: %v vs %v", j, wf, cf)
 		}
@@ -76,13 +76,14 @@ func sameCoeffs(t *testing.T, warm, cold []*big.Rat) {
 
 // TestWarmMatchesColdRandom is the golden property of the incremental
 // engine: over randomized sequences of constraint additions and interval
-// tightenings, a warm-started Resolve returns bit-identical coefficients
-// to a cold solve of the same accumulated system.
+// tightenings, an incremental Solver, warm-started from its previous basis,
+// returns bit-identical coefficients to a fresh one-shot Solver of the same
+// system.
 func TestWarmMatchesColdRandom(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
 		sys := newRandomSystem(seed, 3)
-		warm := NewSolver(Options{Degree: 3, WarmStart: true})
+		warm := NewSolver(Options{Degree: 3})
 		warmUsed := 0
 		for i := 0; i < 6; i++ {
 			sys.addPoint()
@@ -117,13 +118,13 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 	}
 }
 
-// TestWarmMatchesColdAccumulated drives one warm solver through a long
-// add-then-tighten sequence against a fresh cold solver at every step,
-// which shares none of the warm machinery.
+// TestWarmMatchesColdAccumulated drives one incremental Solver through a
+// long add-then-tighten sequence against a fresh one-shot Solver at every
+// step, which starts from no previous basis.
 func TestWarmMatchesColdAccumulated(t *testing.T) {
 	ctx := context.Background()
 	sys := newRandomSystem(99, 2)
-	warm := NewSolver(Options{Degree: 2, WarmStart: true})
+	warm := NewSolver(Options{Degree: 2})
 	for i := 0; i < 5; i++ {
 		sys.addPoint()
 	}
@@ -135,9 +136,9 @@ func TestWarmMatchesColdAccumulated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		// The wrapper must see the same accumulated constraint history the
-		// warm solver solved (stale superseded rows included), so feed it
-		// the solver's accepted list via a fresh cold solver.
+		// The one-shot solver must see the same accumulated constraint
+		// history the incremental one solved (stale superseded rows
+		// included), so feed it the solver's accepted list.
 		cold := NewSolver(Options{Degree: 2})
 		cold.AddConstraints(warm.accepted...)
 		cres, err := cold.Resolve(ctx)
@@ -153,7 +154,7 @@ func TestWarmMatchesColdAccumulated(t *testing.T) {
 // leave its rows silently constraining the solution.
 func TestSolverRemovalResets(t *testing.T) {
 	ctx := context.Background()
-	s := NewSolver(Options{Degree: 1, WarmStart: true})
+	s := NewSolver(Options{Degree: 1})
 	cons := []Constraint{
 		{X: r(0, 1), Lo: r(0, 1), Hi: r(1, 1)},
 		{X: r(1, 1), Lo: r(4, 1), Hi: r(5, 1)},
@@ -181,7 +182,7 @@ func TestSolverRemovalResets(t *testing.T) {
 }
 
 // TestSolverDominancePruning: restating known-or-looser bounds adds no
-// tableau rows.
+// LP rows.
 func TestSolverDominancePruning(t *testing.T) {
 	s := NewSolver(Options{Degree: 1})
 	c := Constraint{X: r(1, 2), Lo: r(1, 1), Hi: r(2, 1)}
@@ -202,7 +203,7 @@ func TestSolverDominancePruning(t *testing.T) {
 	}
 	// 2 accepted constraints -> 2 row pairs + the margin row.
 	if res.Stats.Rows != 5 {
-		t.Errorf("tableau rows = %d, want 5 (pruning failed)", res.Stats.Rows)
+		t.Errorf("LP rows = %d, want 5 (pruning failed)", res.Stats.Rows)
 	}
 }
 
@@ -231,11 +232,11 @@ func TestSolverCanceled(t *testing.T) {
 	}
 }
 
-// TestSolverWarmInfeasible: an infeasible tightening discovered on the warm
-// path reports ErrInfeasible (the dual-simplex certificate is exact).
+// TestSolverWarmInfeasible: an infeasible tightening discovered from the
+// warm basis reports ErrInfeasible (the verdict is exact).
 func TestSolverWarmInfeasible(t *testing.T) {
 	ctx := context.Background()
-	s := NewSolver(Options{Degree: 0, WarmStart: true})
+	s := NewSolver(Options{Degree: 0})
 	base := []Constraint{{X: r(0, 1), Lo: r(0, 1), Hi: r(4, 1)}}
 	if _, err := s.Solve(ctx, base); err != nil {
 		t.Fatalf("base solve: %v", err)
@@ -265,7 +266,7 @@ func TestSolverWarmInfeasible(t *testing.T) {
 // new variable space.
 func TestSolverSetDegree(t *testing.T) {
 	ctx := context.Background()
-	s := NewSolver(Options{Degree: 1, WarmStart: true})
+	s := NewSolver(Options{Degree: 1})
 	cons := []Constraint{
 		{X: r(0, 1), Lo: r(0, 1), Hi: r(0, 1)},
 		{X: r(1, 1), Lo: r(1, 1), Hi: r(1, 1)},
@@ -287,9 +288,10 @@ func TestSolverSetDegree(t *testing.T) {
 	}
 }
 
-// benchSystem builds a generator-shaped warm-start workload: an initial
-// solve followed by rounds that add points and tighten intervals.
-func benchRounds(b *testing.B, warmStart bool) {
+// benchRounds is a generator-shaped workload: an initial solve followed by
+// rounds that add points and tighten intervals, on one incremental Solver
+// or on a fresh Solver per round.
+func benchRounds(b *testing.B, incremental bool) {
 	b.Helper()
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -299,7 +301,7 @@ func benchRounds(b *testing.B, warmStart bool) {
 		for j := 0; j < 12; j++ {
 			sys.addPoint()
 		}
-		s := NewSolver(Options{Degree: 4, WarmStart: warmStart})
+		s := NewSolver(Options{Degree: 4})
 		b.StartTimer()
 		if _, err := s.Solve(ctx, sys.cons()); err != nil {
 			b.Fatal(err)
@@ -307,6 +309,9 @@ func benchRounds(b *testing.B, warmStart bool) {
 		for round := 0; round < 8; round++ {
 			sys.addPoint()
 			sys.tighten(round % 12)
+			if !incremental {
+				s = NewSolver(Options{Degree: 4})
+			}
 			if _, err := s.Solve(ctx, sys.cons()); err != nil {
 				b.Fatal(err)
 			}

@@ -7,30 +7,31 @@ import (
 	"testing"
 )
 
-// TestSolvePolyStatsFeasible: a solvable system reports its tableau
-// dimensions and a nonzero pivot count.
+// TestSolvePolyStatsFeasible: a solvable system reports its LP dimensions
+// and the path its answer took.
 func TestSolvePolyStatsFeasible(t *testing.T) {
 	var cons []Constraint
 	for i := int64(0); i <= 2; i++ {
 		v := r(i*i, 1)
 		cons = append(cons, Constraint{X: r(i, 1), Lo: v, Hi: v})
 	}
-	coeffs, st, err := solvePolyStats(cons, 2, 0)
+	coeffs, st, err := solvePolyStats(cons, 2)
 	if err != nil {
 		t.Fatalf("expected feasible, got %v", err)
 	}
 	if !CheckPoly(coeffs, cons) {
 		t.Error("solution violates constraints")
 	}
-	// 2 rows per constraint + 1 margin row; columns: 2 per coefficient sign
-	// pair + t + one slack per row.
+	// 2 rows per constraint + 1 margin row; columns: 3 coefficients + t.
 	wantRows := 2*len(cons) + 1
-	wantCols := 2*3 + 1 + wantRows
-	if st.Rows != wantRows || st.Cols != wantCols {
-		t.Errorf("dims = %dx%d, want %dx%d", st.Rows, st.Cols, wantRows, wantCols)
+	if st.Rows != wantRows || st.Cols != 4 {
+		t.Errorf("dims = %dx%d, want %dx4", st.Rows, st.Cols, wantRows)
 	}
-	if st.Pivots() == 0 || st.Phase1Pivots == 0 {
-		t.Errorf("pivot counts not recorded: %+v", st)
+	// Singleton intervals leave t unconstrained below the cap, so the only
+	// positive multiplier is the cap's: the certificate cannot prove the
+	// optimum unique, and the exact continuation settles it.
+	if st.Certified || st.ExactReason != ExactCertificate {
+		t.Errorf("path not recorded: %+v", st)
 	}
 }
 
@@ -41,27 +42,28 @@ func TestSolvePolyStatsInfeasible(t *testing.T) {
 		{X: r(1, 1), Lo: r(0, 1), Hi: r(0, 1)},
 		{X: r(1, 1), Lo: r(1, 1), Hi: r(1, 1)},
 	}
-	_, st, err := solvePolyStats(cons, 3, 0)
+	_, st, err := solvePolyStats(cons, 3)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	if InfeasibilityCause(err) != "infeasible" {
 		t.Errorf("cause = %q", InfeasibilityCause(err))
 	}
-	if st.Phase1Pivots == 0 {
-		t.Error("infeasible verdict must still report phase-1 work")
+	// One distinct input pins only C_3; the rest are free.
+	if st.Rows != 5 || st.ExactReason != ExactFreeCoefficients {
+		t.Errorf("infeasible verdict must still report its solve: %+v", st)
 	}
 }
 
-// TestPivotLimit: a budget far below the system's needs stops the solve
-// with a descriptive *PivotLimitError instead of pivoting on.
+// TestPivotLimit: a budget far below the system's needs stops the reference
+// tableau with a descriptive *PivotLimitError instead of pivoting on.
 func TestPivotLimit(t *testing.T) {
 	var cons []Constraint
 	for i := int64(0); i <= 5; i++ {
 		v := r(i*i*i, 1)
 		cons = append(cons, Constraint{X: r(i, 1), Lo: v, Hi: v})
 	}
-	_, st, err := solvePolyStats(cons, 5, 2)
+	_, _, st, err := refSolve(5, cons, 2)
 	var pl *PivotLimitError
 	if !errors.As(err, &pl) {
 		t.Fatalf("err = %v, want *PivotLimitError", err)
@@ -79,7 +81,7 @@ func TestPivotLimit(t *testing.T) {
 		t.Errorf("stats report %d phase-1 pivots under a budget of 2", st.Phase1Pivots)
 	}
 	// A generous budget solves the same system.
-	if _, _, err := solvePolyStats(cons, 5, 0); err != nil {
+	if _, _, _, err := refSolve(5, cons, DefaultMaxPivots); err != nil {
 		t.Fatalf("default budget: %v", err)
 	}
 }
@@ -95,14 +97,14 @@ func TestPivotLimitPhase2(t *testing.T) {
 	for i := int64(0); i <= 4; i++ {
 		cons = append(cons, Constraint{X: r(i, 1), Lo: r(i-1, 1), Hi: r(i+1, 1)})
 	}
-	_, full, err := solvePolyStats(cons, 2, 0)
+	_, _, full, err := refSolve(2, cons, DefaultMaxPivots)
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
 	if full.Phase2Pivots == 0 {
 		t.Skip("system optimized without phase-2 pivots; limit cannot fire there")
 	}
-	_, _, err = solvePolyStats(cons, 2, full.Phase1Pivots+full.Phase2Pivots-1)
+	_, _, _, err = refSolve(2, cons, full.Phase1Pivots+full.Phase2Pivots-1)
 	var pl *PivotLimitError
 	if !errors.As(err, &pl) {
 		t.Fatalf("err = %v, want *PivotLimitError", err)
