@@ -61,10 +61,11 @@ type serveBenchReport struct {
 	// runner speed divides out.
 	Backends []backendBenchReport `json:"backends,omitempty"`
 
-	// MixedPrecision is the progressive-polynomial section: per-element sweep
-	// cost at each output precision (the narrow rows run the prefix kernels,
-	// which evaluate fewer polynomial terms), plus bit-exact verification of
-	// the serving layer's ?prec= path against the matching Evaluator. CI
+	// MixedPrecision is the narrow-precision section: per-element sweep
+	// cost at each output precision (the narrow rows round the full
+	// kernel's result once; bf16 answers its own inputs from the memo
+	// table), plus bit-exact verification of the serving layer's ?prec=
+	// path against the matching Evaluator. CI
 	// gates the bf16 row at <= 0.75x the float32 ns/elem against
 	// ci/prog-baseline.json. MixedCanary holds the online canary totals for
 	// that pass (absent when the canary was disabled): the canary re-checked
@@ -521,15 +522,15 @@ type canaryTotals struct {
 
 // benchPrecisions times EvalBatch at every output precision (best of
 // rounds, averaged across the six functions, Estrin+FMA scheme) and
-// verifies one served /v1/evalbin?prec= response per function and precision
-// bit for bit against the matching Evaluator. Each row serves its own
-// format's traffic: the narrow rows draw the same sweeps truncated to the
-// narrow format's representable inputs — the domain the narrow
-// correct-rounding guarantee covers, and the shape real mixed-precision
-// traffic has. tf32 runs the progressive prefix kernels (the coefficient
-// table truncated to the verified prefix degree); bf16 additionally hits
-// the memo-table fast path over its 2^16-point input space, which is where
-// the per-element serving speedup comes from.
+// verifies served /v1/evalbin?prec= responses bit for bit against the
+// matching Evaluator. Each timed row serves its own format's traffic: the
+// narrow rows draw the same sweeps truncated to the narrow format's
+// representable inputs, the shape real mixed-precision traffic has. Every
+// narrow precision rounds the full kernel's result once; bf16 additionally
+// hits the memo-table fast path over its 2^16-point input space, which is
+// where the per-element serving speedup comes from. Each narrow row also
+// posts one untimed frame of the unmasked float32 sweep, so the served
+// results and the canary cover inputs the narrow format cannot represent.
 func benchPrecisions(n, rounds int, seed int64, canaryRate float64) ([]precBenchReport, *canaryTotals) {
 	fmt.Printf("  mixed precision: %d elems/sweep, best of %d rounds\n", n, rounds)
 
@@ -560,6 +561,32 @@ func benchPrecisions(n, rounds int, seed int64, canaryRate float64) ([]precBench
 	src := make([]float32, n)
 	dst := make([]float32, n)
 	frame := make([]byte, 4*n)
+	// post serves src at precision p over /v1/evalbin and counts the
+	// elements that differ from want.
+	post := func(f rlibm.Func, p rlibm.Precision, src, want []float32) (mism int64) {
+		for i, x := range src {
+			binary.LittleEndian.PutUint32(frame[4*i:], math.Float32bits(x))
+		}
+		url := fmt.Sprintf("%s/v1/evalbin/%v/%v?prec=%v", base, f, rlibm.EstrinFMA, p)
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(frame[:4*len(src)]))
+		if err != nil {
+			fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			fatal(fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, body))
+		}
+		for i := range src {
+			if binary.LittleEndian.Uint32(body[4*i:]) != math.Float32bits(want[i]) {
+				mism++
+			}
+		}
+		return mism
+	}
 	var sink float32
 	out := make([]precBenchReport, 0, rlibm.NumPrecisions)
 	for _, p := range rlibm.Precisions {
@@ -572,7 +599,11 @@ func benchPrecisions(n, rounds int, seed int64, canaryRate float64) ([]precBench
 				fatal(err)
 			}
 			fillSweep32(src, f, rng)
-			if mask := precInputMask(p); mask != 0 {
+			mask := precInputMask(p)
+			if mask != 0 {
+				// The untimed off-grid frame: the sweep before truncation.
+				ev.EvalBatch(dst, src)
+				mism += post(f, p, src, dst)
 				for i, x := range src {
 					src[i] = math.Float32frombits(math.Float32bits(x) &^ mask)
 				}
@@ -587,29 +618,7 @@ func benchPrecisions(n, rounds int, seed int64, canaryRate float64) ([]precBench
 				sink += dst[0]
 			}
 			nsSum += best
-
-			for i, x := range src {
-				binary.LittleEndian.PutUint32(frame[4*i:], math.Float32bits(x))
-			}
-			url := fmt.Sprintf("%s/v1/evalbin/%v/%v?prec=%v", base, f, rlibm.EstrinFMA, p)
-			resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(frame))
-			if err != nil {
-				fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				fatal(fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, body))
-			}
-			for i := range src {
-				got := binary.LittleEndian.Uint32(body[4*i:])
-				if got != math.Float32bits(dst[i]) {
-					mism++
-				}
-			}
+			mism += post(f, p, src, dst)
 		}
 		out = append(out, precBenchReport{
 			Prec:       p.String(),

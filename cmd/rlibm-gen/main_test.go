@@ -20,7 +20,7 @@ import (
 // adapted coefficients beside the plain ones) and that libm.Emit accepts.
 func TestLibmTableEmits(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates all six functions and runs the emit-time prefix sweeps; skipped with -short")
+		t.Skip("generates all six functions; skipped with -short")
 	}
 	var results []*core.Result
 	for _, fn := range oracle.Funcs {

@@ -80,13 +80,13 @@ func main() {
 		fmt.Println("  see examples/allformats for a constructed one.")
 	}
 
-	// Progressive prefixes: the public API serves narrow formats directly.
-	// A precision-aware Evaluator evaluates only the polynomial prefix whose
-	// degree suffices for the requested format — the bfloat16 path runs a
-	// degree-1 or degree-2 prefix of the same coefficient table the float32
-	// path uses in full, so narrow traffic is cheaper per element while every
-	// result is still the correctly rounded value of its format.
-	fmt.Println("\nprogressive prefixes via pkg/rlibm (one table, three formats):")
+	// Narrow precisions via the public API. A precision-aware Evaluator
+	// rounds the full polynomial's result once to the requested format —
+	// the same rounding as above, at tf32 or bfloat16 — so every result is
+	// the correctly rounded value of its format, for every float32 input,
+	// including the ones the narrow format cannot represent, such as 3.3 and
+	// 1.0275289. One kernel serves all three.
+	fmt.Println("\nnarrow precisions via pkg/rlibm (one kernel, three formats):")
 	fmt.Printf("  %-10s %-14s %-14s %-14s\n", "x", "float32", "tf32", "bf16")
 	precs := []rlibm.Precision{rlibm.PrecFloat32, rlibm.PrecTF32, rlibm.PrecBfloat16}
 	evs := make([]*rlibm.Evaluator, len(precs))
@@ -98,7 +98,7 @@ func main() {
 		}
 		evs[i] = ev
 	}
-	for _, x := range []float32{0.5, 1.0, -2.25, 3.3} {
+	for _, x := range []float32{0.5, 1.0, -2.25, 3.3, 1.0275289} {
 		fmt.Printf("  %-10g", x)
 		for _, ev := range evs {
 			fmt.Printf(" %-14g", ev.Eval(x))

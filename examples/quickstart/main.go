@@ -5,8 +5,8 @@
 // approximation per function produces the correctly rounded result for every
 // floating-point format from 10 to 32 bits and all five IEEE rounding modes.
 // The float32 entry points below are the common case; see the allformats
-// example for the multi-format API and mlprecision for the progressive
-// narrow-precision prefixes.
+// example for the multi-format API and mlprecision for the narrow
+// precisions.
 //
 // Run with: go run ./examples/quickstart
 package main

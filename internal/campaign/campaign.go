@@ -8,7 +8,7 @@
 // bit-pattern range Units per (function, lane), where a lane is one way of
 // driving the implementations against the Ziv oracle — the full
 // widths-by-modes sweep of the double kernels, the bfloat16 sweep of the
-// progressive prefix kernels, or a seeded random-input lane. A unit asks
+// kernels rounded once to bfloat16, or a seeded random-input lane. A unit asks
 // the oracle once per input and checks every scheme's kernel against that
 // one value, keeping one tally per scheme. Each completed unit's tallies
 // are committed to a versioned, CRC-validated checkpoint file
@@ -37,7 +37,7 @@ import (
 // first-failure rendering changes: the version participates in the plan
 // hash, so a stale checkpoint can never silently resume under different
 // semantics.
-const PlanVersion = 3
+const PlanVersion = 4
 
 // Lane selects one verification drive of the implementations.
 type Lane uint8
@@ -47,9 +47,9 @@ const (
 	// checks every configured output width under all five IEEE rounding
 	// modes against the oracle — the RLibm-ALL claim.
 	LaneFloat32 Lane = iota
-	// LaneBf16 sweeps bfloat16 bit patterns through the progressive prefix
-	// kernels and checks the bfloat16 RNE result against the oracle — the
-	// RLIBM-PROG claim at 2^16 scale.
+	// LaneBf16 sweeps bfloat16 bit patterns through the bfloat16 serving
+	// kernels (each scheme's full kernel rounded once to bfloat16) and
+	// checks the result against the oracle's RNE rounding, at 2^16 scale.
 	LaneBf16
 	// LaneRandom draws seeded uniform random float32 inputs and checks them
 	// like LaneFloat32. The seed is part of the plan (and its hash), so a
@@ -112,8 +112,8 @@ type Config struct {
 	// the checkpoint commit grain. 0 selects DefaultUnitSize.
 	UnitSize uint64
 	// UseFuncs verifies the straight-line generated backend instead of the
-	// data-driven one (float32/random lanes only; the prefix kernels are
-	// always the generated straight-line forms).
+	// data-driven one (float32/random lanes only; the bf16 lane always
+	// rounds the generated straight-line kernels).
 	UseFuncs bool
 }
 

@@ -30,10 +30,12 @@ const (
 	checkpointHeaderLen = 16
 	checkpointFooterLen = 8
 	// CheckpointVersion gates the checkpoint layout: a file of any other
-	// version fails validation and is quarantined. Version 2 holds one
-	// tally per scheme in each unit; version 1 files, written when a unit
-	// covered a single scheme, are quarantined, never resumed.
-	CheckpointVersion = 2
+	// version fails validation and is quarantined. Versions 2 and 3 hold
+	// one tally per scheme in each unit; version 1 files, written when a
+	// unit covered a single scheme, and version 2 files, whose bf16 tallies
+	// checked the retired prefix kernels (plan version 3), are quarantined,
+	// never resumed.
+	CheckpointVersion = 3
 	// CheckpointFile is the file name inside a campaign state directory.
 	CheckpointFile = "checkpoint.rlcc"
 

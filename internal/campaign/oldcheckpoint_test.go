@@ -14,15 +14,26 @@ import (
 	"rlibm/internal/obs"
 )
 
-// oldCheckpoint is a checkpoint of testConfig's campaign written when each
-// unit covered one (function, scheme) (plan version 2, checkpoint layout
-// 1), cut after 11 of its units committed.
-const oldCheckpoint = "testdata/checkpoint-plan-v2.rlcc"
+// oldCheckpoints are partial checkpoints of testConfig's campaign written
+// under earlier semantics: plan version 2 (checkpoint layout 1, one unit
+// per (function, scheme)), cut after 11 units, and plan version 3
+// (checkpoint layout 2, whose bf16 lane checked the retired prefix
+// kernels), cut after 12.
+var oldCheckpoints = []string{
+	"testdata/checkpoint-plan-v2.rlcc",
+	"testdata/checkpoint-plan-v3.rlcc",
+}
 
 // TestOldCheckpointQuarantined: an old-layout checkpoint is quarantined,
 // never resumed. The campaign starts over and reports what a fresh run
 // reports, and the old file is kept aside byte for byte.
 func TestOldCheckpointQuarantined(t *testing.T) {
+	for _, path := range oldCheckpoints {
+		t.Run(filepath.Base(path), func(t *testing.T) { testOldCheckpointQuarantined(t, path) })
+	}
+}
+
+func testOldCheckpointQuarantined(t *testing.T, oldCheckpoint string) {
 	old, err := os.ReadFile(oldCheckpoint)
 	if err != nil {
 		t.Fatal(err)
@@ -58,10 +69,16 @@ func TestOldCheckpointQuarantined(t *testing.T) {
 	}
 }
 
-// TestOldPayloadRefused: the old payload re-framed under the current
+// TestOldPayloadRefused: an old payload re-framed under the current
 // checkpoint version passes validation, but its plan hash binds it to the
 // old plan, so the engine refuses it and leaves it in place.
 func TestOldPayloadRefused(t *testing.T) {
+	for _, path := range oldCheckpoints {
+		t.Run(filepath.Base(path), func(t *testing.T) { testOldPayloadRefused(t, path) })
+	}
+}
+
+func testOldPayloadRefused(t *testing.T, oldCheckpoint string) {
 	old, err := os.ReadFile(oldCheckpoint)
 	if err != nil {
 		t.Fatal(err)

@@ -159,9 +159,9 @@ func TestResumeCompletedCampaignIsNoop(t *testing.T) {
 	}
 }
 
-// TestBf16LaneExhaustive sweeps every bfloat16 bit pattern through a prefix
-// kernel against the oracle — the full RLIBM-PROG bf16 claim for one combo,
-// small enough (2^16 patterns) to prove in CI.
+// TestBf16LaneExhaustive sweeps every bfloat16 bit pattern through the
+// bfloat16 serving kernel against the oracle — the full bf16 claim for one
+// combo, small enough (2^16 patterns) to prove in CI.
 func TestBf16LaneExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bf16 exhaustive sweep skipped in -short mode")

@@ -179,19 +179,20 @@ func (e *Engine) widthsVerifier(u *Unit, ofn oracle.Func, res *UnitResult) func(
 	}
 }
 
-// bf16Verifier checks every scheme's progressive prefix kernel's bfloat16
-// result against the oracle's RNE rounding of one value per input — the
-// per-request narrow-precision serving path, proven at all 2^16
-// representable patterns.
+// bf16Verifier checks every scheme's bfloat16 serving kernel — the full
+// kernel's double rounded once to bfloat16 — against the oracle's RNE
+// rounding of one value per input, at all 2^16 representable patterns.
 func (e *Engine) bf16Verifier(u *Unit, ofn oracle.Func, res *UnitResult) func(uint64, float64) {
+	bf16, _ := libm.PrecSpecByName("bf16")
 	keys := make([]string, len(e.Plan.Cfg.Schemes))
 	kerns := make([]func(float64) float64, len(keys))
 	for i, scheme := range e.Plan.Cfg.Schemes {
-		keys[i] = u.Fn + "/" + scheme + "/bf16"
-		kerns[i] = libm.GeneratedPrefixFuncs[keys[i]]
-		if kerns[i] == nil {
-			panic(fmt.Sprintf("campaign: no prefix kernel %q", keys[i]))
+		full := libm.GeneratedFuncs[u.Fn+"/"+scheme]
+		if full == nil {
+			panic(fmt.Sprintf("campaign: no generated kernel %q", u.Fn+"/"+scheme))
 		}
+		keys[i] = u.Fn + "/" + scheme + "/bf16"
+		kerns[i] = bf16.Kernel(full)
 	}
 	var val oracle.Value
 	return func(idx uint64, v float64) {

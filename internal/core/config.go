@@ -21,7 +21,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 
@@ -71,15 +70,6 @@ type Config struct {
 	// count: the parallel phases reduce their outputs in a sorted,
 	// shard-independent order.
 	Workers int
-	// Progressive lists narrow output formats whose correctly rounded
-	// results must come from a degree-limited prefix of the generated
-	// polynomial (RLIBM-PROG): the LP solves one coefficient vector under
-	// the combined constraint system — the full degree correct for Target,
-	// each level's prefix correct for the level's own round-to-odd target —
-	// and the loop searches the smallest satisfying prefix degree per level.
-	// Levels should be ordered widest to narrowest. Empty generates a plain
-	// (non-progressive) polynomial, exactly as before.
-	Progressive []ProgressiveLevel
 	// Logger, when non-nil, receives leveled progress lines: per-run
 	// summaries at Info, inner-loop detail at Debug. Nil silences the
 	// pipeline.
@@ -140,40 +130,10 @@ func (c *Config) setDefaults() error {
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
-	for i, l := range c.Progressive {
-		f := fp.Format{Bits: l.Bits, ExpBits: c.Input.ExpBits}
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("progressive level %d: %w", i, err)
-		}
-		// The level's (Bits+2)-bit round-to-odd target must sit at least two
-		// bits below the full target, so the full result's round-to-odd value
-		// composes down to the level's (the RLibm-ALL gap argument) and the
-		// shared special table stays correct at every level.
-		if l.Bits+2 > c.Input.Bits {
-			return fmt.Errorf("progressive level %d: %d-bit format needs input width >= %d (have %d)",
-				i, l.Bits, l.Bits+2, c.Input.Bits)
-		}
-		if l.MaxPrefixDegree < 0 {
-			return fmt.Errorf("progressive level %d: negative MaxPrefixDegree", i)
-		}
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
 	return nil
-}
-
-// ProgressiveLevel describes one narrow serving format of a progressive
-// generation run.
-type ProgressiveLevel struct {
-	// Bits is the total width of the level's output format; the exponent
-	// width follows Config.Input. The level's round-to-odd target is
-	// (Bits+2)-bit, which must be at least two bits below the input width.
-	Bits int
-	// MaxPrefixDegree bounds the prefix-degree search for this level;
-	// 0 means up to the full polynomial degree (always reachable — the full
-	// polynomial trivially serves every level its target derives from).
-	MaxPrefixDegree int
 }
 
 // defaultDegree mirrors the degrees the paper's Table 1 reports per

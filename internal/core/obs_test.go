@@ -207,11 +207,9 @@ func TestRunReportCacheRung(t *testing.T) {
 // TestRunReportCacheSection: a report of a small generation carries the
 // cache section with no hits and, as misses, the oracle values the run
 // computed: every oracle Round of the generation except FindDomain's
-// boundary search, per the oracle's process-wide counters. The progressive
-// level makes the scheme's solve ask the oracle too, not only collect.
+// boundary search, per the oracle's process-wide counters.
 func TestRunReportCacheSection(t *testing.T) {
-	cfg := Config{Fn: oracle.Exp2, Scheme: poly.Horner, Input: fp.Format{Bits: 14, ExpBits: 8}, Seed: 1, Workers: 1,
-		Progressive: []ProgressiveLevel{{Bits: 10}}}
+	cfg := Config{Fn: oracle.Exp2, Scheme: poly.Horner, Input: fp.Format{Bits: 14, ExpBits: 8}, Seed: 1, Workers: 1}
 	rounds := func() int64 {
 		reg, name := obs.Default(), "oracle/"+cfg.Fn.String()+"/"
 		return reg.Counter(name+"exact_results").Value() + reg.Counter(name+"fast_rung_hits").Value() +

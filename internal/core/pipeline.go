@@ -38,28 +38,6 @@ type Piece struct {
 	// Eval evaluates Coeffs under the configured scheme (for Knuth, with
 	// the adapted alpha coefficients).
 	Eval *poly.Evaluator
-	// PrefixEvals evaluates the progressive prefixes of Coeffs, parallel to
-	// Result.Prefixes (nil for non-progressive runs). Entry k binds the
-	// leading Prefixes[k].Degree+1 coefficients to the same scheme.
-	PrefixEvals []*poly.Evaluator
-}
-
-// PrefixLevel is one progressive level of a generated Result: a narrow
-// output format served by a verified prefix of the polynomial.
-type PrefixLevel struct {
-	// Format is the narrow output format the level serves.
-	Format fp.Format
-	// Target is the level's round-to-odd verification target
-	// (Format.Bits + 2 with the input's exponent width).
-	Target fp.Format
-	// Degree is the verified prefix polynomial degree (the maximum across
-	// pieces when they differ).
-	Degree int
-	// Specials maps input bit patterns to the level's round-to-odd result
-	// for inputs the prefix polynomial cannot serve. Inputs in the full
-	// Result.Specials table are NOT repeated here — the full table's
-	// round-to-odd values compose down to every level.
-	Specials map[uint64]float64
 }
 
 // Stats records how the generation run went. The loop counters (LPSolves,
@@ -93,10 +71,10 @@ type Stats struct {
 	CollectTime time.Duration
 	SolveTime   time.Duration
 	// OracleMisses counts the oracle values the whole GenerateAll run
-	// computed: the shared collection pass plus every scheme's demotions and
-	// progressive levels. It is the same for any worker count. OracleHits
-	// stays 0, as no memo answers oracle queries; both keep the names of the
-	// run reports' cache section.
+	// computed: the shared collection pass plus every scheme's demotions.
+	// It is the same for any worker count. OracleHits stays 0, as no memo
+	// answers oracle queries; both keep the names of the run reports' cache
+	// section.
 	OracleHits, OracleMisses int64
 }
 
@@ -110,14 +88,11 @@ type Result struct {
 	Dom      Domain
 	Pieces   []Piece
 	Specials map[uint64]float64 // input bits (float64) -> round-to-odd result
-	// Prefixes lists the progressive levels (Config.Progressive order);
-	// empty for non-progressive runs.
-	Prefixes []PrefixLevel
 	Stats    Stats
 
 	red rangered.Reduction
 	// oracleValues counts the oracle values this scheme's solve computed
-	// (demotions and progressive levels), for Stats.OracleMisses.
+	// (its demotions), for Stats.OracleMisses.
 	oracleValues int64
 }
 
@@ -233,13 +208,6 @@ func generateScheme(ctx context.Context, cfg Config, scheme poly.Scheme, work []
 	}
 	for b, y := range preSpecials {
 		res.Specials[b] = y
-	}
-	for _, l := range cfg.Progressive {
-		res.Prefixes = append(res.Prefixes, PrefixLevel{
-			Format:   fp.Format{Bits: l.Bits, ExpBits: cfg.Input.ExpBits},
-			Target:   fp.Format{Bits: l.Bits + 2, ExpBits: cfg.Input.ExpBits},
-			Specials: map[uint64]float64{},
-		})
 	}
 	scfg := cfg
 	scfg.Scheme = scheme
@@ -661,24 +629,9 @@ func solvePiece(ctx context.Context, cfg *Config, work []*workItem, rng *rand.Ra
 	solver := lp.NewSolver(lp.Options{Degree: cfg.Degree})
 	for degree := cfg.Degree; degree <= cfg.DegreeMax; degree++ {
 		solver.SetDegree(degree)
-		ev, err := adaptLoop(ctx, cfg, solver, work, degree, rng, res, m, nil)
+		ev, err := adaptLoop(ctx, cfg, solver, work, degree, rng, res, m)
 		if err == nil {
-			piece := &Piece{Lo: lo, Hi: hi, Coeffs: ev.Coeffs, Eval: ev}
-			if len(cfg.Progressive) == 0 {
-				return piece, nil
-			}
-			// Progressive rounds: re-solve the combined full+prefix system
-			// level by level on the same warm solver. A failure escalates the
-			// full degree — a deeper polynomial frees the trailing
-			// coefficients to absorb what the prefixes cannot.
-			if perr := solveProgressive(ctx, cfg, solver, work, degree, rng, res, m, piece); perr != nil {
-				if ctx.Err() != nil {
-					return nil, perr
-				}
-				err = perr
-			} else {
-				return piece, nil
-			}
+			return &Piece{Lo: lo, Hi: hi, Coeffs: ev.Coeffs, Eval: ev}, nil
 		}
 		if ctx.Err() != nil {
 			return nil, err // canceled: escalating the degree would just re-fail
@@ -770,24 +723,12 @@ func sortedIdx(sample map[int]bool) []int {
 // constraint set: the solver prunes what it already knows, appends what is
 // new or tighter, and reoptimizes from the previous basis (resetting itself
 // when a constraint disappears via demotion — see lp.Solver.Solve).
-//
-// With levels != nil (a progressive round) the LP additionally carries each
-// level's prefix constraints, the check step validates every level with its
-// truncated evaluator, and level demotions land in per-attempt scratch
-// tables the caller commits on success.
-func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*workItem, degree int, rng *rand.Rand, res *Result, m *schemeMetrics, levels []*levelState) (*poly.Evaluator, error) {
+func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*workItem, degree int, rng *rand.Rand, res *Result, m *schemeMetrics) (*poly.Evaluator, error) {
 	// Work on copies of the intervals: interval shrinking is per (degree,
 	// scheme) attempt.
 	items := make([]workItem, len(work))
 	for i, it := range work {
 		items[i] = *it
-		// A progressive round re-derives the full system from the original
-		// work list, but inputs the base round already demoted are served by
-		// the table regardless of the polynomial — re-imposing their
-		// intervals could only manufacture infeasibility.
-		if levels != nil && allSourcesSpecial(it.Sources, res.Specials) {
-			items[i].Iv = interval.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-		}
 	}
 	live := make([]*workItem, len(items))
 	for i := range items {
@@ -795,9 +736,6 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 	}
 
 	sample := pickSample(live, cfg.SampleSize, rng)
-	for _, st := range levels {
-		st.sample = pickSample(st.live, cfg.SampleSize, rng)
-	}
 
 	specialsBudget := cfg.MaxSpecials - len(res.Specials)
 	vals := make([]float64, len(live))
@@ -812,8 +750,7 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			"degree": degree, "iter": iter, "live": len(live),
 		})
 		// Exact rational LP on the samples (see sortedIdx for why the map
-		// cannot feed the simplex directly). Level prefix constraints ride in
-		// the same system: one vector, every format.
+		// cannot feed the simplex directly).
 		sampleIdx := sortedIdx(sample)
 		cons := make([]lp.Constraint, 0, len(sampleIdx))
 		for _, i := range sampleIdx {
@@ -826,22 +763,6 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 				Lo: new(big.Rat).SetFloat64(it.Iv.Lo),
 				Hi: new(big.Rat).SetFloat64(it.Iv.Hi),
 			})
-		}
-		levelIdx := make([][]int, len(levels))
-		for li, st := range levels {
-			levelIdx[li] = sortedIdx(st.sample)
-			for _, i := range levelIdx[li] {
-				it := st.live[i]
-				if math.IsInf(it.Iv.Lo, -1) {
-					continue
-				}
-				cons = append(cons, lp.Constraint{
-					X:      new(big.Rat).SetFloat64(it.R),
-					Lo:     new(big.Rat).SetFloat64(it.Iv.Lo),
-					Hi:     new(big.Rat).SetFloat64(it.Iv.Hi),
-					Prefix: st.prefix,
-				})
-			}
 		}
 		m.lpSolves.Inc()
 		lpStart := time.Now()
@@ -862,12 +783,10 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 		if lpErr != nil {
 			// The sampled system is rationally infeasible (or unbounded, which
 			// the sampled box constraints only produce degenerately): demote
-			// the narrowest sampled constraint — across the full sample and
-			// every level's — and retry. Scanning in sorted index order, full
-			// sample first, makes the tie-break (first narrowest wins)
+			// the narrowest sampled constraint and retry. Scanning in sorted
+			// index order makes the tie-break (first narrowest wins)
 			// deterministic.
 			var narrow *workItem
-			var narrowSt *levelState
 			for _, i := range sampleIdx {
 				it := live[i]
 				if math.IsInf(it.Iv.Lo, -1) {
@@ -877,42 +796,20 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 					narrow = it
 				}
 			}
-			for li, st := range levels {
-				for _, i := range levelIdx[li] {
-					it := st.live[i]
-					if math.IsInf(it.Iv.Lo, -1) {
-						continue
-					}
-					if narrow == nil || it.Iv.Hi-it.Iv.Lo < narrow.Iv.Hi-narrow.Iv.Lo {
-						narrow, narrowSt = it, st
-					}
-				}
-			}
 			if narrow == nil {
 				isp.End(obs.Attrs{"lp": lp.InfeasibilityCause(lpErr), "error": "empty sample"})
 				return nil, fmt.Errorf("LP infeasible with empty sample")
 			}
+			before := specialsBudget
 			var err error
-			demoted := 0
-			if narrowSt != nil {
-				before := narrowSt.budget
-				err = narrowSt.demote(cfg, res, narrow)
-				demoted = before - narrowSt.budget
-			} else {
-				before := specialsBudget
-				specialsBudget, err = demoteItem(cfg, res, narrow, specialsBudget)
-				demoted = before - specialsBudget
-			}
+			specialsBudget, err = demoteItem(cfg, res, narrow, specialsBudget)
+			demoted := before - specialsBudget
 			m.demotedSources.Add(int64(demoted))
-			attrs := obs.Attrs{
+			cfg.Trace.Event("demote", obs.Attrs{
 				"fn": cfg.Fn.String(), "scheme": cfg.Scheme.String(),
 				"degree": degree, "iter": iter, "reason": lp.InfeasibilityCause(lpErr),
 				"sources": demoted,
-			}
-			if narrowSt != nil {
-				attrs["level"] = narrowSt.format.Bits
-			}
-			cfg.Trace.Event("demote", attrs)
+			})
 			if err != nil {
 				isp.End(obs.Attrs{"lp": lp.InfeasibilityCause(lpErr), "error": err.Error()})
 				return nil, err
@@ -934,19 +831,7 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			isp.End(obs.Attrs{"error": err.Error()})
 			return nil, err
 		}
-		for _, st := range levels {
-			// The level is served by the truncated polynomial under the SAME
-			// scheme (for Knuth, with its own adapted coefficients) — the
-			// instruction sequence validated here is the one that ships.
-			st.pev, err = poly.NewEvaluator(cfg.Scheme, fcoeffs[:st.prefix])
-			if err != nil {
-				isp.End(obs.Attrs{"error": err.Error()})
-				return nil, err
-			}
-		}
-
-		// Check every constraint — full and per level — with the real
-		// instruction sequence.
+		// Check every constraint with the real instruction sequence.
 		checkStart := time.Now()
 		take := 2 * (degree + 1)
 		violations, cerr := checkPass(cfg, ev, live, vals, sample, take, m, func(it *workItem) error {
@@ -961,25 +846,6 @@ func adaptLoop(ctx context.Context, cfg *Config, solver *lp.Solver, work []*work
 			})
 			return derr
 		})
-		for _, st := range levels {
-			if cerr != nil {
-				break
-			}
-			st := st
-			lv, lerr := checkPass(cfg, st.pev, st.live, st.vals, st.sample, take, m, func(it *workItem) error {
-				before := st.budget
-				derr := st.demote(cfg, res, it)
-				m.demotedSources.Add(int64(before - st.budget))
-				cfg.Trace.Event("demote", obs.Attrs{
-					"fn": cfg.Fn.String(), "scheme": cfg.Scheme.String(),
-					"degree": degree, "iter": iter, "reason": "empty-interval",
-					"level": st.format.Bits, "sources": before - st.budget,
-				})
-				return derr
-			})
-			violations += lv
-			cerr = lerr
-		}
 		checkDur := time.Since(checkStart)
 		m.checkTime.ObserveDuration(checkDur)
 		if cerr != nil {

@@ -30,9 +30,9 @@ func (r *Result) Eval(x float64) float64 {
 	return r.red.Compensate(p, key)
 }
 
-// edgeResult handles the input-independent special paths shared by Eval and
-// EvalPrefix — NaN/infinity propagation, exact zeros, the saturation cuts
-// and the tiny plateaus. The bool reports whether the value is final.
+// edgeResult handles Eval's input-independent special paths — NaN/infinity
+// propagation, exact zeros, the saturation cuts and the tiny plateaus. The
+// bool reports whether the value is final.
 func (r *Result) edgeResult(x float64) (float64, bool) {
 	if math.IsNaN(x) {
 		return math.NaN(), true

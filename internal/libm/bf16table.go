@@ -10,17 +10,14 @@ import (
 // function — specials included — fits in a 256 KiB table per function that
 // stays L2-resident under load. The serving layer's bf16 batch path answers
 // representable inputs with one table load instead of running range
-// reduction, the prefix polynomial and the narrowing round per element,
-// which is where bfloat16 serving gets its per-element speedup beyond what
-// the shorter prefix polynomial alone buys.
+// reduction, the full polynomial and the narrowing round per element.
 //
-// Each table is built lazily from the generated bf16 prefix kernel, so a
-// lookup is bit-identical to evaluating the kernel by construction. The
-// table is scheme-independent: every scheme's prefix computes the identical
-// correctly rounded bfloat16 result for every representable input (the
-// special-case switch is shared, and the exhaustive prefix battery verifies
-// each scheme against the same 18-bit round-to-odd target), so one table per
-// function serves all four schemes.
+// Each table is built lazily from the full Horner block kernel, each result
+// rounded once to bfloat16, so a lookup is bit-identical to the Horner bf16
+// kernel by construction. The table is scheme-independent: every scheme's
+// kernel rounds to the same bfloat16 result at all 2^16 patterns
+// (TestBf16TableMatchesEveryScheme), so one table per function serves all
+// four schemes.
 
 var (
 	bf16TableMu sync.Mutex
@@ -30,22 +27,30 @@ var (
 // Bf16Table returns the bfloat16 result table for function fname, keyed by
 // the high 16 bits of the representable input's float32 pattern; entries are
 // float32 result bits. The first call per function builds the table (one
-// prefix-kernel evaluation per pattern, ~1 ms); later calls return the
-// cached table. Returns nil when fname has no generated bf16 prefix kernel.
+// block-kernel evaluation per pattern, about 1 ms); later calls return the
+// cached table. Returns nil when fname has no generated kernel.
 func Bf16Table(fname string) *[1 << 16]uint32 {
 	bf16TableMu.Lock()
 	defer bf16TableMu.Unlock()
 	if t, ok := bf16Tables[fname]; ok {
 		return t
 	}
-	kern := GeneratedPrefixFuncs[fname+"/rlibm/bf16"]
-	if kern == nil {
+	block := GeneratedBlockFuncs[fname+"/rlibm"]
+	if block == nil {
 		return nil
 	}
+	bf16, _ := PrecSpecByName("bf16")
 	t := new([1 << 16]uint32)
-	for i := range t {
-		x := float64(math.Float32frombits(uint32(i) << 16))
-		t[i] = math.Float32bits(float32(kern(x)))
+	b := make([]float64, generatedBatchBlock)
+	for base := 0; base < len(t); base += len(b) {
+		for i := range b {
+			b[i] = float64(math.Float32frombits(uint32(base+i) << 16))
+		}
+		block(b)
+		roundBlock(b, bf16.shift(), bf16.Out)
+		for i, d := range b {
+			t[base+i] = math.Float32bits(float32(d))
+		}
 	}
 	bf16Tables[fname] = t
 	return t

@@ -75,12 +75,8 @@ func shippedDataSource() string {
 
 // TestEmitGeneratedFuncsStable: Emit, given the committed tables, writes
 // both committed files byte for byte, so the generated kernels are stable
-// against their own emitter. The prefix kernels' exhaustive sweeps make this
-// the slow emission test.
+// against their own emitter.
 func TestEmitGeneratedFuncsStable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the emit-time prefix sweeps; skipped with -short")
-	}
 	dir := t.TempDir()
 	if err := Emit(dir, shippedTable()); err != nil {
 		t.Fatal(err)

@@ -40,11 +40,10 @@ func emitGeneratedFuncs(w io.Writer, fns []genFunc) error {
 	fmt.Fprintf(w, "var _ = math.FMA // not every generated body uses the fused ops\n\n")
 
 	type entry struct {
-		key    string
-		name   string
-		degree int // prefix entries only
+		key  string
+		name string
 	}
-	var entries, prefixEntries []entry
+	var entries []entry
 	var bodies strings.Builder
 	for _, g := range fns {
 		for _, s := range Schemes {
@@ -65,31 +64,9 @@ func emitGeneratedFuncs(w io.Writer, fns []genFunc) error {
 				return fmt.Errorf("%s/%v vec: %w", g.name, s, err)
 			}
 			emitVecBatchFuncs(&bodies, name)
-			for _, ps := range PrecSpecs {
-				pl, err := planPrefix(g.name, g.data, s, ps)
-				if err != nil {
-					return fmt.Errorf("%s/%v/%s: %w", g.name, s, ps.Name, err)
-				}
-				pname := name + precIdent(ps.Name)
-				prefixEntries = append(prefixEntries, entry{
-					key: g.name + "/" + s.String() + "/" + ps.Name, name: pname, degree: pl.degree,
-				})
-				if err := emitOnePrefixFunc(&bodies, g.name, g.data, s, ps, pl, pname); err != nil {
-					return fmt.Errorf("%s/%v/%s: %w", g.name, s, ps.Name, err)
-				}
-				if err := emitOnePrefixBlockFunc(&bodies, g.name, g.data, s, ps, pl, pname+"Block"); err != nil {
-					return fmt.Errorf("%s/%v/%s block: %w", g.name, s, ps.Name, err)
-				}
-				emitOneBatchFunc(&bodies, g.name, s, pname)
-				if err := emitVecKernel(&bodies, vecSpecPrefix(g.name, g.data, ps, pl, pname)); err != nil {
-					return fmt.Errorf("%s/%v/%s vec: %w", g.name, s, ps.Name, err)
-				}
-				emitVecBatchFuncs(&bodies, pname)
-			}
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	sort.Slice(prefixEntries, func(i, j int) bool { return prefixEntries[i].key < prefixEntries[j].key })
 	fmt.Fprintf(w, "// GeneratedFuncs indexes the straight-line backend by \"func/scheme\".\n")
 	fmt.Fprintf(w, "var GeneratedFuncs = map[string]func(float64) float64{\n")
 	for _, e := range entries {
@@ -144,65 +121,6 @@ func emitGeneratedFuncs(w io.Writer, fns []genFunc) error {
 	fmt.Fprintf(w, "var GeneratedAsmBatchFuncs = map[string]func(dst, src []float32){\n")
 	for _, e := range entries {
 		fmt.Fprintf(w, "\t%q: %sAsmBatch,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixFuncs indexes the progressive prefix kernels by\n")
-	fmt.Fprintf(w, "// \"func/scheme/prec\" (prec: \"tf32\", \"bf16\"). Each maps a float64-widened\n")
-	fmt.Fprintf(w, "// float32 input to the precision's correctly rounded result under\n")
-	fmt.Fprintf(w, "// round-to-nearest-even, returned as a float64 that carries the narrow\n")
-	fmt.Fprintf(w, "// value exactly; correctness is exhaustively verified at emit time for\n")
-	fmt.Fprintf(w, "// every input of the output format (see emitprefix.go).\n")
-	fmt.Fprintf(w, "var GeneratedPrefixFuncs = map[string]func(float64) float64{\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %s,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixBlockFuncs indexes the in-place block form of the prefix\n")
-	fmt.Fprintf(w, "// kernels by \"func/scheme/prec\"; outputs are bit-identical to the\n")
-	fmt.Fprintf(w, "// GeneratedPrefixFuncs entry applied per element.\n")
-	fmt.Fprintf(w, "var GeneratedPrefixBlockFuncs = map[string]func([]float64){\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %sBlock,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixBatchFuncs indexes the float32 batch form of the prefix\n")
-	fmt.Fprintf(w, "// kernels by \"func/scheme/prec\", with the same contract as\n")
-	fmt.Fprintf(w, "// GeneratedBatchFuncs; every dst element is a value of the precision's\n")
-	fmt.Fprintf(w, "// output format.\n")
-	fmt.Fprintf(w, "var GeneratedPrefixBatchFuncs = map[string]func(dst, src []float32){\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %sBatch,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixVecBlockFuncs indexes the vector block form of the prefix\n")
-	fmt.Fprintf(w, "// kernels by \"func/scheme/prec\". The narrowing round to the precision's\n")
-	fmt.Fprintf(w, "// output format runs as a separate per-lane pass folded into the block\n")
-	fmt.Fprintf(w, "// (off the polynomial dependency chain) instead of a per-element call;\n")
-	fmt.Fprintf(w, "// outputs are bit-identical to GeneratedPrefixBlockFuncs.\n")
-	fmt.Fprintf(w, "var GeneratedPrefixVecBlockFuncs = map[string]func([]float64){\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %sVecBlock,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixVecBatchFuncs indexes the float32 batch form of the\n")
-	fmt.Fprintf(w, "// vector prefix kernels by \"func/scheme/prec\".\n")
-	fmt.Fprintf(w, "var GeneratedPrefixVecBatchFuncs = map[string]func(dst, src []float32){\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %sVecBatch,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixAsmBatchFuncs indexes the assembly-staged batch form of\n")
-	fmt.Fprintf(w, "// the vector prefix kernels by \"func/scheme/prec\".\n")
-	fmt.Fprintf(w, "var GeneratedPrefixAsmBatchFuncs = map[string]func(dst, src []float32){\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %sAsmBatch,\n", e.key, e.name)
-	}
-	fmt.Fprintf(w, "}\n\n")
-	fmt.Fprintf(w, "// GeneratedPrefixDegrees records the verified prefix polynomial degree per\n")
-	fmt.Fprintf(w, "// \"func/scheme/prec\" entry (full-degree kernels run degree 4-5).\n")
-	fmt.Fprintf(w, "var GeneratedPrefixDegrees = map[string]int{\n")
-	for _, e := range prefixEntries {
-		fmt.Fprintf(w, "\t%q: %d,\n", e.key, e.degree)
 	}
 	fmt.Fprintf(w, "}\n\n")
 	fmt.Fprintf(w, "// generatedBatchBlock is the element count of the batch kernels' on-stack\n")
@@ -362,30 +280,18 @@ func emitKernelBody(w io.Writer, fn string, fd *funcData, s Scheme, depth int, r
 		fmt.Fprintf(w, "%s}\n%s}\n", ind2, ind)
 	}
 
-	var reduceCall, compensate, pZero string
-	switch fn {
-	case "exp":
-		reduceCall, compensate, pZero = "rangered.ReduceExp(x)", "rangered.CompensateExpFamily", "1"
-	case "exp2":
-		reduceCall, compensate, pZero = "rangered.ReduceExp2(x)", "rangered.CompensateExpFamily", "1"
-	case "exp10":
-		reduceCall, compensate, pZero = "rangered.ReduceExp10(x)", "rangered.CompensateExpFamily", "1"
-	case "log":
-		reduceCall, compensate, pZero = "rangered.ReduceLog(x)", "rangered.CompensateLn", "0"
-	case "log2":
-		reduceCall, compensate, pZero = "rangered.ReduceLog(x)", "rangered.CompensateLog2", "0"
-	case "log10":
-		reduceCall, compensate, pZero = "rangered.ReduceLog(x)", "rangered.CompensateLog10", "0"
-	default:
-		return fmt.Errorf("unknown function %q", fn)
+	fam, err := famFor(fn)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(w, "%sr, k := %s\n", ind, reduceCall)
-	fmt.Fprintf(w, "%sif r == 0 {\n%s\n%s}\n", ind, ret(ind2, compensate+"("+pZero+", k)", false), ind)
+	pZero := fmt.Sprintf("%g", fam.pZero)
+	fmt.Fprintf(w, "%sr, k := %s\n", ind, fam.reduceExpr)
+	fmt.Fprintf(w, "%sif r == 0 {\n%s\n%s}\n", ind, ret(ind2, fam.compExpr+"("+pZero+", k)", false), ind)
 	fmt.Fprintf(w, "%svar p float64\n", ind)
 	if err := emitPieceDispatch(w, s, impl.pieces, depth); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s\n", ret(ind, compensate+"(p, k)", true))
+	fmt.Fprintf(w, "%s\n", ret(ind, fam.compExpr+"(p, k)", true))
 	return nil
 }
 
@@ -416,6 +322,44 @@ func emitPieceDispatch(w io.Writer, s Scheme, pieces []pieceData, depth int) err
 	}
 	fmt.Fprintf(w, "%s}\n", indent)
 	return nil
+}
+
+// famOps is one function's range reduction and output compensation in
+// codegen form, shared by the scalar-body and vector kernel emitters.
+type famOps struct {
+	reduceExpr, compExpr string
+	pZero                float64 // the polynomial's exact value at r == 0
+}
+
+func famFor(fn string) (famOps, error) {
+	switch fn {
+	case "exp":
+		return famOps{"rangered.ReduceExp(x)", "rangered.CompensateExpFamily", 1}, nil
+	case "exp2":
+		return famOps{"rangered.ReduceExp2(x)", "rangered.CompensateExpFamily", 1}, nil
+	case "exp10":
+		return famOps{"rangered.ReduceExp10(x)", "rangered.CompensateExpFamily", 1}, nil
+	case "log":
+		return famOps{"rangered.ReduceLog(x)", "rangered.CompensateLn", 0}, nil
+	case "log2":
+		return famOps{"rangered.ReduceLog(x)", "rangered.CompensateLog2", 0}, nil
+	case "log10":
+		return famOps{"rangered.ReduceLog(x)", "rangered.CompensateLog10", 0}, nil
+	}
+	return famOps{}, fmt.Errorf("unknown function %q", fn)
+}
+
+func polySchemeOf(s Scheme) poly.Scheme {
+	switch s {
+	case SchemeHorner:
+		return poly.Horner
+	case SchemeKnuth:
+		return poly.Knuth
+	case SchemeEstrin:
+		return poly.Estrin
+	default:
+		return poly.EstrinFMA
+	}
 }
 
 // evaluatorFor reconstructs the poly.Evaluator for a piece. For the Knuth

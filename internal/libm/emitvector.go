@@ -32,15 +32,7 @@ import (
 //     into a per-piece coefficient table, the r == 0 structural value is
 //     folded in with a bit-select mask, and the body is the scheme's
 //     math.FMA DAG — no branches at all, so the core pipelines the
-//     independent lanes back to back;
-//   - prefix kernels append a separate narrowing-pass loop folding the
-//     precision's round (the integer fast path of roundTf32/roundBf16) into
-//     the lane group, off the polynomial dependency chain. The pass is
-//     branch-free where it matters: the add-and-mask rounding runs
-//     unconditionally, and a lane whose value needs the slow rounding path
-//     (non-normal, or a carry to 2^128) is marked for the scalar fix-up
-//     instead of calling fp.Format.Round inside the loop — keeping the loop
-//     body call-free so the compiler holds the lanes in registers.
+//     independent lanes back to back.
 //
 // Results are bit-identical to the scalar kernel for every input: fast
 // lanes run the same reduce, the same operation DAG over the same
@@ -61,8 +53,7 @@ import (
 // is a multiple, so batch staging blocks split into whole groups.
 const emitVecLanes = 8
 
-// vecSpec is everything the vector emitter needs for one kernel: the full
-// kernels and the prefix kernels reduce to the same shape.
+// vecSpec is everything the vector emitter needs for one kernel.
 type vecSpec struct {
 	fn       string // "exp", "log2", ...
 	name     string // emitted identifier, e.g. genExpRlibmEstrinFmaVecBlock
@@ -74,7 +65,6 @@ type vecSpec struct {
 	los []float64         // piece lower bounds, parallel to evs
 
 	specialBits []uint64 // exact-value inputs that must take the fallback
-	round       string   // "" (full precision) or roundTf32/roundBf16
 	fd          *funcData
 }
 
@@ -103,25 +93,6 @@ func vecSpecFull(fn string, fd *funcData, s Scheme, name string) (*vecSpec, erro
 		spec.tab = name + "VecTab"
 	}
 	return spec, nil
-}
-
-// vecSpecPrefix builds the spec for a prefix plan.
-func vecSpecPrefix(fn string, fd *funcData, ps PrecSpec, pl *prefixPlan, name string) *vecSpec {
-	spec := &vecSpec{
-		fn:          fn,
-		name:        name + "VecBlock",
-		fallback:    name + "Block",
-		scalar:      name,
-		evs:         pl.evs,
-		los:         pl.los,
-		specialBits: pl.specialBits,
-		round:       precRoundIdent(ps.Name),
-		fd:          fd,
-	}
-	if len(spec.evs) > 1 {
-		spec.tab = name + "VecTab"
-	}
-	return spec
 }
 
 // checkVecPieces verifies the property the shared polynomial body rests on:
@@ -230,17 +201,6 @@ func vecExpReduceLines(fn string) []string {
 // emitVecBlockFunc writes one vector block kernel body.
 func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	isLog := strings.HasPrefix(spec.fn, "log")
-	// The narrowing shift must match the precision's roundNarrow call in
-	// prec.go (53 - output significand bits); validated before any output so
-	// a new precision cannot leave a half-emitted kernel behind.
-	shift := 0
-	if spec.round != "" {
-		shift = map[string]int{"roundTf32": 42, "roundBf16": 45}[spec.round]
-		if shift == 0 {
-			return fmt.Errorf("unknown narrowing round %q", spec.round)
-		}
-	}
-
 	fmt.Fprintf(w, "\n// %s applies the same kernel as %s to every element of b\n", spec.name, spec.fallback)
 	fmt.Fprintf(w, "// in %d-lane groups: struct-of-arrays range reduction, then a branch-free\n", emitVecLanes)
 	fmt.Fprintf(w, "// polynomial loop (bit-select masks instead of the special switch and piece\n")
@@ -351,43 +311,16 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	} else {
 		fmt.Fprintf(w, "\t\t\tpb := math.Float64bits(%s) & -m\n", result)
 	}
-	store := "v[l] ="
-	if spec.round != "" {
-		store = "res :=" // rounded to v[l] by the narrowing fold below
-	}
 	if isLog {
-		fmt.Fprintf(w, "\t\t\t%s %s(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})\n",
-			store, fam.compExpr)
+		fmt.Fprintf(w, "\t\t\tv[l] = %s(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})\n",
+			fam.compExpr)
 	} else {
-		fmt.Fprintf(w, "\t\t\t%s math.Float64frombits(pb) * vs[l]\n", store)
+		fmt.Fprintf(w, "\t\t\tv[l] = math.Float64frombits(pb) * vs[l]\n")
 	}
 
-	// The prefix kernels' narrowing pass, folded into the same lane
-	// iteration so the compensated value rounds straight out of its
-	// register: the integer fast path of roundTf32/roundBf16 (see
-	// roundNarrow in prec.go), with every slow condition routed to the
-	// scalar fix-up. The single exponent window is one binade tighter than
-	// roundNarrow's [897, 1150]: capping at 1149 makes a carry to 2^128
-	// unreachable on fast lanes, so the overflow-to-infinity compare
-	// disappears from the loop. Lanes outside the window — non-normal
-	// values (roundNarrow's slow-path condition) plus the rare top binade —
-	// are recomputed by the scalar kernel, whose roundNarrow handles them
-	// exactly; fast lanes run the identical add-and-mask, so the fold stays
-	// bit-identical while the loop body stays free of calls and of taken
-	// branches.
-	if spec.round != "" {
-		fmt.Fprintf(w, "\t\t\tu := math.Float64bits(res)\n")
-		fmt.Fprintf(w, "\t\t\tru := u + (1<<%d - 1) + (u>>%d)&1\n", shift-1, shift)
-		fmt.Fprintf(w, "\t\t\tru &^= 1<<%d - 1\n", shift)
-		fmt.Fprintf(w, "\t\t\tif (u>>52)&0x7ff-897 > 1149-897 {\n")
-		fmt.Fprintf(w, "\t\t\t\tsl[l], slow = true, true\n\t\t\t}\n")
-		fmt.Fprintf(w, "\t\t\tv[l] = math.Float64frombits(ru)\n")
-	}
 	fmt.Fprintf(w, "\t\t}\n")
 
-	// Per-lane fix-up: recompute marked lanes with the scalar kernel. Runs
-	// after the rounding pass so a fixed-up lane is exactly the scalar
-	// kernel's output with no further transformation.
+	// Per-lane fix-up: recompute marked lanes with the scalar kernel.
 	fmt.Fprintf(w, "\t\tif slow {\n")
 	fmt.Fprintf(w, "\t\t\tfor l := 0; l < generatedVecLanes; l++ {\n")
 	fmt.Fprintf(w, "\t\t\t\tif sl[l] {\n")

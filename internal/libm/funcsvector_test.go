@@ -7,8 +7,7 @@ import (
 	"testing"
 )
 
-// vecBlockPairs enumerates every (vector block, scalar-body block) pair across
-// the full kernels and both prefix precisions — the backend × precision grid.
+// vecBlockPairs enumerates every (vector block, scalar-body block) pair.
 func vecBlockPairs(t *testing.T) map[string][2]func([]float64) {
 	t.Helper()
 	pairs := make(map[string][2]func([]float64))
@@ -20,17 +19,6 @@ func vecBlockPairs(t *testing.T) map[string][2]func([]float64) {
 		blk := GeneratedBlockFuncs[key]
 		if blk == nil {
 			t.Fatalf("vector kernel %q has no block counterpart", key)
-		}
-		pairs[key+"/full"] = [2]func([]float64){vec, blk}
-	}
-	if len(GeneratedPrefixVecBlockFuncs) != len(GeneratedPrefixBlockFuncs) {
-		t.Fatalf("%d prefix vector kernels vs %d prefix block kernels",
-			len(GeneratedPrefixVecBlockFuncs), len(GeneratedPrefixBlockFuncs))
-	}
-	for key, vec := range GeneratedPrefixVecBlockFuncs {
-		blk := GeneratedPrefixBlockFuncs[key]
-		if blk == nil {
-			t.Fatalf("prefix vector kernel %q has no block counterpart", key)
 		}
 		pairs[key] = [2]func([]float64){vec, blk}
 	}
@@ -66,8 +54,8 @@ func vecProbes(rng *rand.Rand, name string, n int) []float64 {
 	return src
 }
 
-// TestGeneratedVecBlockFuncsMatchScalar: every vector block kernel — every
-// backend × precision pair — is bit-identical to its scalar-body block
+// TestGeneratedVecBlockFuncsMatchScalar: every vector block kernel is
+// bit-identical to its scalar-body block
 // kernel (and hence to the scalar kernel) on every element, across lengths
 // covering empty input, sub-group tails, exact group multiples and long
 // mixed blocks.
@@ -95,7 +83,7 @@ func TestGeneratedVecBlockFuncsMatchScalar(t *testing.T) {
 }
 
 // TestGeneratedVecBatchFuncsMatchBatch: the VecBatch and AsmBatch forms are
-// bit-identical to the Batch form for every kernel and precision, at lengths
+// bit-identical to the Batch form for every kernel, at lengths
 // covering the conversion staging's 4-wide body, its scalar tail, and
 // multi-block inputs.
 func TestGeneratedVecBatchFuncsMatchBatch(t *testing.T) {
@@ -108,10 +96,6 @@ func TestGeneratedVecBatchFuncsMatchBatch(t *testing.T) {
 	for key, b := range GeneratedBatchFuncs {
 		name, _, _ := strings.Cut(key, "/")
 		trios = append(trios, trio{b, GeneratedVecBatchFuncs[key], GeneratedAsmBatchFuncs[key], name})
-	}
-	for key, b := range GeneratedPrefixBatchFuncs {
-		name, _, _ := strings.Cut(key, "/")
-		trios = append(trios, trio{b, GeneratedPrefixVecBatchFuncs[key], GeneratedPrefixAsmBatchFuncs[key], name})
 	}
 	for _, tr := range trios {
 		if tr.vec == nil || tr.asm == nil {
@@ -141,46 +125,37 @@ func TestGeneratedVecBatchFuncsMatchBatch(t *testing.T) {
 	}
 }
 
-// TestExhaustiveBf16BackendEquivalence: for every bf16 prefix kernel, all
-// three float32 batch backends agree bit-for-bit with the scalar prefix
-// kernel over every one of the 2^16 bfloat16 bit patterns — an exhaustive
-// proof that backend selection can never change a served bf16 result.
+// TestExhaustiveBf16BackendEquivalence: for every kernel, the bfloat16
+// batch over each backend's block kernel agrees bit-for-bit with the scalar
+// bfloat16 kernel over every one of the 2^16 bfloat16 bit patterns — an
+// exhaustive proof that backend selection can never change a served bf16
+// result.
 func TestExhaustiveBf16BackendEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep skipped in -short mode")
 	}
+	bf16, _ := PrecSpecByName("bf16")
 	src := make([]float32, 1<<16)
 	for i := range src {
 		src[i] = math.Float32frombits(uint32(i) << 16)
 	}
 	want := make([]float32, len(src))
-	gotVec := make([]float32, len(src))
-	gotAsm := make([]float32, len(src))
-	for key, scalar := range GeneratedPrefixFuncs {
-		if !strings.HasSuffix(key, "/bf16") {
-			continue
-		}
+	got := make([]float32, len(src))
+	for key, full := range GeneratedFuncs {
+		scalar := bf16.Kernel(full)
 		for i, x := range src {
 			want[i] = float32(scalar(float64(x)))
 		}
-		batch := GeneratedPrefixBatchFuncs[key]
-		vec := GeneratedPrefixVecBatchFuncs[key]
-		asm := GeneratedPrefixAsmBatchFuncs[key]
-		batch(gotVec, src)
-		for i := range src {
-			if a, b := math.Float32bits(gotVec[i]), math.Float32bits(want[i]); a != b {
-				t.Fatalf("%s batch(%#08x): %#08x, scalar %#08x", key, math.Float32bits(src[i]), a, b)
-			}
-		}
-		vec(gotVec, src)
-		asm(gotAsm, src)
-		for i := range src {
-			wb := math.Float32bits(want[i])
-			if a := math.Float32bits(gotVec[i]); a != wb {
-				t.Fatalf("%s vec batch(%#08x): %#08x, scalar %#08x", key, math.Float32bits(src[i]), a, wb)
-			}
-			if a := math.Float32bits(gotAsm[i]); a != wb {
-				t.Fatalf("%s asm batch(%#08x): %#08x, scalar %#08x", key, math.Float32bits(src[i]), a, wb)
+		for name, batch := range map[string]func(dst, src []float32){
+			"block": bf16.Batch(GeneratedBlockFuncs[key], false),
+			"vec":   bf16.Batch(GeneratedVecBlockFuncs[key], false),
+			"asm":   bf16.Batch(GeneratedVecBlockFuncs[key], true),
+		} {
+			batch(got, src)
+			for i := range src {
+				if a, b := math.Float32bits(got[i]), math.Float32bits(want[i]); a != b {
+					t.Fatalf("%s %s batch(%#08x): %#08x, scalar %#08x", key, name, math.Float32bits(src[i]), a, b)
+				}
 			}
 		}
 	}

@@ -201,387 +201,6 @@ var GeneratedAsmBatchFuncs = map[string]func(dst, src []float32){
 	"log2/rlibm-knuth":       genLog2RlibmKnuthAsmBatch,
 }
 
-// GeneratedPrefixFuncs indexes the progressive prefix kernels by
-// "func/scheme/prec" (prec: "tf32", "bf16"). Each maps a float64-widened
-// float32 input to the precision's correctly rounded result under
-// round-to-nearest-even, returned as a float64 that carries the narrow
-// value exactly; correctness is exhaustively verified at emit time for
-// every input of the output format (see emitprefix.go).
-var GeneratedPrefixFuncs = map[string]func(float64) float64{
-	"exp/rlibm-estrin-fma/bf16":   genExpRlibmEstrinFmaBf16,
-	"exp/rlibm-estrin-fma/tf32":   genExpRlibmEstrinFmaTf32,
-	"exp/rlibm-estrin/bf16":       genExpRlibmEstrinBf16,
-	"exp/rlibm-estrin/tf32":       genExpRlibmEstrinTf32,
-	"exp/rlibm-knuth/bf16":        genExpRlibmKnuthBf16,
-	"exp/rlibm-knuth/tf32":        genExpRlibmKnuthTf32,
-	"exp/rlibm/bf16":              genExpRlibmBf16,
-	"exp/rlibm/tf32":              genExpRlibmTf32,
-	"exp10/rlibm-estrin-fma/bf16": genExp10RlibmEstrinFmaBf16,
-	"exp10/rlibm-estrin-fma/tf32": genExp10RlibmEstrinFmaTf32,
-	"exp10/rlibm-estrin/bf16":     genExp10RlibmEstrinBf16,
-	"exp10/rlibm-estrin/tf32":     genExp10RlibmEstrinTf32,
-	"exp10/rlibm-knuth/bf16":      genExp10RlibmKnuthBf16,
-	"exp10/rlibm-knuth/tf32":      genExp10RlibmKnuthTf32,
-	"exp10/rlibm/bf16":            genExp10RlibmBf16,
-	"exp10/rlibm/tf32":            genExp10RlibmTf32,
-	"exp2/rlibm-estrin-fma/bf16":  genExp2RlibmEstrinFmaBf16,
-	"exp2/rlibm-estrin-fma/tf32":  genExp2RlibmEstrinFmaTf32,
-	"exp2/rlibm-estrin/bf16":      genExp2RlibmEstrinBf16,
-	"exp2/rlibm-estrin/tf32":      genExp2RlibmEstrinTf32,
-	"exp2/rlibm-knuth/bf16":       genExp2RlibmKnuthBf16,
-	"exp2/rlibm-knuth/tf32":       genExp2RlibmKnuthTf32,
-	"exp2/rlibm/bf16":             genExp2RlibmBf16,
-	"exp2/rlibm/tf32":             genExp2RlibmTf32,
-	"log/rlibm-estrin-fma/bf16":   genLogRlibmEstrinFmaBf16,
-	"log/rlibm-estrin-fma/tf32":   genLogRlibmEstrinFmaTf32,
-	"log/rlibm-estrin/bf16":       genLogRlibmEstrinBf16,
-	"log/rlibm-estrin/tf32":       genLogRlibmEstrinTf32,
-	"log/rlibm-knuth/bf16":        genLogRlibmKnuthBf16,
-	"log/rlibm-knuth/tf32":        genLogRlibmKnuthTf32,
-	"log/rlibm/bf16":              genLogRlibmBf16,
-	"log/rlibm/tf32":              genLogRlibmTf32,
-	"log10/rlibm-estrin-fma/bf16": genLog10RlibmEstrinFmaBf16,
-	"log10/rlibm-estrin-fma/tf32": genLog10RlibmEstrinFmaTf32,
-	"log10/rlibm-estrin/bf16":     genLog10RlibmEstrinBf16,
-	"log10/rlibm-estrin/tf32":     genLog10RlibmEstrinTf32,
-	"log10/rlibm-knuth/bf16":      genLog10RlibmKnuthBf16,
-	"log10/rlibm-knuth/tf32":      genLog10RlibmKnuthTf32,
-	"log10/rlibm/bf16":            genLog10RlibmBf16,
-	"log10/rlibm/tf32":            genLog10RlibmTf32,
-	"log2/rlibm-estrin-fma/bf16":  genLog2RlibmEstrinFmaBf16,
-	"log2/rlibm-estrin-fma/tf32":  genLog2RlibmEstrinFmaTf32,
-	"log2/rlibm-estrin/bf16":      genLog2RlibmEstrinBf16,
-	"log2/rlibm-estrin/tf32":      genLog2RlibmEstrinTf32,
-	"log2/rlibm-knuth/bf16":       genLog2RlibmKnuthBf16,
-	"log2/rlibm-knuth/tf32":       genLog2RlibmKnuthTf32,
-	"log2/rlibm/bf16":             genLog2RlibmBf16,
-	"log2/rlibm/tf32":             genLog2RlibmTf32,
-}
-
-// GeneratedPrefixBlockFuncs indexes the in-place block form of the prefix
-// kernels by "func/scheme/prec"; outputs are bit-identical to the
-// GeneratedPrefixFuncs entry applied per element.
-var GeneratedPrefixBlockFuncs = map[string]func([]float64){
-	"exp/rlibm-estrin-fma/bf16":   genExpRlibmEstrinFmaBf16Block,
-	"exp/rlibm-estrin-fma/tf32":   genExpRlibmEstrinFmaTf32Block,
-	"exp/rlibm-estrin/bf16":       genExpRlibmEstrinBf16Block,
-	"exp/rlibm-estrin/tf32":       genExpRlibmEstrinTf32Block,
-	"exp/rlibm-knuth/bf16":        genExpRlibmKnuthBf16Block,
-	"exp/rlibm-knuth/tf32":        genExpRlibmKnuthTf32Block,
-	"exp/rlibm/bf16":              genExpRlibmBf16Block,
-	"exp/rlibm/tf32":              genExpRlibmTf32Block,
-	"exp10/rlibm-estrin-fma/bf16": genExp10RlibmEstrinFmaBf16Block,
-	"exp10/rlibm-estrin-fma/tf32": genExp10RlibmEstrinFmaTf32Block,
-	"exp10/rlibm-estrin/bf16":     genExp10RlibmEstrinBf16Block,
-	"exp10/rlibm-estrin/tf32":     genExp10RlibmEstrinTf32Block,
-	"exp10/rlibm-knuth/bf16":      genExp10RlibmKnuthBf16Block,
-	"exp10/rlibm-knuth/tf32":      genExp10RlibmKnuthTf32Block,
-	"exp10/rlibm/bf16":            genExp10RlibmBf16Block,
-	"exp10/rlibm/tf32":            genExp10RlibmTf32Block,
-	"exp2/rlibm-estrin-fma/bf16":  genExp2RlibmEstrinFmaBf16Block,
-	"exp2/rlibm-estrin-fma/tf32":  genExp2RlibmEstrinFmaTf32Block,
-	"exp2/rlibm-estrin/bf16":      genExp2RlibmEstrinBf16Block,
-	"exp2/rlibm-estrin/tf32":      genExp2RlibmEstrinTf32Block,
-	"exp2/rlibm-knuth/bf16":       genExp2RlibmKnuthBf16Block,
-	"exp2/rlibm-knuth/tf32":       genExp2RlibmKnuthTf32Block,
-	"exp2/rlibm/bf16":             genExp2RlibmBf16Block,
-	"exp2/rlibm/tf32":             genExp2RlibmTf32Block,
-	"log/rlibm-estrin-fma/bf16":   genLogRlibmEstrinFmaBf16Block,
-	"log/rlibm-estrin-fma/tf32":   genLogRlibmEstrinFmaTf32Block,
-	"log/rlibm-estrin/bf16":       genLogRlibmEstrinBf16Block,
-	"log/rlibm-estrin/tf32":       genLogRlibmEstrinTf32Block,
-	"log/rlibm-knuth/bf16":        genLogRlibmKnuthBf16Block,
-	"log/rlibm-knuth/tf32":        genLogRlibmKnuthTf32Block,
-	"log/rlibm/bf16":              genLogRlibmBf16Block,
-	"log/rlibm/tf32":              genLogRlibmTf32Block,
-	"log10/rlibm-estrin-fma/bf16": genLog10RlibmEstrinFmaBf16Block,
-	"log10/rlibm-estrin-fma/tf32": genLog10RlibmEstrinFmaTf32Block,
-	"log10/rlibm-estrin/bf16":     genLog10RlibmEstrinBf16Block,
-	"log10/rlibm-estrin/tf32":     genLog10RlibmEstrinTf32Block,
-	"log10/rlibm-knuth/bf16":      genLog10RlibmKnuthBf16Block,
-	"log10/rlibm-knuth/tf32":      genLog10RlibmKnuthTf32Block,
-	"log10/rlibm/bf16":            genLog10RlibmBf16Block,
-	"log10/rlibm/tf32":            genLog10RlibmTf32Block,
-	"log2/rlibm-estrin-fma/bf16":  genLog2RlibmEstrinFmaBf16Block,
-	"log2/rlibm-estrin-fma/tf32":  genLog2RlibmEstrinFmaTf32Block,
-	"log2/rlibm-estrin/bf16":      genLog2RlibmEstrinBf16Block,
-	"log2/rlibm-estrin/tf32":      genLog2RlibmEstrinTf32Block,
-	"log2/rlibm-knuth/bf16":       genLog2RlibmKnuthBf16Block,
-	"log2/rlibm-knuth/tf32":       genLog2RlibmKnuthTf32Block,
-	"log2/rlibm/bf16":             genLog2RlibmBf16Block,
-	"log2/rlibm/tf32":             genLog2RlibmTf32Block,
-}
-
-// GeneratedPrefixBatchFuncs indexes the float32 batch form of the prefix
-// kernels by "func/scheme/prec", with the same contract as
-// GeneratedBatchFuncs; every dst element is a value of the precision's
-// output format.
-var GeneratedPrefixBatchFuncs = map[string]func(dst, src []float32){
-	"exp/rlibm-estrin-fma/bf16":   genExpRlibmEstrinFmaBf16Batch,
-	"exp/rlibm-estrin-fma/tf32":   genExpRlibmEstrinFmaTf32Batch,
-	"exp/rlibm-estrin/bf16":       genExpRlibmEstrinBf16Batch,
-	"exp/rlibm-estrin/tf32":       genExpRlibmEstrinTf32Batch,
-	"exp/rlibm-knuth/bf16":        genExpRlibmKnuthBf16Batch,
-	"exp/rlibm-knuth/tf32":        genExpRlibmKnuthTf32Batch,
-	"exp/rlibm/bf16":              genExpRlibmBf16Batch,
-	"exp/rlibm/tf32":              genExpRlibmTf32Batch,
-	"exp10/rlibm-estrin-fma/bf16": genExp10RlibmEstrinFmaBf16Batch,
-	"exp10/rlibm-estrin-fma/tf32": genExp10RlibmEstrinFmaTf32Batch,
-	"exp10/rlibm-estrin/bf16":     genExp10RlibmEstrinBf16Batch,
-	"exp10/rlibm-estrin/tf32":     genExp10RlibmEstrinTf32Batch,
-	"exp10/rlibm-knuth/bf16":      genExp10RlibmKnuthBf16Batch,
-	"exp10/rlibm-knuth/tf32":      genExp10RlibmKnuthTf32Batch,
-	"exp10/rlibm/bf16":            genExp10RlibmBf16Batch,
-	"exp10/rlibm/tf32":            genExp10RlibmTf32Batch,
-	"exp2/rlibm-estrin-fma/bf16":  genExp2RlibmEstrinFmaBf16Batch,
-	"exp2/rlibm-estrin-fma/tf32":  genExp2RlibmEstrinFmaTf32Batch,
-	"exp2/rlibm-estrin/bf16":      genExp2RlibmEstrinBf16Batch,
-	"exp2/rlibm-estrin/tf32":      genExp2RlibmEstrinTf32Batch,
-	"exp2/rlibm-knuth/bf16":       genExp2RlibmKnuthBf16Batch,
-	"exp2/rlibm-knuth/tf32":       genExp2RlibmKnuthTf32Batch,
-	"exp2/rlibm/bf16":             genExp2RlibmBf16Batch,
-	"exp2/rlibm/tf32":             genExp2RlibmTf32Batch,
-	"log/rlibm-estrin-fma/bf16":   genLogRlibmEstrinFmaBf16Batch,
-	"log/rlibm-estrin-fma/tf32":   genLogRlibmEstrinFmaTf32Batch,
-	"log/rlibm-estrin/bf16":       genLogRlibmEstrinBf16Batch,
-	"log/rlibm-estrin/tf32":       genLogRlibmEstrinTf32Batch,
-	"log/rlibm-knuth/bf16":        genLogRlibmKnuthBf16Batch,
-	"log/rlibm-knuth/tf32":        genLogRlibmKnuthTf32Batch,
-	"log/rlibm/bf16":              genLogRlibmBf16Batch,
-	"log/rlibm/tf32":              genLogRlibmTf32Batch,
-	"log10/rlibm-estrin-fma/bf16": genLog10RlibmEstrinFmaBf16Batch,
-	"log10/rlibm-estrin-fma/tf32": genLog10RlibmEstrinFmaTf32Batch,
-	"log10/rlibm-estrin/bf16":     genLog10RlibmEstrinBf16Batch,
-	"log10/rlibm-estrin/tf32":     genLog10RlibmEstrinTf32Batch,
-	"log10/rlibm-knuth/bf16":      genLog10RlibmKnuthBf16Batch,
-	"log10/rlibm-knuth/tf32":      genLog10RlibmKnuthTf32Batch,
-	"log10/rlibm/bf16":            genLog10RlibmBf16Batch,
-	"log10/rlibm/tf32":            genLog10RlibmTf32Batch,
-	"log2/rlibm-estrin-fma/bf16":  genLog2RlibmEstrinFmaBf16Batch,
-	"log2/rlibm-estrin-fma/tf32":  genLog2RlibmEstrinFmaTf32Batch,
-	"log2/rlibm-estrin/bf16":      genLog2RlibmEstrinBf16Batch,
-	"log2/rlibm-estrin/tf32":      genLog2RlibmEstrinTf32Batch,
-	"log2/rlibm-knuth/bf16":       genLog2RlibmKnuthBf16Batch,
-	"log2/rlibm-knuth/tf32":       genLog2RlibmKnuthTf32Batch,
-	"log2/rlibm/bf16":             genLog2RlibmBf16Batch,
-	"log2/rlibm/tf32":             genLog2RlibmTf32Batch,
-}
-
-// GeneratedPrefixVecBlockFuncs indexes the vector block form of the prefix
-// kernels by "func/scheme/prec". The narrowing round to the precision's
-// output format runs as a separate per-lane pass folded into the block
-// (off the polynomial dependency chain) instead of a per-element call;
-// outputs are bit-identical to GeneratedPrefixBlockFuncs.
-var GeneratedPrefixVecBlockFuncs = map[string]func([]float64){
-	"exp/rlibm-estrin-fma/bf16":   genExpRlibmEstrinFmaBf16VecBlock,
-	"exp/rlibm-estrin-fma/tf32":   genExpRlibmEstrinFmaTf32VecBlock,
-	"exp/rlibm-estrin/bf16":       genExpRlibmEstrinBf16VecBlock,
-	"exp/rlibm-estrin/tf32":       genExpRlibmEstrinTf32VecBlock,
-	"exp/rlibm-knuth/bf16":        genExpRlibmKnuthBf16VecBlock,
-	"exp/rlibm-knuth/tf32":        genExpRlibmKnuthTf32VecBlock,
-	"exp/rlibm/bf16":              genExpRlibmBf16VecBlock,
-	"exp/rlibm/tf32":              genExpRlibmTf32VecBlock,
-	"exp10/rlibm-estrin-fma/bf16": genExp10RlibmEstrinFmaBf16VecBlock,
-	"exp10/rlibm-estrin-fma/tf32": genExp10RlibmEstrinFmaTf32VecBlock,
-	"exp10/rlibm-estrin/bf16":     genExp10RlibmEstrinBf16VecBlock,
-	"exp10/rlibm-estrin/tf32":     genExp10RlibmEstrinTf32VecBlock,
-	"exp10/rlibm-knuth/bf16":      genExp10RlibmKnuthBf16VecBlock,
-	"exp10/rlibm-knuth/tf32":      genExp10RlibmKnuthTf32VecBlock,
-	"exp10/rlibm/bf16":            genExp10RlibmBf16VecBlock,
-	"exp10/rlibm/tf32":            genExp10RlibmTf32VecBlock,
-	"exp2/rlibm-estrin-fma/bf16":  genExp2RlibmEstrinFmaBf16VecBlock,
-	"exp2/rlibm-estrin-fma/tf32":  genExp2RlibmEstrinFmaTf32VecBlock,
-	"exp2/rlibm-estrin/bf16":      genExp2RlibmEstrinBf16VecBlock,
-	"exp2/rlibm-estrin/tf32":      genExp2RlibmEstrinTf32VecBlock,
-	"exp2/rlibm-knuth/bf16":       genExp2RlibmKnuthBf16VecBlock,
-	"exp2/rlibm-knuth/tf32":       genExp2RlibmKnuthTf32VecBlock,
-	"exp2/rlibm/bf16":             genExp2RlibmBf16VecBlock,
-	"exp2/rlibm/tf32":             genExp2RlibmTf32VecBlock,
-	"log/rlibm-estrin-fma/bf16":   genLogRlibmEstrinFmaBf16VecBlock,
-	"log/rlibm-estrin-fma/tf32":   genLogRlibmEstrinFmaTf32VecBlock,
-	"log/rlibm-estrin/bf16":       genLogRlibmEstrinBf16VecBlock,
-	"log/rlibm-estrin/tf32":       genLogRlibmEstrinTf32VecBlock,
-	"log/rlibm-knuth/bf16":        genLogRlibmKnuthBf16VecBlock,
-	"log/rlibm-knuth/tf32":        genLogRlibmKnuthTf32VecBlock,
-	"log/rlibm/bf16":              genLogRlibmBf16VecBlock,
-	"log/rlibm/tf32":              genLogRlibmTf32VecBlock,
-	"log10/rlibm-estrin-fma/bf16": genLog10RlibmEstrinFmaBf16VecBlock,
-	"log10/rlibm-estrin-fma/tf32": genLog10RlibmEstrinFmaTf32VecBlock,
-	"log10/rlibm-estrin/bf16":     genLog10RlibmEstrinBf16VecBlock,
-	"log10/rlibm-estrin/tf32":     genLog10RlibmEstrinTf32VecBlock,
-	"log10/rlibm-knuth/bf16":      genLog10RlibmKnuthBf16VecBlock,
-	"log10/rlibm-knuth/tf32":      genLog10RlibmKnuthTf32VecBlock,
-	"log10/rlibm/bf16":            genLog10RlibmBf16VecBlock,
-	"log10/rlibm/tf32":            genLog10RlibmTf32VecBlock,
-	"log2/rlibm-estrin-fma/bf16":  genLog2RlibmEstrinFmaBf16VecBlock,
-	"log2/rlibm-estrin-fma/tf32":  genLog2RlibmEstrinFmaTf32VecBlock,
-	"log2/rlibm-estrin/bf16":      genLog2RlibmEstrinBf16VecBlock,
-	"log2/rlibm-estrin/tf32":      genLog2RlibmEstrinTf32VecBlock,
-	"log2/rlibm-knuth/bf16":       genLog2RlibmKnuthBf16VecBlock,
-	"log2/rlibm-knuth/tf32":       genLog2RlibmKnuthTf32VecBlock,
-	"log2/rlibm/bf16":             genLog2RlibmBf16VecBlock,
-	"log2/rlibm/tf32":             genLog2RlibmTf32VecBlock,
-}
-
-// GeneratedPrefixVecBatchFuncs indexes the float32 batch form of the
-// vector prefix kernels by "func/scheme/prec".
-var GeneratedPrefixVecBatchFuncs = map[string]func(dst, src []float32){
-	"exp/rlibm-estrin-fma/bf16":   genExpRlibmEstrinFmaBf16VecBatch,
-	"exp/rlibm-estrin-fma/tf32":   genExpRlibmEstrinFmaTf32VecBatch,
-	"exp/rlibm-estrin/bf16":       genExpRlibmEstrinBf16VecBatch,
-	"exp/rlibm-estrin/tf32":       genExpRlibmEstrinTf32VecBatch,
-	"exp/rlibm-knuth/bf16":        genExpRlibmKnuthBf16VecBatch,
-	"exp/rlibm-knuth/tf32":        genExpRlibmKnuthTf32VecBatch,
-	"exp/rlibm/bf16":              genExpRlibmBf16VecBatch,
-	"exp/rlibm/tf32":              genExpRlibmTf32VecBatch,
-	"exp10/rlibm-estrin-fma/bf16": genExp10RlibmEstrinFmaBf16VecBatch,
-	"exp10/rlibm-estrin-fma/tf32": genExp10RlibmEstrinFmaTf32VecBatch,
-	"exp10/rlibm-estrin/bf16":     genExp10RlibmEstrinBf16VecBatch,
-	"exp10/rlibm-estrin/tf32":     genExp10RlibmEstrinTf32VecBatch,
-	"exp10/rlibm-knuth/bf16":      genExp10RlibmKnuthBf16VecBatch,
-	"exp10/rlibm-knuth/tf32":      genExp10RlibmKnuthTf32VecBatch,
-	"exp10/rlibm/bf16":            genExp10RlibmBf16VecBatch,
-	"exp10/rlibm/tf32":            genExp10RlibmTf32VecBatch,
-	"exp2/rlibm-estrin-fma/bf16":  genExp2RlibmEstrinFmaBf16VecBatch,
-	"exp2/rlibm-estrin-fma/tf32":  genExp2RlibmEstrinFmaTf32VecBatch,
-	"exp2/rlibm-estrin/bf16":      genExp2RlibmEstrinBf16VecBatch,
-	"exp2/rlibm-estrin/tf32":      genExp2RlibmEstrinTf32VecBatch,
-	"exp2/rlibm-knuth/bf16":       genExp2RlibmKnuthBf16VecBatch,
-	"exp2/rlibm-knuth/tf32":       genExp2RlibmKnuthTf32VecBatch,
-	"exp2/rlibm/bf16":             genExp2RlibmBf16VecBatch,
-	"exp2/rlibm/tf32":             genExp2RlibmTf32VecBatch,
-	"log/rlibm-estrin-fma/bf16":   genLogRlibmEstrinFmaBf16VecBatch,
-	"log/rlibm-estrin-fma/tf32":   genLogRlibmEstrinFmaTf32VecBatch,
-	"log/rlibm-estrin/bf16":       genLogRlibmEstrinBf16VecBatch,
-	"log/rlibm-estrin/tf32":       genLogRlibmEstrinTf32VecBatch,
-	"log/rlibm-knuth/bf16":        genLogRlibmKnuthBf16VecBatch,
-	"log/rlibm-knuth/tf32":        genLogRlibmKnuthTf32VecBatch,
-	"log/rlibm/bf16":              genLogRlibmBf16VecBatch,
-	"log/rlibm/tf32":              genLogRlibmTf32VecBatch,
-	"log10/rlibm-estrin-fma/bf16": genLog10RlibmEstrinFmaBf16VecBatch,
-	"log10/rlibm-estrin-fma/tf32": genLog10RlibmEstrinFmaTf32VecBatch,
-	"log10/rlibm-estrin/bf16":     genLog10RlibmEstrinBf16VecBatch,
-	"log10/rlibm-estrin/tf32":     genLog10RlibmEstrinTf32VecBatch,
-	"log10/rlibm-knuth/bf16":      genLog10RlibmKnuthBf16VecBatch,
-	"log10/rlibm-knuth/tf32":      genLog10RlibmKnuthTf32VecBatch,
-	"log10/rlibm/bf16":            genLog10RlibmBf16VecBatch,
-	"log10/rlibm/tf32":            genLog10RlibmTf32VecBatch,
-	"log2/rlibm-estrin-fma/bf16":  genLog2RlibmEstrinFmaBf16VecBatch,
-	"log2/rlibm-estrin-fma/tf32":  genLog2RlibmEstrinFmaTf32VecBatch,
-	"log2/rlibm-estrin/bf16":      genLog2RlibmEstrinBf16VecBatch,
-	"log2/rlibm-estrin/tf32":      genLog2RlibmEstrinTf32VecBatch,
-	"log2/rlibm-knuth/bf16":       genLog2RlibmKnuthBf16VecBatch,
-	"log2/rlibm-knuth/tf32":       genLog2RlibmKnuthTf32VecBatch,
-	"log2/rlibm/bf16":             genLog2RlibmBf16VecBatch,
-	"log2/rlibm/tf32":             genLog2RlibmTf32VecBatch,
-}
-
-// GeneratedPrefixAsmBatchFuncs indexes the assembly-staged batch form of
-// the vector prefix kernels by "func/scheme/prec".
-var GeneratedPrefixAsmBatchFuncs = map[string]func(dst, src []float32){
-	"exp/rlibm-estrin-fma/bf16":   genExpRlibmEstrinFmaBf16AsmBatch,
-	"exp/rlibm-estrin-fma/tf32":   genExpRlibmEstrinFmaTf32AsmBatch,
-	"exp/rlibm-estrin/bf16":       genExpRlibmEstrinBf16AsmBatch,
-	"exp/rlibm-estrin/tf32":       genExpRlibmEstrinTf32AsmBatch,
-	"exp/rlibm-knuth/bf16":        genExpRlibmKnuthBf16AsmBatch,
-	"exp/rlibm-knuth/tf32":        genExpRlibmKnuthTf32AsmBatch,
-	"exp/rlibm/bf16":              genExpRlibmBf16AsmBatch,
-	"exp/rlibm/tf32":              genExpRlibmTf32AsmBatch,
-	"exp10/rlibm-estrin-fma/bf16": genExp10RlibmEstrinFmaBf16AsmBatch,
-	"exp10/rlibm-estrin-fma/tf32": genExp10RlibmEstrinFmaTf32AsmBatch,
-	"exp10/rlibm-estrin/bf16":     genExp10RlibmEstrinBf16AsmBatch,
-	"exp10/rlibm-estrin/tf32":     genExp10RlibmEstrinTf32AsmBatch,
-	"exp10/rlibm-knuth/bf16":      genExp10RlibmKnuthBf16AsmBatch,
-	"exp10/rlibm-knuth/tf32":      genExp10RlibmKnuthTf32AsmBatch,
-	"exp10/rlibm/bf16":            genExp10RlibmBf16AsmBatch,
-	"exp10/rlibm/tf32":            genExp10RlibmTf32AsmBatch,
-	"exp2/rlibm-estrin-fma/bf16":  genExp2RlibmEstrinFmaBf16AsmBatch,
-	"exp2/rlibm-estrin-fma/tf32":  genExp2RlibmEstrinFmaTf32AsmBatch,
-	"exp2/rlibm-estrin/bf16":      genExp2RlibmEstrinBf16AsmBatch,
-	"exp2/rlibm-estrin/tf32":      genExp2RlibmEstrinTf32AsmBatch,
-	"exp2/rlibm-knuth/bf16":       genExp2RlibmKnuthBf16AsmBatch,
-	"exp2/rlibm-knuth/tf32":       genExp2RlibmKnuthTf32AsmBatch,
-	"exp2/rlibm/bf16":             genExp2RlibmBf16AsmBatch,
-	"exp2/rlibm/tf32":             genExp2RlibmTf32AsmBatch,
-	"log/rlibm-estrin-fma/bf16":   genLogRlibmEstrinFmaBf16AsmBatch,
-	"log/rlibm-estrin-fma/tf32":   genLogRlibmEstrinFmaTf32AsmBatch,
-	"log/rlibm-estrin/bf16":       genLogRlibmEstrinBf16AsmBatch,
-	"log/rlibm-estrin/tf32":       genLogRlibmEstrinTf32AsmBatch,
-	"log/rlibm-knuth/bf16":        genLogRlibmKnuthBf16AsmBatch,
-	"log/rlibm-knuth/tf32":        genLogRlibmKnuthTf32AsmBatch,
-	"log/rlibm/bf16":              genLogRlibmBf16AsmBatch,
-	"log/rlibm/tf32":              genLogRlibmTf32AsmBatch,
-	"log10/rlibm-estrin-fma/bf16": genLog10RlibmEstrinFmaBf16AsmBatch,
-	"log10/rlibm-estrin-fma/tf32": genLog10RlibmEstrinFmaTf32AsmBatch,
-	"log10/rlibm-estrin/bf16":     genLog10RlibmEstrinBf16AsmBatch,
-	"log10/rlibm-estrin/tf32":     genLog10RlibmEstrinTf32AsmBatch,
-	"log10/rlibm-knuth/bf16":      genLog10RlibmKnuthBf16AsmBatch,
-	"log10/rlibm-knuth/tf32":      genLog10RlibmKnuthTf32AsmBatch,
-	"log10/rlibm/bf16":            genLog10RlibmBf16AsmBatch,
-	"log10/rlibm/tf32":            genLog10RlibmTf32AsmBatch,
-	"log2/rlibm-estrin-fma/bf16":  genLog2RlibmEstrinFmaBf16AsmBatch,
-	"log2/rlibm-estrin-fma/tf32":  genLog2RlibmEstrinFmaTf32AsmBatch,
-	"log2/rlibm-estrin/bf16":      genLog2RlibmEstrinBf16AsmBatch,
-	"log2/rlibm-estrin/tf32":      genLog2RlibmEstrinTf32AsmBatch,
-	"log2/rlibm-knuth/bf16":       genLog2RlibmKnuthBf16AsmBatch,
-	"log2/rlibm-knuth/tf32":       genLog2RlibmKnuthTf32AsmBatch,
-	"log2/rlibm/bf16":             genLog2RlibmBf16AsmBatch,
-	"log2/rlibm/tf32":             genLog2RlibmTf32AsmBatch,
-}
-
-// GeneratedPrefixDegrees records the verified prefix polynomial degree per
-// "func/scheme/prec" entry (full-degree kernels run degree 4-5).
-var GeneratedPrefixDegrees = map[string]int{
-	"exp/rlibm-estrin-fma/bf16":   2,
-	"exp/rlibm-estrin-fma/tf32":   2,
-	"exp/rlibm-estrin/bf16":       2,
-	"exp/rlibm-estrin/tf32":       2,
-	"exp/rlibm-knuth/bf16":        2,
-	"exp/rlibm-knuth/tf32":        2,
-	"exp/rlibm/bf16":              2,
-	"exp/rlibm/tf32":              2,
-	"exp10/rlibm-estrin-fma/bf16": 2,
-	"exp10/rlibm-estrin-fma/tf32": 3,
-	"exp10/rlibm-estrin/bf16":     2,
-	"exp10/rlibm-estrin/tf32":     3,
-	"exp10/rlibm-knuth/bf16":      2,
-	"exp10/rlibm-knuth/tf32":      3,
-	"exp10/rlibm/bf16":            5,
-	"exp10/rlibm/tf32":            5,
-	"exp2/rlibm-estrin-fma/bf16":  2,
-	"exp2/rlibm-estrin-fma/tf32":  2,
-	"exp2/rlibm-estrin/bf16":      2,
-	"exp2/rlibm-estrin/tf32":      2,
-	"exp2/rlibm-knuth/bf16":       2,
-	"exp2/rlibm-knuth/tf32":       2,
-	"exp2/rlibm/bf16":             2,
-	"exp2/rlibm/tf32":             2,
-	"log/rlibm-estrin-fma/bf16":   1,
-	"log/rlibm-estrin-fma/tf32":   4,
-	"log/rlibm-estrin/bf16":       1,
-	"log/rlibm-estrin/tf32":       4,
-	"log/rlibm-knuth/bf16":        1,
-	"log/rlibm-knuth/tf32":        4,
-	"log/rlibm/bf16":              1,
-	"log/rlibm/tf32":              4,
-	"log10/rlibm-estrin-fma/bf16": 1,
-	"log10/rlibm-estrin-fma/tf32": 4,
-	"log10/rlibm-estrin/bf16":     1,
-	"log10/rlibm-estrin/tf32":     4,
-	"log10/rlibm-knuth/bf16":      1,
-	"log10/rlibm-knuth/tf32":      4,
-	"log10/rlibm/bf16":            1,
-	"log10/rlibm/tf32":            4,
-	"log2/rlibm-estrin-fma/bf16":  1,
-	"log2/rlibm-estrin-fma/tf32":  3,
-	"log2/rlibm-estrin/bf16":      1,
-	"log2/rlibm-estrin/tf32":      3,
-	"log2/rlibm-knuth/bf16":       1,
-	"log2/rlibm-knuth/tf32":       3,
-	"log2/rlibm/bf16":             1,
-	"log2/rlibm/tf32":             3,
-}
-
 // generatedBatchBlock is the element count of the batch kernels' on-stack
 // conversion block.
 const generatedBatchBlock = 256
@@ -828,406 +447,6 @@ func genExpRlibmAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExpRlibmTf32 is the exp rlibm prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExpRlibmTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.fffdfd0bc8f5bp-02 * r
-	t1_1 := t1_0 + 0x1.0000001c24d75p+00
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000008p+00
-	p = t1_3
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmTf32Block applies the exp rlibm tf32 prefix kernel to every element of b in place.
-func genExpRlibmTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.fffdfd0bc8f5bp-02 * r
-		t2_1 := t2_0 + 0x1.0000001c24d75p+00
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000008p+00
-		p = t2_3
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmTf32Batch evaluates the exp rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmTf32VecBlock applies the same kernel as genExpRlibmTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmTf32Block for every
-// input and length.
-func genExpRlibmTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.fffdfd0bc8f5bp-02 * r
-			tv_1 := tv_0 + 0x1.0000001c24d75p+00
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000008p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmTf32Block(b[n:])
-	}
-}
-
-// genExpRlibmTf32VecBatch is genExpRlibmTf32Batch over the vector block kernel.
-func genExpRlibmTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmTf32AsmBatch is genExpRlibmTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExpRlibmBf16 is the exp rlibm prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExpRlibmBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.fffdfd0bc8f5bp-02 * r
-	t1_1 := t1_0 + 0x1.0000001c24d75p+00
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000008p+00
-	p = t1_3
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmBf16Block applies the exp rlibm bf16 prefix kernel to every element of b in place.
-func genExpRlibmBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.fffdfd0bc8f5bp-02 * r
-		t2_1 := t2_0 + 0x1.0000001c24d75p+00
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000008p+00
-		p = t2_3
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmBf16Batch evaluates the exp rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmBf16VecBlock applies the same kernel as genExpRlibmBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmBf16Block for every
-// input and length.
-func genExpRlibmBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.fffdfd0bc8f5bp-02 * r
-			tv_1 := tv_0 + 0x1.0000001c24d75p+00
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000008p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmBf16Block(b[n:])
-	}
-}
-
-// genExpRlibmBf16VecBatch is genExpRlibmBf16Batch over the vector block kernel.
-func genExpRlibmBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmBf16AsmBatch is genExpRlibmBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genExpRlibmKnuth is the generated exp implementation with rlibm-knuth evaluation.
 func genExpRlibmKnuth(x float64) float64 {
 	switch {
@@ -1460,406 +679,6 @@ func genExpRlibmKnuthAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genExpRlibmKnuthVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExpRlibmKnuthTf32 is the exp rlibm-knuth prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExpRlibmKnuthTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.fffdfd0bc8f5bp-02 * r
-	t1_1 := t1_0 + 0x1.0000001c24d75p+00
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000008p+00
-	p = t1_3
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmKnuthTf32Block applies the exp rlibm-knuth tf32 prefix kernel to every element of b in place.
-func genExpRlibmKnuthTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.fffdfd0bc8f5bp-02 * r
-		t2_1 := t2_0 + 0x1.0000001c24d75p+00
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000008p+00
-		p = t2_3
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmKnuthTf32Batch evaluates the exp rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmKnuthTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmKnuthTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmKnuthTf32VecBlock applies the same kernel as genExpRlibmKnuthTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmKnuthTf32Block for every
-// input and length.
-func genExpRlibmKnuthTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.fffdfd0bc8f5bp-02 * r
-			tv_1 := tv_0 + 0x1.0000001c24d75p+00
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000008p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmKnuthTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmKnuthTf32Block(b[n:])
-	}
-}
-
-// genExpRlibmKnuthTf32VecBatch is genExpRlibmKnuthTf32Batch over the vector block kernel.
-func genExpRlibmKnuthTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmKnuthTf32AsmBatch is genExpRlibmKnuthTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmKnuthTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExpRlibmKnuthBf16 is the exp rlibm-knuth prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExpRlibmKnuthBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.fffdfd0bc8f5bp-02 * r
-	t1_1 := t1_0 + 0x1.0000001c24d75p+00
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000008p+00
-	p = t1_3
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmKnuthBf16Block applies the exp rlibm-knuth bf16 prefix kernel to every element of b in place.
-func genExpRlibmKnuthBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.fffdfd0bc8f5bp-02 * r
-		t2_1 := t2_0 + 0x1.0000001c24d75p+00
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000008p+00
-		p = t2_3
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmKnuthBf16Batch evaluates the exp rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmKnuthBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmKnuthBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmKnuthBf16VecBlock applies the same kernel as genExpRlibmKnuthBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmKnuthBf16Block for every
-// input and length.
-func genExpRlibmKnuthBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.fffdfd0bc8f5bp-02 * r
-			tv_1 := tv_0 + 0x1.0000001c24d75p+00
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000008p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmKnuthBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmKnuthBf16Block(b[n:])
-	}
-}
-
-// genExpRlibmKnuthBf16VecBatch is genExpRlibmKnuthBf16Batch over the vector block kernel.
-func genExpRlibmKnuthBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmKnuthBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmKnuthBf16AsmBatch is genExpRlibmKnuthBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmKnuthBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmKnuthBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -2112,412 +931,6 @@ func genExpRlibmEstrinAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExpRlibmEstrinTf32 is the exp rlibm-estrin prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExpRlibmEstrinTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.0000001c24d75p+00 * r
-	t1_1 := 0x1.0000000000008p+00 + t1_0
-	t1_2 := r * r
-	t1_3 := 0x1.fffdfd0bc8f5bp-02 * t1_2
-	t1_4 := t1_1 + t1_3
-	p = t1_4
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmEstrinTf32Block applies the exp rlibm-estrin tf32 prefix kernel to every element of b in place.
-func genExpRlibmEstrinTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.0000001c24d75p+00 * r
-		t2_1 := 0x1.0000000000008p+00 + t2_0
-		t2_2 := r * r
-		t2_3 := 0x1.fffdfd0bc8f5bp-02 * t2_2
-		t2_4 := t2_1 + t2_3
-		p = t2_4
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmEstrinTf32Batch evaluates the exp rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmEstrinTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinTf32VecBlock applies the same kernel as genExpRlibmEstrinTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmEstrinTf32Block for every
-// input and length.
-func genExpRlibmEstrinTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.0000001c24d75p+00 * r
-			tv_1 := 0x1.0000000000008p+00 + tv_0
-			tv_2 := r * r
-			tv_3 := 0x1.fffdfd0bc8f5bp-02 * tv_2
-			tv_4 := tv_1 + tv_3
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_4)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmEstrinTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmEstrinTf32Block(b[n:])
-	}
-}
-
-// genExpRlibmEstrinTf32VecBatch is genExpRlibmEstrinTf32Batch over the vector block kernel.
-func genExpRlibmEstrinTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinTf32AsmBatch is genExpRlibmEstrinTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmEstrinTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExpRlibmEstrinBf16 is the exp rlibm-estrin prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExpRlibmEstrinBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.0000001c24d75p+00 * r
-	t1_1 := 0x1.0000000000008p+00 + t1_0
-	t1_2 := r * r
-	t1_3 := 0x1.fffdfd0bc8f5bp-02 * t1_2
-	t1_4 := t1_1 + t1_3
-	p = t1_4
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmEstrinBf16Block applies the exp rlibm-estrin bf16 prefix kernel to every element of b in place.
-func genExpRlibmEstrinBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.0000001c24d75p+00 * r
-		t2_1 := 0x1.0000000000008p+00 + t2_0
-		t2_2 := r * r
-		t2_3 := 0x1.fffdfd0bc8f5bp-02 * t2_2
-		t2_4 := t2_1 + t2_3
-		p = t2_4
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmEstrinBf16Batch evaluates the exp rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmEstrinBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinBf16VecBlock applies the same kernel as genExpRlibmEstrinBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmEstrinBf16Block for every
-// input and length.
-func genExpRlibmEstrinBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.0000001c24d75p+00 * r
-			tv_1 := 0x1.0000000000008p+00 + tv_0
-			tv_2 := r * r
-			tv_3 := 0x1.fffdfd0bc8f5bp-02 * tv_2
-			tv_4 := tv_1 + tv_3
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_4)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmEstrinBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmEstrinBf16Block(b[n:])
-	}
-}
-
-// genExpRlibmEstrinBf16VecBatch is genExpRlibmEstrinBf16Batch over the vector block kernel.
-func genExpRlibmEstrinBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinBf16AsmBatch is genExpRlibmEstrinBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmEstrinBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genExpRlibmEstrinFma is the generated exp implementation with rlibm-estrin-fma evaluation.
 func genExpRlibmEstrinFma(x float64) float64 {
 	switch {
@@ -2745,400 +1158,6 @@ func genExpRlibmEstrinFmaAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExpRlibmEstrinFmaTf32 is the exp rlibm-estrin-fma prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExpRlibmEstrinFmaTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.0000001c24d75p+00, r, 0x1.0000000000008p+00)
-	t1_1 := r * r
-	t1_2 := math.FMA(0x1.fffdfd0bc8f5bp-02, t1_1, t1_0)
-	p = t1_2
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmEstrinFmaTf32Block applies the exp rlibm-estrin-fma tf32 prefix kernel to every element of b in place.
-func genExpRlibmEstrinFmaTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.0000001c24d75p+00, r, 0x1.0000000000008p+00)
-		t2_1 := r * r
-		t2_2 := math.FMA(0x1.fffdfd0bc8f5bp-02, t2_1, t2_0)
-		p = t2_2
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmEstrinFmaTf32Batch evaluates the exp rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmEstrinFmaTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinFmaTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinFmaTf32VecBlock applies the same kernel as genExpRlibmEstrinFmaTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmEstrinFmaTf32Block for every
-// input and length.
-func genExpRlibmEstrinFmaTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.0000001c24d75p+00, r, 0x1.0000000000008p+00)
-			tv_1 := r * r
-			tv_2 := math.FMA(0x1.fffdfd0bc8f5bp-02, tv_1, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_2)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmEstrinFmaTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmEstrinFmaTf32Block(b[n:])
-	}
-}
-
-// genExpRlibmEstrinFmaTf32VecBatch is genExpRlibmEstrinFmaTf32Batch over the vector block kernel.
-func genExpRlibmEstrinFmaTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinFmaTf32AsmBatch is genExpRlibmEstrinFmaTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmEstrinFmaTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExpRlibmEstrinFmaBf16 is the exp rlibm-estrin-fma prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExpRlibmEstrinFmaBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.9fe3682cd3be5p+06:
-		return 0x0p+00
-	case x >= 0x1.62e42feda39fp+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.0000004000001p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.ffffff000000ap-25:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.0000001c24d75p+00, r, 0x1.0000000000008p+00)
-	t1_1 := r * r
-	t1_2 := math.FMA(0x1.fffdfd0bc8f5bp-02, t1_1, t1_0)
-	p = t1_2
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExpRlibmEstrinFmaBf16Block applies the exp rlibm-estrin-fma bf16 prefix kernel to every element of b in place.
-func genExpRlibmEstrinFmaBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.9fe3682cd3be5p+06:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.62e42feda39fp+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.0000004000001p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.ffffff000000ap-25:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.0000001c24d75p+00, r, 0x1.0000000000008p+00)
-		t2_1 := r * r
-		t2_2 := math.FMA(0x1.fffdfd0bc8f5bp-02, t2_1, t2_0)
-		p = t2_2
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExpRlibmEstrinFmaBf16Batch evaluates the exp rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExpRlibmEstrinFmaBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinFmaBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinFmaBf16VecBlock applies the same kernel as genExpRlibmEstrinFmaBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExpRlibmEstrinFmaBf16Block for every
-// input and length.
-func genExpRlibmEstrinFmaBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLn2x64)
-			r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.9fe3682cd3be5p+06 && x < 0x1.62e42feda39fp+06 && (x < -0x1.0000004000001p-25 || x > 0x1.ffffff000000ap-25)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.0000001c24d75p+00, r, 0x1.0000000000008p+00)
-			tv_1 := r * r
-			tv_2 := math.FMA(0x1.fffdfd0bc8f5bp-02, tv_1, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_2)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExpRlibmEstrinFmaBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExpRlibmEstrinFmaBf16Block(b[n:])
-	}
-}
-
-// genExpRlibmEstrinFmaBf16VecBatch is genExpRlibmEstrinFmaBf16Batch over the vector block kernel.
-func genExpRlibmEstrinFmaBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExpRlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExpRlibmEstrinFmaBf16AsmBatch is genExpRlibmEstrinFmaBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExpRlibmEstrinFmaBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExpRlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genExp2Rlibm is the generated exp2 implementation with rlibm evaluation.
 func genExp2Rlibm(x float64) float64 {
 	switch {
@@ -3349,406 +1368,6 @@ func genExp2RlibmAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExp2RlibmTf32 is the exp2 rlibm prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp2RlibmTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.ebfbfeaabd07bp-03 * r
-	t1_1 := t1_0 + 0x1.62e42ff2c0c5cp-01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000004p+00
-	p = t1_3
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmTf32Block applies the exp2 rlibm tf32 prefix kernel to every element of b in place.
-func genExp2RlibmTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.ebfbfeaabd07bp-03 * r
-		t2_1 := t2_0 + 0x1.62e42ff2c0c5cp-01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000004p+00
-		p = t2_3
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmTf32Batch evaluates the exp2 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmTf32VecBlock applies the same kernel as genExp2RlibmTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmTf32Block for every
-// input and length.
-func genExp2RlibmTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.ebfbfeaabd07bp-03 * r
-			tv_1 := tv_0 + 0x1.62e42ff2c0c5cp-01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000004p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmTf32Block(b[n:])
-	}
-}
-
-// genExp2RlibmTf32VecBatch is genExp2RlibmTf32Batch over the vector block kernel.
-func genExp2RlibmTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmTf32AsmBatch is genExp2RlibmTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp2RlibmBf16 is the exp2 rlibm prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp2RlibmBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.ebfbfeaabd07bp-03 * r
-	t1_1 := t1_0 + 0x1.62e42ff2c0c5cp-01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000004p+00
-	p = t1_3
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmBf16Block applies the exp2 rlibm bf16 prefix kernel to every element of b in place.
-func genExp2RlibmBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.ebfbfeaabd07bp-03 * r
-		t2_1 := t2_0 + 0x1.62e42ff2c0c5cp-01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000004p+00
-		p = t2_3
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmBf16Batch evaluates the exp2 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmBf16VecBlock applies the same kernel as genExp2RlibmBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmBf16Block for every
-// input and length.
-func genExp2RlibmBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.ebfbfeaabd07bp-03 * r
-			tv_1 := tv_0 + 0x1.62e42ff2c0c5cp-01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000004p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmBf16Block(b[n:])
-	}
-}
-
-// genExp2RlibmBf16VecBatch is genExp2RlibmBf16Batch over the vector block kernel.
-func genExp2RlibmBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmBf16AsmBatch is genExp2RlibmBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genExp2RlibmKnuth is the generated exp2 implementation with rlibm-knuth evaluation.
 func genExp2RlibmKnuth(x float64) float64 {
 	switch {
@@ -3951,406 +1570,6 @@ func genExp2RlibmKnuthAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genExp2RlibmKnuthVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp2RlibmKnuthTf32 is the exp2 rlibm-knuth prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp2RlibmKnuthTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.ebfbfeaabd07bp-03 * r
-	t1_1 := t1_0 + 0x1.62e42ff2c0c5cp-01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000004p+00
-	p = t1_3
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmKnuthTf32Block applies the exp2 rlibm-knuth tf32 prefix kernel to every element of b in place.
-func genExp2RlibmKnuthTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.ebfbfeaabd07bp-03 * r
-		t2_1 := t2_0 + 0x1.62e42ff2c0c5cp-01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000004p+00
-		p = t2_3
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmKnuthTf32Batch evaluates the exp2 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmKnuthTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmKnuthTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmKnuthTf32VecBlock applies the same kernel as genExp2RlibmKnuthTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmKnuthTf32Block for every
-// input and length.
-func genExp2RlibmKnuthTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.ebfbfeaabd07bp-03 * r
-			tv_1 := tv_0 + 0x1.62e42ff2c0c5cp-01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000004p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmKnuthTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmKnuthTf32Block(b[n:])
-	}
-}
-
-// genExp2RlibmKnuthTf32VecBatch is genExp2RlibmKnuthTf32Batch over the vector block kernel.
-func genExp2RlibmKnuthTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmKnuthTf32AsmBatch is genExp2RlibmKnuthTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmKnuthTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp2RlibmKnuthBf16 is the exp2 rlibm-knuth prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp2RlibmKnuthBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.ebfbfeaabd07bp-03 * r
-	t1_1 := t1_0 + 0x1.62e42ff2c0c5cp-01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.0000000000004p+00
-	p = t1_3
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmKnuthBf16Block applies the exp2 rlibm-knuth bf16 prefix kernel to every element of b in place.
-func genExp2RlibmKnuthBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.ebfbfeaabd07bp-03 * r
-		t2_1 := t2_0 + 0x1.62e42ff2c0c5cp-01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.0000000000004p+00
-		p = t2_3
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmKnuthBf16Batch evaluates the exp2 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmKnuthBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmKnuthBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmKnuthBf16VecBlock applies the same kernel as genExp2RlibmKnuthBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmKnuthBf16Block for every
-// input and length.
-func genExp2RlibmKnuthBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.ebfbfeaabd07bp-03 * r
-			tv_1 := tv_0 + 0x1.62e42ff2c0c5cp-01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.0000000000004p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmKnuthBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmKnuthBf16Block(b[n:])
-	}
-}
-
-// genExp2RlibmKnuthBf16VecBatch is genExp2RlibmKnuthBf16Batch over the vector block kernel.
-func genExp2RlibmKnuthBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmKnuthBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmKnuthBf16AsmBatch is genExp2RlibmKnuthBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmKnuthBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmKnuthBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -4572,412 +1791,6 @@ func genExp2RlibmEstrinAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExp2RlibmEstrinTf32 is the exp2 rlibm-estrin prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp2RlibmEstrinTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.62e42ff2c0c5cp-01 * r
-	t1_1 := 0x1.0000000000004p+00 + t1_0
-	t1_2 := r * r
-	t1_3 := 0x1.ebfbfeaabd07bp-03 * t1_2
-	t1_4 := t1_1 + t1_3
-	p = t1_4
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmEstrinTf32Block applies the exp2 rlibm-estrin tf32 prefix kernel to every element of b in place.
-func genExp2RlibmEstrinTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.62e42ff2c0c5cp-01 * r
-		t2_1 := 0x1.0000000000004p+00 + t2_0
-		t2_2 := r * r
-		t2_3 := 0x1.ebfbfeaabd07bp-03 * t2_2
-		t2_4 := t2_1 + t2_3
-		p = t2_4
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmEstrinTf32Batch evaluates the exp2 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmEstrinTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinTf32VecBlock applies the same kernel as genExp2RlibmEstrinTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmEstrinTf32Block for every
-// input and length.
-func genExp2RlibmEstrinTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.62e42ff2c0c5cp-01 * r
-			tv_1 := 0x1.0000000000004p+00 + tv_0
-			tv_2 := r * r
-			tv_3 := 0x1.ebfbfeaabd07bp-03 * tv_2
-			tv_4 := tv_1 + tv_3
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_4)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmEstrinTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmEstrinTf32Block(b[n:])
-	}
-}
-
-// genExp2RlibmEstrinTf32VecBatch is genExp2RlibmEstrinTf32Batch over the vector block kernel.
-func genExp2RlibmEstrinTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinTf32AsmBatch is genExp2RlibmEstrinTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmEstrinTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp2RlibmEstrinBf16 is the exp2 rlibm-estrin prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp2RlibmEstrinBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.62e42ff2c0c5cp-01 * r
-	t1_1 := 0x1.0000000000004p+00 + t1_0
-	t1_2 := r * r
-	t1_3 := 0x1.ebfbfeaabd07bp-03 * t1_2
-	t1_4 := t1_1 + t1_3
-	p = t1_4
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmEstrinBf16Block applies the exp2 rlibm-estrin bf16 prefix kernel to every element of b in place.
-func genExp2RlibmEstrinBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.62e42ff2c0c5cp-01 * r
-		t2_1 := 0x1.0000000000004p+00 + t2_0
-		t2_2 := r * r
-		t2_3 := 0x1.ebfbfeaabd07bp-03 * t2_2
-		t2_4 := t2_1 + t2_3
-		p = t2_4
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmEstrinBf16Batch evaluates the exp2 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmEstrinBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinBf16VecBlock applies the same kernel as genExp2RlibmEstrinBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmEstrinBf16Block for every
-// input and length.
-func genExp2RlibmEstrinBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.62e42ff2c0c5cp-01 * r
-			tv_1 := 0x1.0000000000004p+00 + tv_0
-			tv_2 := r * r
-			tv_3 := 0x1.ebfbfeaabd07bp-03 * tv_2
-			tv_4 := tv_1 + tv_3
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_4)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmEstrinBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmEstrinBf16Block(b[n:])
-	}
-}
-
-// genExp2RlibmEstrinBf16VecBatch is genExp2RlibmEstrinBf16Batch over the vector block kernel.
-func genExp2RlibmEstrinBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinBf16AsmBatch is genExp2RlibmEstrinBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmEstrinBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genExp2RlibmEstrinFma is the generated exp2 implementation with rlibm-estrin-fma evaluation.
 func genExp2RlibmEstrinFma(x float64) float64 {
 	switch {
@@ -5174,400 +1987,6 @@ func genExp2RlibmEstrinFmaAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genExp2RlibmEstrinFmaVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp2RlibmEstrinFmaTf32 is the exp2 rlibm-estrin-fma prefix kernel for tf32: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp2RlibmEstrinFmaTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.62e42ff2c0c5cp-01, r, 0x1.0000000000004p+00)
-	t1_1 := r * r
-	t1_2 := math.FMA(0x1.ebfbfeaabd07bp-03, t1_1, t1_0)
-	p = t1_2
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmEstrinFmaTf32Block applies the exp2 rlibm-estrin-fma tf32 prefix kernel to every element of b in place.
-func genExp2RlibmEstrinFmaTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.62e42ff2c0c5cp-01, r, 0x1.0000000000004p+00)
-		t2_1 := r * r
-		t2_2 := math.FMA(0x1.ebfbfeaabd07bp-03, t2_1, t2_0)
-		p = t2_2
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmEstrinFmaTf32Batch evaluates the exp2 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmEstrinFmaTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinFmaTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinFmaTf32VecBlock applies the same kernel as genExp2RlibmEstrinFmaTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmEstrinFmaTf32Block for every
-// input and length.
-func genExp2RlibmEstrinFmaTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.62e42ff2c0c5cp-01, r, 0x1.0000000000004p+00)
-			tv_1 := r * r
-			tv_2 := math.FMA(0x1.ebfbfeaabd07bp-03, tv_1, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_2)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmEstrinFmaTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmEstrinFmaTf32Block(b[n:])
-	}
-}
-
-// genExp2RlibmEstrinFmaTf32VecBatch is genExp2RlibmEstrinFmaTf32Batch over the vector block kernel.
-func genExp2RlibmEstrinFmaTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinFmaTf32AsmBatch is genExp2RlibmEstrinFmaTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmEstrinFmaTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp2RlibmEstrinFmaBf16 is the exp2 rlibm-estrin-fma prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp2RlibmEstrinFmaBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.2c00000000001p+07:
-		return 0x0p+00
-	case x >= 0x1.fffffffd1d572p+06:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.715476af0d4d9p-25:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.7154759a0df53p-24:
-		return 0x1p+00
-	}
-	r, k := rangered.ReduceExp2(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.62e42ff2c0c5cp-01, r, 0x1.0000000000004p+00)
-	t1_1 := r * r
-	t1_2 := math.FMA(0x1.ebfbfeaabd07bp-03, t1_1, t1_0)
-	p = t1_2
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp2RlibmEstrinFmaBf16Block applies the exp2 rlibm-estrin-fma bf16 prefix kernel to every element of b in place.
-func genExp2RlibmEstrinFmaBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.2c00000000001p+07:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.fffffffd1d572p+06:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.715476af0d4d9p-25:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.7154759a0df53p-24:
-			b[i] = 0x1p+00
-			continue
-		}
-		r, k := rangered.ReduceExp2(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.62e42ff2c0c5cp-01, r, 0x1.0000000000004p+00)
-		t2_1 := r * r
-		t2_2 := math.FMA(0x1.ebfbfeaabd07bp-03, t2_1, t2_0)
-		p = t2_2
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp2RlibmEstrinFmaBf16Batch evaluates the exp2 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp2RlibmEstrinFmaBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinFmaBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinFmaBf16VecBlock applies the same kernel as genExp2RlibmEstrinFmaBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp2RlibmEstrinFmaBf16Block for every
-// input and length.
-func genExp2RlibmEstrinFmaBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * 64)
-			r := x - n/64
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.2c00000000001p+07 && x < 0x1.fffffffd1d572p+06 && (x < -0x1.715476af0d4d9p-25 || x > 0x1.7154759a0df53p-24)) {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.62e42ff2c0c5cp-01, r, 0x1.0000000000004p+00)
-			tv_1 := r * r
-			tv_2 := math.FMA(0x1.ebfbfeaabd07bp-03, tv_1, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_2)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp2RlibmEstrinFmaBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp2RlibmEstrinFmaBf16Block(b[n:])
-	}
-}
-
-// genExp2RlibmEstrinFmaBf16VecBatch is genExp2RlibmEstrinFmaBf16Batch over the vector block kernel.
-func genExp2RlibmEstrinFmaBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp2RlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp2RlibmEstrinFmaBf16AsmBatch is genExp2RlibmEstrinFmaBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp2RlibmEstrinFmaBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp2RlibmEstrinFmaBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -5812,490 +2231,6 @@ func genExp10RlibmAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genExp10RlibmVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp10RlibmTf32 is the exp10 rlibm prefix kernel for tf32: a degree-5 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp10RlibmTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+01 && x <= 0x1.4p+02 {
-		switch math.Float64bits(x) {
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4010000000000000:
-			return 0x1.388p+13
-		case 0x4014000000000000:
-			return 0x1.868p+16
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.e77cc08d3b278p-03 * r
-	t1_1 := t1_0 + 0x1.2bbace449e7b7p+00
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.047061c9eb03ap+01
-	t1_4 := t1_3 * r
-	t1_5 := t1_4 + 0x1.53524c77e0edap+01
-	t1_6 := t1_5 * r
-	t1_7 := t1_6 + 0x1.26bb1bbb55b2bp+01
-	t1_8 := t1_7 * r
-	t1_9 := t1_8 + 0x1p+00
-	p = t1_9
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmTf32Block applies the exp10 rlibm tf32 prefix kernel to every element of b in place.
-func genExp10RlibmTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+01 && x <= 0x1.4p+02 {
-			switch math.Float64bits(x) {
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4010000000000000:
-				b[i] = 0x1.388p+13
-				continue
-			case 0x4014000000000000:
-				b[i] = 0x1.868p+16
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.e77cc08d3b278p-03 * r
-		t2_1 := t2_0 + 0x1.2bbace449e7b7p+00
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.047061c9eb03ap+01
-		t2_4 := t2_3 * r
-		t2_5 := t2_4 + 0x1.53524c77e0edap+01
-		t2_6 := t2_5 * r
-		t2_7 := t2_6 + 0x1.26bb1bbb55b2bp+01
-		t2_8 := t2_7 * r
-		t2_9 := t2_8 + 0x1p+00
-		p = t2_9
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmTf32Batch evaluates the exp10 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmTf32VecBlock applies the same kernel as genExp10RlibmTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmTf32Block for every
-// input and length.
-func genExp10RlibmTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+01 && x <= 0x1.4p+02 {
-				switch math.Float64bits(x) {
-				case 0x4000000000000000, 0x4010000000000000, 0x4014000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.e77cc08d3b278p-03 * r
-			tv_1 := tv_0 + 0x1.2bbace449e7b7p+00
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.047061c9eb03ap+01
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + 0x1.53524c77e0edap+01
-			tv_6 := tv_5 * r
-			tv_7 := tv_6 + 0x1.26bb1bbb55b2bp+01
-			tv_8 := tv_7 * r
-			tv_9 := tv_8 + 0x1p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_9)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmTf32Block(b[n:])
-	}
-}
-
-// genExp10RlibmTf32VecBatch is genExp10RlibmTf32Batch over the vector block kernel.
-func genExp10RlibmTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmTf32AsmBatch is genExp10RlibmTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp10RlibmBf16 is the exp10 rlibm prefix kernel for bf16: a degree-5 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp10RlibmBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+01 && x <= 0x1p+01 {
-		switch math.Float64bits(x) {
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.e77cc08d3b278p-03 * r
-	t1_1 := t1_0 + 0x1.2bbace449e7b7p+00
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.047061c9eb03ap+01
-	t1_4 := t1_3 * r
-	t1_5 := t1_4 + 0x1.53524c77e0edap+01
-	t1_6 := t1_5 * r
-	t1_7 := t1_6 + 0x1.26bb1bbb55b2bp+01
-	t1_8 := t1_7 * r
-	t1_9 := t1_8 + 0x1p+00
-	p = t1_9
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmBf16Block applies the exp10 rlibm bf16 prefix kernel to every element of b in place.
-func genExp10RlibmBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+01 && x <= 0x1p+01 {
-			switch math.Float64bits(x) {
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.e77cc08d3b278p-03 * r
-		t2_1 := t2_0 + 0x1.2bbace449e7b7p+00
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.047061c9eb03ap+01
-		t2_4 := t2_3 * r
-		t2_5 := t2_4 + 0x1.53524c77e0edap+01
-		t2_6 := t2_5 * r
-		t2_7 := t2_6 + 0x1.26bb1bbb55b2bp+01
-		t2_8 := t2_7 * r
-		t2_9 := t2_8 + 0x1p+00
-		p = t2_9
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmBf16Batch evaluates the exp10 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmBf16VecBlock applies the same kernel as genExp10RlibmBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmBf16Block for every
-// input and length.
-func genExp10RlibmBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+01 && x <= 0x1p+01 {
-				switch math.Float64bits(x) {
-				case 0x4000000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.e77cc08d3b278p-03 * r
-			tv_1 := tv_0 + 0x1.2bbace449e7b7p+00
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.047061c9eb03ap+01
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + 0x1.53524c77e0edap+01
-			tv_6 := tv_5 * r
-			tv_7 := tv_6 + 0x1.26bb1bbb55b2bp+01
-			tv_8 := tv_7 * r
-			tv_9 := tv_8 + 0x1p+00
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_9)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmBf16Block(b[n:])
-	}
-}
-
-// genExp10RlibmBf16VecBatch is genExp10RlibmBf16Batch over the vector block kernel.
-func genExp10RlibmBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmBf16AsmBatch is genExp10RlibmBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -6567,480 +2502,6 @@ func genExp10RlibmKnuthAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genExp10RlibmKnuthVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp10RlibmKnuthTf32 is the exp10 rlibm-knuth prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp10RlibmKnuthTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+00 && x <= 0x1.4p+02 {
-		switch math.Float64bits(x) {
-		case 0x3ff0000000000000:
-			return 0x1.4p+03
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4008000000000000:
-			return 0x1.f4p+09
-		case 0x4010000000000000:
-			return 0x1.388p+13
-		case 0x4014000000000000:
-			return 0x1.868p+16
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.041b27381434cp+01 * r
-	t1_1 := t1_0 + 0x1.535263a14cf1bp+01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.26bb1bc4059ep+01
-	t1_4 := t1_3 * r
-	t1_5 := t1_4 + 0x1.ffffffffffff8p-01
-	p = t1_5
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmKnuthTf32Block applies the exp10 rlibm-knuth tf32 prefix kernel to every element of b in place.
-func genExp10RlibmKnuthTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+00 && x <= 0x1.4p+02 {
-			switch math.Float64bits(x) {
-			case 0x3ff0000000000000:
-				b[i] = 0x1.4p+03
-				continue
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4008000000000000:
-				b[i] = 0x1.f4p+09
-				continue
-			case 0x4010000000000000:
-				b[i] = 0x1.388p+13
-				continue
-			case 0x4014000000000000:
-				b[i] = 0x1.868p+16
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.041b27381434cp+01 * r
-		t2_1 := t2_0 + 0x1.535263a14cf1bp+01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.26bb1bc4059ep+01
-		t2_4 := t2_3 * r
-		t2_5 := t2_4 + 0x1.ffffffffffff8p-01
-		p = t2_5
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmKnuthTf32Batch evaluates the exp10 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmKnuthTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmKnuthTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmKnuthTf32VecBlock applies the same kernel as genExp10RlibmKnuthTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmKnuthTf32Block for every
-// input and length.
-func genExp10RlibmKnuthTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+00 && x <= 0x1.4p+02 {
-				switch math.Float64bits(x) {
-				case 0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000, 0x4010000000000000, 0x4014000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.041b27381434cp+01 * r
-			tv_1 := tv_0 + 0x1.535263a14cf1bp+01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.26bb1bc4059ep+01
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + 0x1.ffffffffffff8p-01
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_5)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmKnuthTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmKnuthTf32Block(b[n:])
-	}
-}
-
-// genExp10RlibmKnuthTf32VecBatch is genExp10RlibmKnuthTf32Batch over the vector block kernel.
-func genExp10RlibmKnuthTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmKnuthTf32AsmBatch is genExp10RlibmKnuthTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmKnuthTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp10RlibmKnuthBf16 is the exp10 rlibm-knuth prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp10RlibmKnuthBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+00 && x <= 0x1.8p+01 {
-		switch math.Float64bits(x) {
-		case 0x3ff0000000000000:
-			return 0x1.4p+03
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4008000000000000:
-			return 0x1.f4p+09
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.535263a14cf1bp+01 * r
-	t1_1 := t1_0 + 0x1.26bb1bc4059ep+01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.ffffffffffff8p-01
-	p = t1_3
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmKnuthBf16Block applies the exp10 rlibm-knuth bf16 prefix kernel to every element of b in place.
-func genExp10RlibmKnuthBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+00 && x <= 0x1.8p+01 {
-			switch math.Float64bits(x) {
-			case 0x3ff0000000000000:
-				b[i] = 0x1.4p+03
-				continue
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4008000000000000:
-				b[i] = 0x1.f4p+09
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.535263a14cf1bp+01 * r
-		t2_1 := t2_0 + 0x1.26bb1bc4059ep+01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.ffffffffffff8p-01
-		p = t2_3
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmKnuthBf16Batch evaluates the exp10 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmKnuthBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmKnuthBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmKnuthBf16VecBlock applies the same kernel as genExp10RlibmKnuthBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmKnuthBf16Block for every
-// input and length.
-func genExp10RlibmKnuthBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+00 && x <= 0x1.8p+01 {
-				switch math.Float64bits(x) {
-				case 0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.535263a14cf1bp+01 * r
-			tv_1 := tv_0 + 0x1.26bb1bc4059ep+01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.ffffffffffff8p-01
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmKnuthBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmKnuthBf16Block(b[n:])
-	}
-}
-
-// genExp10RlibmKnuthBf16VecBatch is genExp10RlibmKnuthBf16Batch over the vector block kernel.
-func genExp10RlibmKnuthBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmKnuthBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmKnuthBf16AsmBatch is genExp10RlibmKnuthBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmKnuthBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmKnuthBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -7326,486 +2787,6 @@ func genExp10RlibmEstrinAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExp10RlibmEstrinTf32 is the exp10 rlibm-estrin prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp10RlibmEstrinTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+00 && x <= 0x1.4p+02 {
-		switch math.Float64bits(x) {
-		case 0x3ff0000000000000:
-			return 0x1.4p+03
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4008000000000000:
-			return 0x1.f4p+09
-		case 0x4010000000000000:
-			return 0x1.388p+13
-		case 0x4014000000000000:
-			return 0x1.868p+16
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.26bb1bc402cep+01 * r
-	t1_1 := 0x1.fffffffffffeap-01 + t1_0
-	t1_2 := 0x1.041b4fdf3559ep+01 * r
-	t1_3 := 0x1.535263a62597dp+01 + t1_2
-	t1_4 := r * r
-	t1_5 := t1_3 * t1_4
-	t1_6 := t1_1 + t1_5
-	p = t1_6
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmEstrinTf32Block applies the exp10 rlibm-estrin tf32 prefix kernel to every element of b in place.
-func genExp10RlibmEstrinTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+00 && x <= 0x1.4p+02 {
-			switch math.Float64bits(x) {
-			case 0x3ff0000000000000:
-				b[i] = 0x1.4p+03
-				continue
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4008000000000000:
-				b[i] = 0x1.f4p+09
-				continue
-			case 0x4010000000000000:
-				b[i] = 0x1.388p+13
-				continue
-			case 0x4014000000000000:
-				b[i] = 0x1.868p+16
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.26bb1bc402cep+01 * r
-		t2_1 := 0x1.fffffffffffeap-01 + t2_0
-		t2_2 := 0x1.041b4fdf3559ep+01 * r
-		t2_3 := 0x1.535263a62597dp+01 + t2_2
-		t2_4 := r * r
-		t2_5 := t2_3 * t2_4
-		t2_6 := t2_1 + t2_5
-		p = t2_6
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmEstrinTf32Batch evaluates the exp10 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmEstrinTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinTf32VecBlock applies the same kernel as genExp10RlibmEstrinTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmEstrinTf32Block for every
-// input and length.
-func genExp10RlibmEstrinTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+00 && x <= 0x1.4p+02 {
-				switch math.Float64bits(x) {
-				case 0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000, 0x4010000000000000, 0x4014000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.26bb1bc402cep+01 * r
-			tv_1 := 0x1.fffffffffffeap-01 + tv_0
-			tv_2 := 0x1.041b4fdf3559ep+01 * r
-			tv_3 := 0x1.535263a62597dp+01 + tv_2
-			tv_4 := r * r
-			tv_5 := tv_3 * tv_4
-			tv_6 := tv_1 + tv_5
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_6)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmEstrinTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmEstrinTf32Block(b[n:])
-	}
-}
-
-// genExp10RlibmEstrinTf32VecBatch is genExp10RlibmEstrinTf32Batch over the vector block kernel.
-func genExp10RlibmEstrinTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinTf32AsmBatch is genExp10RlibmEstrinTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmEstrinTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp10RlibmEstrinBf16 is the exp10 rlibm-estrin prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp10RlibmEstrinBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+00 && x <= 0x1.8p+01 {
-		switch math.Float64bits(x) {
-		case 0x3ff0000000000000:
-			return 0x1.4p+03
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4008000000000000:
-			return 0x1.f4p+09
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := 0x1.26bb1bc402cep+01 * r
-	t1_1 := 0x1.fffffffffffeap-01 + t1_0
-	t1_2 := r * r
-	t1_3 := 0x1.535263a62597dp+01 * t1_2
-	t1_4 := t1_1 + t1_3
-	p = t1_4
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmEstrinBf16Block applies the exp10 rlibm-estrin bf16 prefix kernel to every element of b in place.
-func genExp10RlibmEstrinBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+00 && x <= 0x1.8p+01 {
-			switch math.Float64bits(x) {
-			case 0x3ff0000000000000:
-				b[i] = 0x1.4p+03
-				continue
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4008000000000000:
-				b[i] = 0x1.f4p+09
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.26bb1bc402cep+01 * r
-		t2_1 := 0x1.fffffffffffeap-01 + t2_0
-		t2_2 := r * r
-		t2_3 := 0x1.535263a62597dp+01 * t2_2
-		t2_4 := t2_1 + t2_3
-		p = t2_4
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmEstrinBf16Batch evaluates the exp10 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmEstrinBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinBf16VecBlock applies the same kernel as genExp10RlibmEstrinBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmEstrinBf16Block for every
-// input and length.
-func genExp10RlibmEstrinBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+00 && x <= 0x1.8p+01 {
-				switch math.Float64bits(x) {
-				case 0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.26bb1bc402cep+01 * r
-			tv_1 := 0x1.fffffffffffeap-01 + tv_0
-			tv_2 := r * r
-			tv_3 := 0x1.535263a62597dp+01 * tv_2
-			tv_4 := tv_1 + tv_3
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_4)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmEstrinBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmEstrinBf16Block(b[n:])
-	}
-}
-
-// genExp10RlibmEstrinBf16VecBatch is genExp10RlibmEstrinBf16Batch over the vector block kernel.
-func genExp10RlibmEstrinBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinBf16AsmBatch is genExp10RlibmEstrinBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmEstrinBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genExp10RlibmEstrinFma is the generated exp10 implementation with rlibm-estrin-fma evaluation.
 func genExp10RlibmEstrinFma(x float64) float64 {
 	switch {
@@ -8071,471 +3052,6 @@ func genExp10RlibmEstrinFmaAsmBatch(dst, src []float32) {
 	}
 }
 
-// genExp10RlibmEstrinFmaTf32 is the exp10 rlibm-estrin-fma prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genExp10RlibmEstrinFmaTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+00 && x <= 0x1.4p+02 {
-		switch math.Float64bits(x) {
-		case 0x3ff0000000000000:
-			return 0x1.4p+03
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4008000000000000:
-			return 0x1.f4p+09
-		case 0x4010000000000000:
-			return 0x1.388p+13
-		case 0x4014000000000000:
-			return 0x1.868p+16
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.26bb1bc402cep+01, r, 0x1.fffffffffffeap-01)
-	t1_1 := math.FMA(0x1.041b4fdf3559ep+01, r, 0x1.535263a62597dp+01)
-	t1_2 := r * r
-	t1_3 := math.FMA(t1_1, t1_2, t1_0)
-	p = t1_3
-	return roundTf32(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmEstrinFmaTf32Block applies the exp10 rlibm-estrin-fma tf32 prefix kernel to every element of b in place.
-func genExp10RlibmEstrinFmaTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+00 && x <= 0x1.4p+02 {
-			switch math.Float64bits(x) {
-			case 0x3ff0000000000000:
-				b[i] = 0x1.4p+03
-				continue
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4008000000000000:
-				b[i] = 0x1.f4p+09
-				continue
-			case 0x4010000000000000:
-				b[i] = 0x1.388p+13
-				continue
-			case 0x4014000000000000:
-				b[i] = 0x1.868p+16
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.26bb1bc402cep+01, r, 0x1.fffffffffffeap-01)
-		t2_1 := math.FMA(0x1.041b4fdf3559ep+01, r, 0x1.535263a62597dp+01)
-		t2_2 := r * r
-		t2_3 := math.FMA(t2_1, t2_2, t2_0)
-		p = t2_3
-		b[i] = roundTf32(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmEstrinFmaTf32Batch evaluates the exp10 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmEstrinFmaTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinFmaTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinFmaTf32VecBlock applies the same kernel as genExp10RlibmEstrinFmaTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmEstrinFmaTf32Block for every
-// input and length.
-func genExp10RlibmEstrinFmaTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+00 && x <= 0x1.4p+02 {
-				switch math.Float64bits(x) {
-				case 0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000, 0x4010000000000000, 0x4014000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.26bb1bc402cep+01, r, 0x1.fffffffffffeap-01)
-			tv_1 := math.FMA(0x1.041b4fdf3559ep+01, r, 0x1.535263a62597dp+01)
-			tv_2 := r * r
-			tv_3 := math.FMA(tv_1, tv_2, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmEstrinFmaTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmEstrinFmaTf32Block(b[n:])
-	}
-}
-
-// genExp10RlibmEstrinFmaTf32VecBatch is genExp10RlibmEstrinFmaTf32Batch over the vector block kernel.
-func genExp10RlibmEstrinFmaTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinFmaTf32AsmBatch is genExp10RlibmEstrinFmaTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmEstrinFmaTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genExp10RlibmEstrinFmaBf16 is the exp10 rlibm-estrin-fma prefix kernel for bf16: a degree-2 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genExp10RlibmEstrinFmaBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= -0x1.693c6a27ae2f7p+05:
-		return 0x0p+00
-	case x >= 0x1.344135083ae84p+05:
-		return math.Inf(1)
-	case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-		return 0x1p+00
-	case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-		return 0x1p+00
-	}
-	if x >= 0x1p+00 && x <= 0x1.8p+01 {
-		switch math.Float64bits(x) {
-		case 0x3ff0000000000000:
-			return 0x1.4p+03
-		case 0x4000000000000000:
-			return 0x1.9p+06
-		case 0x4008000000000000:
-			return 0x1.f4p+09
-		}
-	}
-	r, k := rangered.ReduceExp10(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateExpFamily(1, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.26bb1bc402cep+01, r, 0x1.fffffffffffeap-01)
-	t1_1 := r * r
-	t1_2 := math.FMA(0x1.535263a62597dp+01, t1_1, t1_0)
-	p = t1_2
-	return roundBf16(rangered.CompensateExpFamily(p, k))
-}
-
-// genExp10RlibmEstrinFmaBf16Block applies the exp10 rlibm-estrin-fma bf16 prefix kernel to every element of b in place.
-func genExp10RlibmEstrinFmaBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		case math.IsInf(x, -1):
-			b[i] = 0
-			continue
-		case x == 0:
-			b[i] = 1
-			continue
-		case x <= -0x1.693c6a27ae2f7p+05:
-			b[i] = 0x0p+00
-			continue
-		case x >= 0x1.344135083ae84p+05:
-			b[i] = math.Inf(1)
-			continue
-		case x < 0 && x >= -0x1.bcb7b1c19c3d5p-27:
-			b[i] = 0x1p+00
-			continue
-		case x > 0 && x <= 0x1.bcb7b0741278cp-26:
-			b[i] = 0x1p+00
-			continue
-		}
-		if x >= 0x1p+00 && x <= 0x1.8p+01 {
-			switch math.Float64bits(x) {
-			case 0x3ff0000000000000:
-				b[i] = 0x1.4p+03
-				continue
-			case 0x4000000000000000:
-				b[i] = 0x1.9p+06
-				continue
-			case 0x4008000000000000:
-				b[i] = 0x1.f4p+09
-				continue
-			}
-		}
-		r, k := rangered.ReduceExp10(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateExpFamily(1, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.26bb1bc402cep+01, r, 0x1.fffffffffffeap-01)
-		t2_1 := r * r
-		t2_2 := math.FMA(0x1.535263a62597dp+01, t2_1, t2_0)
-		p = t2_2
-		b[i] = roundBf16(rangered.CompensateExpFamily(p, k))
-	}
-}
-
-// genExp10RlibmEstrinFmaBf16Batch evaluates the exp10 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genExp10RlibmEstrinFmaBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinFmaBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinFmaBf16VecBlock applies the same kernel as genExp10RlibmEstrinFmaBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genExp10RlibmEstrinFmaBf16Block for every
-// input and length.
-func genExp10RlibmEstrinFmaBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vs, vx [generatedVecLanes]float64
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			n := math.Round(x * rangered.InvLog10Of2x64)
-			r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo
-			ni := int32(n)
-			k := rangered.Key{Q: ni >> 6, J: ni & 63}
-			vr[l] = r
-			vs[l] = rangered.CompensateExpFamily(1, k)
-			if !(x > -0x1.693c6a27ae2f7p+05 && x < 0x1.344135083ae84p+05 && (x < -0x1.bcb7b1c19c3d5p-27 || x > 0x1.bcb7b0741278cp-26)) {
-				sl[l], slow = true, true
-			}
-			if x >= 0x1p+00 && x <= 0x1.8p+01 {
-				switch math.Float64bits(x) {
-				case 0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000:
-					sl[l], slow = true, true
-				}
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.26bb1bc402cep+01, r, 0x1.fffffffffffeap-01)
-			tv_1 := r * r
-			tv_2 := math.FMA(0x1.535263a62597dp+01, tv_1, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_2)&-m | 0x3ff0000000000000&(m-1)
-			res := math.Float64frombits(pb) * vs[l]
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genExp10RlibmEstrinFmaBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genExp10RlibmEstrinFmaBf16Block(b[n:])
-	}
-}
-
-// genExp10RlibmEstrinFmaBf16VecBatch is genExp10RlibmEstrinFmaBf16Batch over the vector block kernel.
-func genExp10RlibmEstrinFmaBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genExp10RlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genExp10RlibmEstrinFmaBf16AsmBatch is genExp10RlibmEstrinFmaBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genExp10RlibmEstrinFmaBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genExp10RlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLogRlibm is the generated log implementation with rlibm evaluation.
 func genLogRlibm(x float64) float64 {
 	switch {
@@ -8751,368 +3267,6 @@ func genLogRlibmAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLogRlibmTf32 is the log rlibm prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLogRlibmTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := -0x1.49fc4e6090a35p+03 * r
-	t1_1 := t1_0 + 0x1.8f64917c3c47p-02
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + -0x1.000dcfe088d2dp-01
-	t1_4 := t1_3 * r
-	t1_5 := t1_4 + 0x1.000001356031bp+00
-	t1_6 := t1_5 * r
-	t1_7 := t1_6 + -0x1.ee52ce9474d58p-37
-	p = t1_7
-	return roundTf32(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmTf32Block applies the log rlibm tf32 prefix kernel to every element of b in place.
-func genLogRlibmTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := -0x1.49fc4e6090a35p+03 * r
-		t2_1 := t2_0 + 0x1.8f64917c3c47p-02
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + -0x1.000dcfe088d2dp-01
-		t2_4 := t2_3 * r
-		t2_5 := t2_4 + 0x1.000001356031bp+00
-		t2_6 := t2_5 * r
-		t2_7 := t2_6 + -0x1.ee52ce9474d58p-37
-		p = t2_7
-		b[i] = roundTf32(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmTf32Batch evaluates the log rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmTf32VecBlock applies the same kernel as genLogRlibmTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmTf32Block for every
-// input and length.
-func genLogRlibmTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := -0x1.49fc4e6090a35p+03 * r
-			tv_1 := tv_0 + 0x1.8f64917c3c47p-02
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + -0x1.000dcfe088d2dp-01
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + 0x1.000001356031bp+00
-			tv_6 := tv_5 * r
-			tv_7 := tv_6 + -0x1.ee52ce9474d58p-37
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_7) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmTf32Block(b[n:])
-	}
-}
-
-// genLogRlibmTf32VecBatch is genLogRlibmTf32Batch over the vector block kernel.
-func genLogRlibmTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmTf32AsmBatch is genLogRlibmTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLogRlibmBf16 is the log rlibm prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLogRlibmBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.000001356031bp+00 * r
-	t1_1 := t1_0 + -0x1.ee52ce9474d58p-37
-	p = t1_1
-	return roundBf16(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmBf16Block applies the log rlibm bf16 prefix kernel to every element of b in place.
-func genLogRlibmBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.000001356031bp+00 * r
-		t2_1 := t2_0 + -0x1.ee52ce9474d58p-37
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmBf16Batch evaluates the log rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmBf16VecBlock applies the same kernel as genLogRlibmBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmBf16Block for every
-// input and length.
-func genLogRlibmBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.000001356031bp+00 * r
-			tv_1 := tv_0 + -0x1.ee52ce9474d58p-37
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmBf16Block(b[n:])
-	}
-}
-
-// genLogRlibmBf16VecBatch is genLogRlibmBf16Batch over the vector block kernel.
-func genLogRlibmBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmBf16AsmBatch is genLogRlibmBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLogRlibmKnuth is the generated log implementation with rlibm-knuth evaluation.
 func genLogRlibmKnuth(x float64) float64 {
 	switch {
@@ -9323,368 +3477,6 @@ func genLogRlibmKnuthAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genLogRlibmKnuthVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLogRlibmKnuthTf32 is the log rlibm-knuth prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLogRlibmKnuthTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := r + -0x1.09aec3bbc39ffp-01
-	t1_1 := t1_0 * r
-	t1_2 := t1_1 + 0x1.d8f52734cb15ap-05
-	t1_3 := t1_2 + r
-	t1_4 := t1_3 + 0x1.761c6890ba737p-03
-	t1_5 := t1_4 * t1_2
-	t1_6 := t1_5 + -0x1.c6ce6f0d4a602p-07
-	t1_7 := t1_6 * -0x1.49fc4e6090a35p+03
-	p = t1_7
-	return roundTf32(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmKnuthTf32Block applies the log rlibm-knuth tf32 prefix kernel to every element of b in place.
-func genLogRlibmKnuthTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := r + -0x1.09aec3bbc39ffp-01
-		t2_1 := t2_0 * r
-		t2_2 := t2_1 + 0x1.d8f52734cb15ap-05
-		t2_3 := t2_2 + r
-		t2_4 := t2_3 + 0x1.761c6890ba737p-03
-		t2_5 := t2_4 * t2_2
-		t2_6 := t2_5 + -0x1.c6ce6f0d4a602p-07
-		t2_7 := t2_6 * -0x1.49fc4e6090a35p+03
-		p = t2_7
-		b[i] = roundTf32(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmKnuthTf32Batch evaluates the log rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmKnuthTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmKnuthTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmKnuthTf32VecBlock applies the same kernel as genLogRlibmKnuthTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmKnuthTf32Block for every
-// input and length.
-func genLogRlibmKnuthTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := r + -0x1.09aec3bbc39ffp-01
-			tv_1 := tv_0 * r
-			tv_2 := tv_1 + 0x1.d8f52734cb15ap-05
-			tv_3 := tv_2 + r
-			tv_4 := tv_3 + 0x1.761c6890ba737p-03
-			tv_5 := tv_4 * tv_2
-			tv_6 := tv_5 + -0x1.c6ce6f0d4a602p-07
-			tv_7 := tv_6 * -0x1.49fc4e6090a35p+03
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_7) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmKnuthTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmKnuthTf32Block(b[n:])
-	}
-}
-
-// genLogRlibmKnuthTf32VecBatch is genLogRlibmKnuthTf32Batch over the vector block kernel.
-func genLogRlibmKnuthTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmKnuthTf32AsmBatch is genLogRlibmKnuthTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmKnuthTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLogRlibmKnuthBf16 is the log rlibm-knuth prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLogRlibmKnuthBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.000001356031bp+00 * r
-	t1_1 := t1_0 + -0x1.ee52ce9474d58p-37
-	p = t1_1
-	return roundBf16(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmKnuthBf16Block applies the log rlibm-knuth bf16 prefix kernel to every element of b in place.
-func genLogRlibmKnuthBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.000001356031bp+00 * r
-		t2_1 := t2_0 + -0x1.ee52ce9474d58p-37
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmKnuthBf16Batch evaluates the log rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmKnuthBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmKnuthBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmKnuthBf16VecBlock applies the same kernel as genLogRlibmKnuthBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmKnuthBf16Block for every
-// input and length.
-func genLogRlibmKnuthBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.000001356031bp+00 * r
-			tv_1 := tv_0 + -0x1.ee52ce9474d58p-37
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmKnuthBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmKnuthBf16Block(b[n:])
-	}
-}
-
-// genLogRlibmKnuthBf16VecBatch is genLogRlibmKnuthBf16Batch over the vector block kernel.
-func genLogRlibmKnuthBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmKnuthBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmKnuthBf16AsmBatch is genLogRlibmKnuthBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmKnuthBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmKnuthBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -9915,374 +3707,6 @@ func genLogRlibmEstrinAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLogRlibmEstrinTf32 is the log rlibm-estrin prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLogRlibmEstrinTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.000001356031bp+00 * r
-	t1_1 := -0x1.ee52ce9474d58p-37 + t1_0
-	t1_2 := 0x1.8f64917c3c47p-02 * r
-	t1_3 := -0x1.000dcfe088d2dp-01 + t1_2
-	t1_4 := r * r
-	t1_5 := t1_3 * t1_4
-	t1_6 := t1_1 + t1_5
-	t1_7 := t1_4 * t1_4
-	t1_8 := -0x1.49fc4e6090a35p+03 * t1_7
-	t1_9 := t1_6 + t1_8
-	p = t1_9
-	return roundTf32(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmEstrinTf32Block applies the log rlibm-estrin tf32 prefix kernel to every element of b in place.
-func genLogRlibmEstrinTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.000001356031bp+00 * r
-		t2_1 := -0x1.ee52ce9474d58p-37 + t2_0
-		t2_2 := 0x1.8f64917c3c47p-02 * r
-		t2_3 := -0x1.000dcfe088d2dp-01 + t2_2
-		t2_4 := r * r
-		t2_5 := t2_3 * t2_4
-		t2_6 := t2_1 + t2_5
-		t2_7 := t2_4 * t2_4
-		t2_8 := -0x1.49fc4e6090a35p+03 * t2_7
-		t2_9 := t2_6 + t2_8
-		p = t2_9
-		b[i] = roundTf32(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmEstrinTf32Batch evaluates the log rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmEstrinTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinTf32VecBlock applies the same kernel as genLogRlibmEstrinTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmEstrinTf32Block for every
-// input and length.
-func genLogRlibmEstrinTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.000001356031bp+00 * r
-			tv_1 := -0x1.ee52ce9474d58p-37 + tv_0
-			tv_2 := 0x1.8f64917c3c47p-02 * r
-			tv_3 := -0x1.000dcfe088d2dp-01 + tv_2
-			tv_4 := r * r
-			tv_5 := tv_3 * tv_4
-			tv_6 := tv_1 + tv_5
-			tv_7 := tv_4 * tv_4
-			tv_8 := -0x1.49fc4e6090a35p+03 * tv_7
-			tv_9 := tv_6 + tv_8
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_9) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmEstrinTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmEstrinTf32Block(b[n:])
-	}
-}
-
-// genLogRlibmEstrinTf32VecBatch is genLogRlibmEstrinTf32Batch over the vector block kernel.
-func genLogRlibmEstrinTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinTf32AsmBatch is genLogRlibmEstrinTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmEstrinTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLogRlibmEstrinBf16 is the log rlibm-estrin prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLogRlibmEstrinBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.000001356031bp+00 * r
-	t1_1 := -0x1.ee52ce9474d58p-37 + t1_0
-	p = t1_1
-	return roundBf16(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmEstrinBf16Block applies the log rlibm-estrin bf16 prefix kernel to every element of b in place.
-func genLogRlibmEstrinBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.000001356031bp+00 * r
-		t2_1 := -0x1.ee52ce9474d58p-37 + t2_0
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmEstrinBf16Batch evaluates the log rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmEstrinBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinBf16VecBlock applies the same kernel as genLogRlibmEstrinBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmEstrinBf16Block for every
-// input and length.
-func genLogRlibmEstrinBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.000001356031bp+00 * r
-			tv_1 := -0x1.ee52ce9474d58p-37 + tv_0
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmEstrinBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmEstrinBf16Block(b[n:])
-	}
-}
-
-// genLogRlibmEstrinBf16VecBatch is genLogRlibmEstrinBf16Batch over the vector block kernel.
-func genLogRlibmEstrinBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinBf16AsmBatch is genLogRlibmEstrinBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmEstrinBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLogRlibmEstrinFma is the generated log implementation with rlibm-estrin-fma evaluation.
 func genLogRlibmEstrinFma(x float64) float64 {
 	switch {
@@ -10488,359 +3912,6 @@ func genLogRlibmEstrinFmaAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLogRlibmEstrinFmaTf32 is the log rlibm-estrin-fma prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLogRlibmEstrinFmaTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.000001356031bp+00, r, -0x1.ee52ce9474d58p-37)
-	t1_1 := math.FMA(0x1.8f64917c3c47p-02, r, -0x1.000dcfe088d2dp-01)
-	t1_2 := r * r
-	t1_3 := math.FMA(t1_1, t1_2, t1_0)
-	t1_4 := t1_2 * t1_2
-	t1_5 := math.FMA(-0x1.49fc4e6090a35p+03, t1_4, t1_3)
-	p = t1_5
-	return roundTf32(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmEstrinFmaTf32Block applies the log rlibm-estrin-fma tf32 prefix kernel to every element of b in place.
-func genLogRlibmEstrinFmaTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.000001356031bp+00, r, -0x1.ee52ce9474d58p-37)
-		t2_1 := math.FMA(0x1.8f64917c3c47p-02, r, -0x1.000dcfe088d2dp-01)
-		t2_2 := r * r
-		t2_3 := math.FMA(t2_1, t2_2, t2_0)
-		t2_4 := t2_2 * t2_2
-		t2_5 := math.FMA(-0x1.49fc4e6090a35p+03, t2_4, t2_3)
-		p = t2_5
-		b[i] = roundTf32(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmEstrinFmaTf32Batch evaluates the log rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmEstrinFmaTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinFmaTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinFmaTf32VecBlock applies the same kernel as genLogRlibmEstrinFmaTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmEstrinFmaTf32Block for every
-// input and length.
-func genLogRlibmEstrinFmaTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.000001356031bp+00, r, -0x1.ee52ce9474d58p-37)
-			tv_1 := math.FMA(0x1.8f64917c3c47p-02, r, -0x1.000dcfe088d2dp-01)
-			tv_2 := r * r
-			tv_3 := math.FMA(tv_1, tv_2, tv_0)
-			tv_4 := tv_2 * tv_2
-			tv_5 := math.FMA(-0x1.49fc4e6090a35p+03, tv_4, tv_3)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_5) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmEstrinFmaTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmEstrinFmaTf32Block(b[n:])
-	}
-}
-
-// genLogRlibmEstrinFmaTf32VecBatch is genLogRlibmEstrinFmaTf32Batch over the vector block kernel.
-func genLogRlibmEstrinFmaTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinFmaTf32AsmBatch is genLogRlibmEstrinFmaTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmEstrinFmaTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLogRlibmEstrinFmaBf16 is the log rlibm-estrin-fma prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLogRlibmEstrinFmaBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLn(0, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.000001356031bp+00, r, -0x1.ee52ce9474d58p-37)
-	p = t1_0
-	return roundBf16(rangered.CompensateLn(p, k))
-}
-
-// genLogRlibmEstrinFmaBf16Block applies the log rlibm-estrin-fma bf16 prefix kernel to every element of b in place.
-func genLogRlibmEstrinFmaBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLn(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.000001356031bp+00, r, -0x1.ee52ce9474d58p-37)
-		p = t2_0
-		b[i] = roundBf16(rangered.CompensateLn(p, k))
-	}
-}
-
-// genLogRlibmEstrinFmaBf16Batch evaluates the log rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLogRlibmEstrinFmaBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinFmaBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinFmaBf16VecBlock applies the same kernel as genLogRlibmEstrinFmaBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLogRlibmEstrinFmaBf16Block for every
-// input and length.
-func genLogRlibmEstrinFmaBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.000001356031bp+00, r, -0x1.ee52ce9474d58p-37)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_0) & -m
-			res := rangered.CompensateLn(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLogRlibmEstrinFmaBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLogRlibmEstrinFmaBf16Block(b[n:])
-	}
-}
-
-// genLogRlibmEstrinFmaBf16VecBatch is genLogRlibmEstrinFmaBf16Batch over the vector block kernel.
-func genLogRlibmEstrinFmaBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLogRlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLogRlibmEstrinFmaBf16AsmBatch is genLogRlibmEstrinFmaBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLogRlibmEstrinFmaBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLogRlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLog2Rlibm is the generated log2 implementation with rlibm evaluation.
 func genLog2Rlibm(x float64) float64 {
 	switch {
@@ -11029,362 +4100,6 @@ func genLog2RlibmAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLog2RlibmTf32 is the log2 rlibm prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog2RlibmTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.e9163f794ad3ap-02 * r
-	t1_1 := t1_0 + -0x1.7153f164a980fp-01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.715476538bafbp+00
-	t1_4 := t1_3 * r
-	t1_5 := t1_4 + -0x1.a1e45e74c4bd8p-39
-	p = t1_5
-	return roundTf32(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmTf32Block applies the log2 rlibm tf32 prefix kernel to every element of b in place.
-func genLog2RlibmTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.e9163f794ad3ap-02 * r
-		t2_1 := t2_0 + -0x1.7153f164a980fp-01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.715476538bafbp+00
-		t2_4 := t2_3 * r
-		t2_5 := t2_4 + -0x1.a1e45e74c4bd8p-39
-		p = t2_5
-		b[i] = roundTf32(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmTf32Batch evaluates the log2 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmTf32VecBlock applies the same kernel as genLog2RlibmTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmTf32Block for every
-// input and length.
-func genLog2RlibmTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.e9163f794ad3ap-02 * r
-			tv_1 := tv_0 + -0x1.7153f164a980fp-01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.715476538bafbp+00
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + -0x1.a1e45e74c4bd8p-39
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_5) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmTf32Block(b[n:])
-	}
-}
-
-// genLog2RlibmTf32VecBatch is genLog2RlibmTf32Batch over the vector block kernel.
-func genLog2RlibmTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmTf32AsmBatch is genLog2RlibmTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog2RlibmBf16 is the log2 rlibm prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog2RlibmBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.715476538bafbp+00 * r
-	t1_1 := t1_0 + -0x1.a1e45e74c4bd8p-39
-	p = t1_1
-	return roundBf16(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmBf16Block applies the log2 rlibm bf16 prefix kernel to every element of b in place.
-func genLog2RlibmBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.715476538bafbp+00 * r
-		t2_1 := t2_0 + -0x1.a1e45e74c4bd8p-39
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmBf16Batch evaluates the log2 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmBf16VecBlock applies the same kernel as genLog2RlibmBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmBf16Block for every
-// input and length.
-func genLog2RlibmBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.715476538bafbp+00 * r
-			tv_1 := tv_0 + -0x1.a1e45e74c4bd8p-39
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmBf16Block(b[n:])
-	}
-}
-
-// genLog2RlibmBf16VecBatch is genLog2RlibmBf16Batch over the vector block kernel.
-func genLog2RlibmBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmBf16AsmBatch is genLog2RlibmBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLog2RlibmKnuth is the generated log2 implementation with rlibm-knuth evaluation.
 func genLog2RlibmKnuth(x float64) float64 {
 	switch {
@@ -11565,362 +4280,6 @@ func genLog2RlibmKnuthAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genLog2RlibmKnuthVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog2RlibmKnuthTf32 is the log2 rlibm-knuth prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog2RlibmKnuthTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.e9163f794ad3ap-02 * r
-	t1_1 := t1_0 + -0x1.7153f164a980fp-01
-	t1_2 := t1_1 * r
-	t1_3 := t1_2 + 0x1.715476538bafbp+00
-	t1_4 := t1_3 * r
-	t1_5 := t1_4 + -0x1.a1e45e74c4bd8p-39
-	p = t1_5
-	return roundTf32(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmKnuthTf32Block applies the log2 rlibm-knuth tf32 prefix kernel to every element of b in place.
-func genLog2RlibmKnuthTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.e9163f794ad3ap-02 * r
-		t2_1 := t2_0 + -0x1.7153f164a980fp-01
-		t2_2 := t2_1 * r
-		t2_3 := t2_2 + 0x1.715476538bafbp+00
-		t2_4 := t2_3 * r
-		t2_5 := t2_4 + -0x1.a1e45e74c4bd8p-39
-		p = t2_5
-		b[i] = roundTf32(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmKnuthTf32Batch evaluates the log2 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmKnuthTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmKnuthTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmKnuthTf32VecBlock applies the same kernel as genLog2RlibmKnuthTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmKnuthTf32Block for every
-// input and length.
-func genLog2RlibmKnuthTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.e9163f794ad3ap-02 * r
-			tv_1 := tv_0 + -0x1.7153f164a980fp-01
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + 0x1.715476538bafbp+00
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + -0x1.a1e45e74c4bd8p-39
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_5) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmKnuthTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmKnuthTf32Block(b[n:])
-	}
-}
-
-// genLog2RlibmKnuthTf32VecBatch is genLog2RlibmKnuthTf32Batch over the vector block kernel.
-func genLog2RlibmKnuthTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmKnuthTf32AsmBatch is genLog2RlibmKnuthTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmKnuthTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog2RlibmKnuthBf16 is the log2 rlibm-knuth prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog2RlibmKnuthBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.715476538bafbp+00 * r
-	t1_1 := t1_0 + -0x1.a1e45e74c4bd8p-39
-	p = t1_1
-	return roundBf16(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmKnuthBf16Block applies the log2 rlibm-knuth bf16 prefix kernel to every element of b in place.
-func genLog2RlibmKnuthBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.715476538bafbp+00 * r
-		t2_1 := t2_0 + -0x1.a1e45e74c4bd8p-39
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmKnuthBf16Batch evaluates the log2 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmKnuthBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmKnuthBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmKnuthBf16VecBlock applies the same kernel as genLog2RlibmKnuthBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmKnuthBf16Block for every
-// input and length.
-func genLog2RlibmKnuthBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.715476538bafbp+00 * r
-			tv_1 := tv_0 + -0x1.a1e45e74c4bd8p-39
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmKnuthBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmKnuthBf16Block(b[n:])
-	}
-}
-
-// genLog2RlibmKnuthBf16VecBatch is genLog2RlibmKnuthBf16Batch over the vector block kernel.
-func genLog2RlibmKnuthBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmKnuthBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmKnuthBf16AsmBatch is genLog2RlibmKnuthBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmKnuthBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmKnuthBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -12120,365 +4479,6 @@ func genLog2RlibmEstrinAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLog2RlibmEstrinTf32 is the log2 rlibm-estrin prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog2RlibmEstrinTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.715476538bafbp+00 * r
-	t1_1 := -0x1.a1e45e74c4bd8p-39 + t1_0
-	t1_2 := 0x1.e9163f794ad3ap-02 * r
-	t1_3 := -0x1.7153f164a980fp-01 + t1_2
-	t1_4 := r * r
-	t1_5 := t1_3 * t1_4
-	t1_6 := t1_1 + t1_5
-	p = t1_6
-	return roundTf32(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmEstrinTf32Block applies the log2 rlibm-estrin tf32 prefix kernel to every element of b in place.
-func genLog2RlibmEstrinTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.715476538bafbp+00 * r
-		t2_1 := -0x1.a1e45e74c4bd8p-39 + t2_0
-		t2_2 := 0x1.e9163f794ad3ap-02 * r
-		t2_3 := -0x1.7153f164a980fp-01 + t2_2
-		t2_4 := r * r
-		t2_5 := t2_3 * t2_4
-		t2_6 := t2_1 + t2_5
-		p = t2_6
-		b[i] = roundTf32(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmEstrinTf32Batch evaluates the log2 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmEstrinTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinTf32VecBlock applies the same kernel as genLog2RlibmEstrinTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmEstrinTf32Block for every
-// input and length.
-func genLog2RlibmEstrinTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.715476538bafbp+00 * r
-			tv_1 := -0x1.a1e45e74c4bd8p-39 + tv_0
-			tv_2 := 0x1.e9163f794ad3ap-02 * r
-			tv_3 := -0x1.7153f164a980fp-01 + tv_2
-			tv_4 := r * r
-			tv_5 := tv_3 * tv_4
-			tv_6 := tv_1 + tv_5
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_6) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmEstrinTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmEstrinTf32Block(b[n:])
-	}
-}
-
-// genLog2RlibmEstrinTf32VecBatch is genLog2RlibmEstrinTf32Batch over the vector block kernel.
-func genLog2RlibmEstrinTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinTf32AsmBatch is genLog2RlibmEstrinTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmEstrinTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog2RlibmEstrinBf16 is the log2 rlibm-estrin prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog2RlibmEstrinBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.715476538bafbp+00 * r
-	t1_1 := -0x1.a1e45e74c4bd8p-39 + t1_0
-	p = t1_1
-	return roundBf16(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmEstrinBf16Block applies the log2 rlibm-estrin bf16 prefix kernel to every element of b in place.
-func genLog2RlibmEstrinBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.715476538bafbp+00 * r
-		t2_1 := -0x1.a1e45e74c4bd8p-39 + t2_0
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmEstrinBf16Batch evaluates the log2 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmEstrinBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinBf16VecBlock applies the same kernel as genLog2RlibmEstrinBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmEstrinBf16Block for every
-// input and length.
-func genLog2RlibmEstrinBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.715476538bafbp+00 * r
-			tv_1 := -0x1.a1e45e74c4bd8p-39 + tv_0
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmEstrinBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmEstrinBf16Block(b[n:])
-	}
-}
-
-// genLog2RlibmEstrinBf16VecBatch is genLog2RlibmEstrinBf16Batch over the vector block kernel.
-func genLog2RlibmEstrinBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinBf16AsmBatch is genLog2RlibmEstrinBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmEstrinBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLog2RlibmEstrinFma is the generated log2 implementation with rlibm-estrin-fma evaluation.
 func genLog2RlibmEstrinFma(x float64) float64 {
 	switch {
@@ -12653,353 +4653,6 @@ func genLog2RlibmEstrinFmaAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genLog2RlibmEstrinFmaVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog2RlibmEstrinFmaTf32 is the log2 rlibm-estrin-fma prefix kernel for tf32: a degree-3 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog2RlibmEstrinFmaTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.715476538bafbp+00, r, -0x1.a1e45e74c4bd8p-39)
-	t1_1 := math.FMA(0x1.e9163f794ad3ap-02, r, -0x1.7153f164a980fp-01)
-	t1_2 := r * r
-	t1_3 := math.FMA(t1_1, t1_2, t1_0)
-	p = t1_3
-	return roundTf32(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmEstrinFmaTf32Block applies the log2 rlibm-estrin-fma tf32 prefix kernel to every element of b in place.
-func genLog2RlibmEstrinFmaTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.715476538bafbp+00, r, -0x1.a1e45e74c4bd8p-39)
-		t2_1 := math.FMA(0x1.e9163f794ad3ap-02, r, -0x1.7153f164a980fp-01)
-		t2_2 := r * r
-		t2_3 := math.FMA(t2_1, t2_2, t2_0)
-		p = t2_3
-		b[i] = roundTf32(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmEstrinFmaTf32Batch evaluates the log2 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmEstrinFmaTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinFmaTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinFmaTf32VecBlock applies the same kernel as genLog2RlibmEstrinFmaTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmEstrinFmaTf32Block for every
-// input and length.
-func genLog2RlibmEstrinFmaTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.715476538bafbp+00, r, -0x1.a1e45e74c4bd8p-39)
-			tv_1 := math.FMA(0x1.e9163f794ad3ap-02, r, -0x1.7153f164a980fp-01)
-			tv_2 := r * r
-			tv_3 := math.FMA(tv_1, tv_2, tv_0)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_3) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmEstrinFmaTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmEstrinFmaTf32Block(b[n:])
-	}
-}
-
-// genLog2RlibmEstrinFmaTf32VecBatch is genLog2RlibmEstrinFmaTf32Batch over the vector block kernel.
-func genLog2RlibmEstrinFmaTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinFmaTf32AsmBatch is genLog2RlibmEstrinFmaTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmEstrinFmaTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog2RlibmEstrinFmaBf16 is the log2 rlibm-estrin-fma prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog2RlibmEstrinFmaBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog2(0, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.715476538bafbp+00, r, -0x1.a1e45e74c4bd8p-39)
-	p = t1_0
-	return roundBf16(rangered.CompensateLog2(p, k))
-}
-
-// genLog2RlibmEstrinFmaBf16Block applies the log2 rlibm-estrin-fma bf16 prefix kernel to every element of b in place.
-func genLog2RlibmEstrinFmaBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog2(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.715476538bafbp+00, r, -0x1.a1e45e74c4bd8p-39)
-		p = t2_0
-		b[i] = roundBf16(rangered.CompensateLog2(p, k))
-	}
-}
-
-// genLog2RlibmEstrinFmaBf16Batch evaluates the log2 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog2RlibmEstrinFmaBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinFmaBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinFmaBf16VecBlock applies the same kernel as genLog2RlibmEstrinFmaBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog2RlibmEstrinFmaBf16Block for every
-// input and length.
-func genLog2RlibmEstrinFmaBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.715476538bafbp+00, r, -0x1.a1e45e74c4bd8p-39)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_0) & -m
-			res := rangered.CompensateLog2(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog2RlibmEstrinFmaBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog2RlibmEstrinFmaBf16Block(b[n:])
-	}
-}
-
-// genLog2RlibmEstrinFmaBf16VecBatch is genLog2RlibmEstrinFmaBf16Batch over the vector block kernel.
-func genLog2RlibmEstrinFmaBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog2RlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog2RlibmEstrinFmaBf16AsmBatch is genLog2RlibmEstrinFmaBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog2RlibmEstrinFmaBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog2RlibmEstrinFmaBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -13272,453 +4925,6 @@ func genLog10RlibmAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLog10RlibmTf32 is the log10 rlibm prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog10RlibmTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	if r < 0x1.5765465465466p-09 {
-		if r < 0x1.57e33c678cf1ap-10 {
-			t3_0 := 0x1.6b1c5cd4afb58p+06 * r
-			t3_1 := t3_0 + -0x1.f284600e7b4ecp-05
-			t3_2 := t3_1 * r
-			t3_3 := t3_2 + -0x1.bc71add63818cp-03
-			t3_4 := t3_3 * r
-			t3_5 := t3_4 + 0x1.bcb7af6557023p-02
-			t3_6 := t3_5 * r
-			t3_7 := t3_6 + 0x1.abfce2144583dp-40
-			p = t3_7
-		} else {
-			t3_0 := 0x1.9dd7eb70d239dp+05 * r
-			t3_1 := t3_0 + -0x1.030d3b82b9a6p-02
-			t3_2 := t3_1 * r
-			t3_3 := t3_2 + -0x1.ba657e2de4a64p-03
-			t3_4 := t3_3 * r
-			t3_5 := t3_4 + 0x1.bcb751d0ba81fp-02
-			t3_6 := t3_5 * r
-			t3_7 := t3_6 + 0x1.6da838bcf61c3p-31
-			p = t3_7
-		}
-	} else {
-		if r < 0x1.01578cbe9d5e3p-08 {
-			t3_0 := 0x1.2232ecbfd7fc3p+01 * r
-			t3_1 := t3_0 + 0x1.c1d9df45e404fp-04
-			t3_2 := t3_1 * r
-			t3_3 := t3_2 + -0x1.bc4d1d90b2756p-03
-			t3_4 := t3_3 * r
-			t3_5 := t3_4 + 0x1.bcb78c65e9146p-02
-			t3_6 := t3_5 * r
-			t3_7 := t3_6 + 0x1.3d37b3ab4fda7p-31
-			p = t3_7
-		} else {
-			t3_0 := -0x1.39a36914d9f9p+02 * r
-			t3_1 := t3_0 + 0x1.04b69a8b37d31p-02
-			t3_2 := t3_1 * r
-			t3_3 := t3_2 + -0x1.bea070f87c7bep-03
-			t3_4 := t3_3 * r
-			t3_5 := t3_4 + 0x1.bcb89a2482d57p-02
-			t3_6 := t3_5 * r
-			t3_7 := t3_6 + -0x1.480a5d46bfe63p-28
-			p = t3_7
-		}
-	}
-	return roundTf32(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmTf32Block applies the log10 rlibm tf32 prefix kernel to every element of b in place.
-func genLog10RlibmTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		if r < 0x1.5765465465466p-09 {
-			if r < 0x1.57e33c678cf1ap-10 {
-				t4_0 := 0x1.6b1c5cd4afb58p+06 * r
-				t4_1 := t4_0 + -0x1.f284600e7b4ecp-05
-				t4_2 := t4_1 * r
-				t4_3 := t4_2 + -0x1.bc71add63818cp-03
-				t4_4 := t4_3 * r
-				t4_5 := t4_4 + 0x1.bcb7af6557023p-02
-				t4_6 := t4_5 * r
-				t4_7 := t4_6 + 0x1.abfce2144583dp-40
-				p = t4_7
-			} else {
-				t4_0 := 0x1.9dd7eb70d239dp+05 * r
-				t4_1 := t4_0 + -0x1.030d3b82b9a6p-02
-				t4_2 := t4_1 * r
-				t4_3 := t4_2 + -0x1.ba657e2de4a64p-03
-				t4_4 := t4_3 * r
-				t4_5 := t4_4 + 0x1.bcb751d0ba81fp-02
-				t4_6 := t4_5 * r
-				t4_7 := t4_6 + 0x1.6da838bcf61c3p-31
-				p = t4_7
-			}
-		} else {
-			if r < 0x1.01578cbe9d5e3p-08 {
-				t4_0 := 0x1.2232ecbfd7fc3p+01 * r
-				t4_1 := t4_0 + 0x1.c1d9df45e404fp-04
-				t4_2 := t4_1 * r
-				t4_3 := t4_2 + -0x1.bc4d1d90b2756p-03
-				t4_4 := t4_3 * r
-				t4_5 := t4_4 + 0x1.bcb78c65e9146p-02
-				t4_6 := t4_5 * r
-				t4_7 := t4_6 + 0x1.3d37b3ab4fda7p-31
-				p = t4_7
-			} else {
-				t4_0 := -0x1.39a36914d9f9p+02 * r
-				t4_1 := t4_0 + 0x1.04b69a8b37d31p-02
-				t4_2 := t4_1 * r
-				t4_3 := t4_2 + -0x1.bea070f87c7bep-03
-				t4_4 := t4_3 * r
-				t4_5 := t4_4 + 0x1.bcb89a2482d57p-02
-				t4_6 := t4_5 * r
-				t4_7 := t4_6 + -0x1.480a5d46bfe63p-28
-				p = t4_7
-			}
-		}
-		b[i] = roundTf32(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmTf32Batch evaluates the log10 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmTf32VecTab holds the per-piece coefficient rows of genLog10RlibmTf32VecBlock, selected
-// branch-free by sign-bit counting against the piece bounds.
-var genLog10RlibmTf32VecTab = [4][5]float64{
-	{0x1.abfce2144583dp-40, 0x1.bcb7af6557023p-02, -0x1.bc71add63818cp-03, -0x1.f284600e7b4ecp-05, 0x1.6b1c5cd4afb58p+06},
-	{0x1.6da838bcf61c3p-31, 0x1.bcb751d0ba81fp-02, -0x1.ba657e2de4a64p-03, -0x1.030d3b82b9a6p-02, 0x1.9dd7eb70d239dp+05},
-	{0x1.3d37b3ab4fda7p-31, 0x1.bcb78c65e9146p-02, -0x1.bc4d1d90b2756p-03, 0x1.c1d9df45e404fp-04, 0x1.2232ecbfd7fc3p+01},
-	{-0x1.480a5d46bfe63p-28, 0x1.bcb89a2482d57p-02, -0x1.bea070f87c7bep-03, 0x1.04b69a8b37d31p-02, -0x1.39a36914d9f9p+02},
-}
-
-// genLog10RlibmTf32VecBlock applies the same kernel as genLog10RlibmTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmTf32Block for every
-// input and length.
-func genLog10RlibmTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			sel := (math.Float64bits(r-(0x1.57e33c678cf1ap-10)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.5765465465466p-09)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.01578cbe9d5e3p-08)) >> 63) ^ 1
-			c := &genLog10RlibmTf32VecTab[sel]
-			tv_0 := c[4] * r
-			tv_1 := tv_0 + c[3]
-			tv_2 := tv_1 * r
-			tv_3 := tv_2 + c[2]
-			tv_4 := tv_3 * r
-			tv_5 := tv_4 + c[1]
-			tv_6 := tv_5 * r
-			tv_7 := tv_6 + c[0]
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_7) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmTf32Block(b[n:])
-	}
-}
-
-// genLog10RlibmTf32VecBatch is genLog10RlibmTf32Batch over the vector block kernel.
-func genLog10RlibmTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmTf32AsmBatch is genLog10RlibmTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog10RlibmBf16 is the log10 rlibm prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog10RlibmBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.bcb7af6557023p-02 * r
-	t1_1 := t1_0 + 0x1.abfce2144583dp-40
-	p = t1_1
-	return roundBf16(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmBf16Block applies the log10 rlibm bf16 prefix kernel to every element of b in place.
-func genLog10RlibmBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.bcb7af6557023p-02 * r
-		t2_1 := t2_0 + 0x1.abfce2144583dp-40
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmBf16Batch evaluates the log10 rlibm kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmBf16VecBlock applies the same kernel as genLog10RlibmBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmBf16Block for every
-// input and length.
-func genLog10RlibmBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.bcb7af6557023p-02 * r
-			tv_1 := tv_0 + 0x1.abfce2144583dp-40
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmBf16Block(b[n:])
-	}
-}
-
-// genLog10RlibmBf16VecBatch is genLog10RlibmBf16Batch over the vector block kernel.
-func genLog10RlibmBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmBf16AsmBatch is genLog10RlibmBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLog10RlibmKnuth is the generated log10 implementation with rlibm-knuth evaluation.
 func genLog10RlibmKnuth(x float64) float64 {
 	switch {
@@ -13981,453 +5187,6 @@ func genLog10RlibmKnuthAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genLog10RlibmKnuthVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog10RlibmKnuthTf32 is the log10 rlibm-knuth prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog10RlibmKnuthTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	if r < 0x1.5765465465466p-09 {
-		if r < 0x1.57e33c678cf1ap-10 {
-			t3_0 := r + -0x1.002beecd9367bp-01
-			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.07851401c8939p-03
-			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.3ef956498823p-07
-			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.f57a698f46621p-07
-			t3_7 := t3_6 * 0x1.6b1c2fd56e0eap+06
-			p = t3_7
-		} else {
-			t3_0 := r + -0x1.01407e967e7b7p-01
-			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0e24796706f0ap-03
-			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.26cb0fe590388p-06
-			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.ec5cdfc092afep-07
-			t3_7 := t3_6 * 0x1.9dd7fefa2405dp+05
-			p = t3_7
-		}
-	} else {
-		if r < 0x1.01578cbe9d5e3p-08 {
-			t3_0 := r + -0x1.e73289988204bp-02
-			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0f0caf14b2422p-02
-			t3_3 := t3_2 + r
-			t3_4 := t3_3 + -0x1.80af9ffd92c8ep-02
-			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + 0x1.e14479cb820acp-06
-			t3_7 := t3_6 * 0x1.22326154ae9bbp+01
-			p = t3_7
-		} else {
-			t3_0 := r + -0x1.0d4cd19d8fd6cp-01
-			t3_1 := t3_0 * r
-			t3_2 := t3_1 + 0x1.0e06713dee4ffp-04
-			t3_3 := t3_2 + r
-			t3_4 := t3_3 + 0x1.4bbae3e8b3e95p-03
-			t3_5 := t3_4 * t3_2
-			t3_6 := t3_5 + -0x1.ec503eeb13357p-07
-			t3_7 := t3_6 * -0x1.39a36914d9f9p+02
-			p = t3_7
-		}
-	}
-	return roundTf32(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmKnuthTf32Block applies the log10 rlibm-knuth tf32 prefix kernel to every element of b in place.
-func genLog10RlibmKnuthTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		if r < 0x1.5765465465466p-09 {
-			if r < 0x1.57e33c678cf1ap-10 {
-				t4_0 := r + -0x1.002beecd9367bp-01
-				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.07851401c8939p-03
-				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.3ef956498823p-07
-				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.f57a698f46621p-07
-				t4_7 := t4_6 * 0x1.6b1c2fd56e0eap+06
-				p = t4_7
-			} else {
-				t4_0 := r + -0x1.01407e967e7b7p-01
-				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0e24796706f0ap-03
-				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.26cb0fe590388p-06
-				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.ec5cdfc092afep-07
-				t4_7 := t4_6 * 0x1.9dd7fefa2405dp+05
-				p = t4_7
-			}
-		} else {
-			if r < 0x1.01578cbe9d5e3p-08 {
-				t4_0 := r + -0x1.e73289988204bp-02
-				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0f0caf14b2422p-02
-				t4_3 := t4_2 + r
-				t4_4 := t4_3 + -0x1.80af9ffd92c8ep-02
-				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + 0x1.e14479cb820acp-06
-				t4_7 := t4_6 * 0x1.22326154ae9bbp+01
-				p = t4_7
-			} else {
-				t4_0 := r + -0x1.0d4cd19d8fd6cp-01
-				t4_1 := t4_0 * r
-				t4_2 := t4_1 + 0x1.0e06713dee4ffp-04
-				t4_3 := t4_2 + r
-				t4_4 := t4_3 + 0x1.4bbae3e8b3e95p-03
-				t4_5 := t4_4 * t4_2
-				t4_6 := t4_5 + -0x1.ec503eeb13357p-07
-				t4_7 := t4_6 * -0x1.39a36914d9f9p+02
-				p = t4_7
-			}
-		}
-		b[i] = roundTf32(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmKnuthTf32Batch evaluates the log10 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmKnuthTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmKnuthTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmKnuthTf32VecTab holds the per-piece coefficient rows of genLog10RlibmKnuthTf32VecBlock, selected
-// branch-free by sign-bit counting against the piece bounds.
-var genLog10RlibmKnuthTf32VecTab = [4][5]float64{
-	{-0x1.002beecd9367bp-01, 0x1.07851401c8939p-03, -0x1.3ef956498823p-07, -0x1.f57a698f46621p-07, 0x1.6b1c2fd56e0eap+06},
-	{-0x1.01407e967e7b7p-01, 0x1.0e24796706f0ap-03, -0x1.26cb0fe590388p-06, -0x1.ec5cdfc092afep-07, 0x1.9dd7fefa2405dp+05},
-	{-0x1.e73289988204bp-02, 0x1.0f0caf14b2422p-02, -0x1.80af9ffd92c8ep-02, 0x1.e14479cb820acp-06, 0x1.22326154ae9bbp+01},
-	{-0x1.0d4cd19d8fd6cp-01, 0x1.0e06713dee4ffp-04, 0x1.4bbae3e8b3e95p-03, -0x1.ec503eeb13357p-07, -0x1.39a36914d9f9p+02},
-}
-
-// genLog10RlibmKnuthTf32VecBlock applies the same kernel as genLog10RlibmKnuthTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmKnuthTf32Block for every
-// input and length.
-func genLog10RlibmKnuthTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			sel := (math.Float64bits(r-(0x1.57e33c678cf1ap-10)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.5765465465466p-09)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.01578cbe9d5e3p-08)) >> 63) ^ 1
-			c := &genLog10RlibmKnuthTf32VecTab[sel]
-			tv_0 := r + c[0]
-			tv_1 := tv_0 * r
-			tv_2 := tv_1 + c[1]
-			tv_3 := tv_2 + r
-			tv_4 := tv_3 + c[2]
-			tv_5 := tv_4 * tv_2
-			tv_6 := tv_5 + c[3]
-			tv_7 := tv_6 * c[4]
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_7) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmKnuthTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmKnuthTf32Block(b[n:])
-	}
-}
-
-// genLog10RlibmKnuthTf32VecBatch is genLog10RlibmKnuthTf32Batch over the vector block kernel.
-func genLog10RlibmKnuthTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmKnuthTf32AsmBatch is genLog10RlibmKnuthTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmKnuthTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmKnuthTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog10RlibmKnuthBf16 is the log10 rlibm-knuth prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog10RlibmKnuthBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.bcb7af6557332p-02 * r
-	t1_1 := t1_0 + 0x1.abfcb6a6c4b22p-40
-	p = t1_1
-	return roundBf16(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmKnuthBf16Block applies the log10 rlibm-knuth bf16 prefix kernel to every element of b in place.
-func genLog10RlibmKnuthBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.bcb7af6557332p-02 * r
-		t2_1 := t2_0 + 0x1.abfcb6a6c4b22p-40
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmKnuthBf16Batch evaluates the log10 rlibm-knuth kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmKnuthBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmKnuthBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmKnuthBf16VecBlock applies the same kernel as genLog10RlibmKnuthBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmKnuthBf16Block for every
-// input and length.
-func genLog10RlibmKnuthBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.bcb7af6557332p-02 * r
-			tv_1 := tv_0 + 0x1.abfcb6a6c4b22p-40
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmKnuthBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmKnuthBf16Block(b[n:])
-	}
-}
-
-// genLog10RlibmKnuthBf16VecBatch is genLog10RlibmKnuthBf16Batch over the vector block kernel.
-func genLog10RlibmKnuthBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmKnuthBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmKnuthBf16AsmBatch is genLog10RlibmKnuthBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmKnuthBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmKnuthBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}
@@ -14718,471 +5477,6 @@ func genLog10RlibmEstrinAsmBatch(dst, src []float32) {
 	}
 }
 
-// genLog10RlibmEstrinTf32 is the log10 rlibm-estrin prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog10RlibmEstrinTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	if r < 0x1.5765465465466p-09 {
-		if r < 0x1.57e33c678cf1ap-10 {
-			t3_0 := 0x1.bcb7af6557023p-02 * r
-			t3_1 := 0x1.abfce2144583dp-40 + t3_0
-			t3_2 := -0x1.f284600e7b4ecp-05 * r
-			t3_3 := -0x1.bc71add63818cp-03 + t3_2
-			t3_4 := r * r
-			t3_5 := t3_3 * t3_4
-			t3_6 := t3_1 + t3_5
-			t3_7 := t3_4 * t3_4
-			t3_8 := 0x1.6b1c5cd4afb58p+06 * t3_7
-			t3_9 := t3_6 + t3_8
-			p = t3_9
-		} else {
-			t3_0 := 0x1.bcb751d0b96e4p-02 * r
-			t3_1 := 0x1.6da83d45c343cp-31 + t3_0
-			t3_2 := -0x1.030d3f455656dp-02 * r
-			t3_3 := -0x1.ba657e27d3194p-03 + t3_2
-			t3_4 := r * r
-			t3_5 := t3_3 * t3_4
-			t3_6 := t3_1 + t3_5
-			t3_7 := t3_4 * t3_4
-			t3_8 := 0x1.9dd7eee6d6f95p+05 * t3_7
-			t3_9 := t3_6 + t3_8
-			p = t3_9
-		}
-	} else {
-		if r < 0x1.01578cbe9d5e3p-08 {
-			t3_0 := 0x1.bcb78c65e9146p-02 * r
-			t3_1 := 0x1.3d37b3ab4fda7p-31 + t3_0
-			t3_2 := 0x1.c1d9df45e404fp-04 * r
-			t3_3 := -0x1.bc4d1d90b2756p-03 + t3_2
-			t3_4 := r * r
-			t3_5 := t3_3 * t3_4
-			t3_6 := t3_1 + t3_5
-			t3_7 := t3_4 * t3_4
-			t3_8 := 0x1.2232ecbfd7fc3p+01 * t3_7
-			t3_9 := t3_6 + t3_8
-			p = t3_9
-		} else {
-			t3_0 := 0x1.bcb89a2482d57p-02 * r
-			t3_1 := -0x1.480a5d46bfe63p-28 + t3_0
-			t3_2 := 0x1.04b69a8b37d31p-02 * r
-			t3_3 := -0x1.bea070f87c7bep-03 + t3_2
-			t3_4 := r * r
-			t3_5 := t3_3 * t3_4
-			t3_6 := t3_1 + t3_5
-			t3_7 := t3_4 * t3_4
-			t3_8 := -0x1.39a36914d9f9p+02 * t3_7
-			t3_9 := t3_6 + t3_8
-			p = t3_9
-		}
-	}
-	return roundTf32(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmEstrinTf32Block applies the log10 rlibm-estrin tf32 prefix kernel to every element of b in place.
-func genLog10RlibmEstrinTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		if r < 0x1.5765465465466p-09 {
-			if r < 0x1.57e33c678cf1ap-10 {
-				t4_0 := 0x1.bcb7af6557023p-02 * r
-				t4_1 := 0x1.abfce2144583dp-40 + t4_0
-				t4_2 := -0x1.f284600e7b4ecp-05 * r
-				t4_3 := -0x1.bc71add63818cp-03 + t4_2
-				t4_4 := r * r
-				t4_5 := t4_3 * t4_4
-				t4_6 := t4_1 + t4_5
-				t4_7 := t4_4 * t4_4
-				t4_8 := 0x1.6b1c5cd4afb58p+06 * t4_7
-				t4_9 := t4_6 + t4_8
-				p = t4_9
-			} else {
-				t4_0 := 0x1.bcb751d0b96e4p-02 * r
-				t4_1 := 0x1.6da83d45c343cp-31 + t4_0
-				t4_2 := -0x1.030d3f455656dp-02 * r
-				t4_3 := -0x1.ba657e27d3194p-03 + t4_2
-				t4_4 := r * r
-				t4_5 := t4_3 * t4_4
-				t4_6 := t4_1 + t4_5
-				t4_7 := t4_4 * t4_4
-				t4_8 := 0x1.9dd7eee6d6f95p+05 * t4_7
-				t4_9 := t4_6 + t4_8
-				p = t4_9
-			}
-		} else {
-			if r < 0x1.01578cbe9d5e3p-08 {
-				t4_0 := 0x1.bcb78c65e9146p-02 * r
-				t4_1 := 0x1.3d37b3ab4fda7p-31 + t4_0
-				t4_2 := 0x1.c1d9df45e404fp-04 * r
-				t4_3 := -0x1.bc4d1d90b2756p-03 + t4_2
-				t4_4 := r * r
-				t4_5 := t4_3 * t4_4
-				t4_6 := t4_1 + t4_5
-				t4_7 := t4_4 * t4_4
-				t4_8 := 0x1.2232ecbfd7fc3p+01 * t4_7
-				t4_9 := t4_6 + t4_8
-				p = t4_9
-			} else {
-				t4_0 := 0x1.bcb89a2482d57p-02 * r
-				t4_1 := -0x1.480a5d46bfe63p-28 + t4_0
-				t4_2 := 0x1.04b69a8b37d31p-02 * r
-				t4_3 := -0x1.bea070f87c7bep-03 + t4_2
-				t4_4 := r * r
-				t4_5 := t4_3 * t4_4
-				t4_6 := t4_1 + t4_5
-				t4_7 := t4_4 * t4_4
-				t4_8 := -0x1.39a36914d9f9p+02 * t4_7
-				t4_9 := t4_6 + t4_8
-				p = t4_9
-			}
-		}
-		b[i] = roundTf32(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmEstrinTf32Batch evaluates the log10 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmEstrinTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinTf32VecTab holds the per-piece coefficient rows of genLog10RlibmEstrinTf32VecBlock, selected
-// branch-free by sign-bit counting against the piece bounds.
-var genLog10RlibmEstrinTf32VecTab = [4][5]float64{
-	{0x1.abfce2144583dp-40, 0x1.bcb7af6557023p-02, -0x1.bc71add63818cp-03, -0x1.f284600e7b4ecp-05, 0x1.6b1c5cd4afb58p+06},
-	{0x1.6da83d45c343cp-31, 0x1.bcb751d0b96e4p-02, -0x1.ba657e27d3194p-03, -0x1.030d3f455656dp-02, 0x1.9dd7eee6d6f95p+05},
-	{0x1.3d37b3ab4fda7p-31, 0x1.bcb78c65e9146p-02, -0x1.bc4d1d90b2756p-03, 0x1.c1d9df45e404fp-04, 0x1.2232ecbfd7fc3p+01},
-	{-0x1.480a5d46bfe63p-28, 0x1.bcb89a2482d57p-02, -0x1.bea070f87c7bep-03, 0x1.04b69a8b37d31p-02, -0x1.39a36914d9f9p+02},
-}
-
-// genLog10RlibmEstrinTf32VecBlock applies the same kernel as genLog10RlibmEstrinTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmEstrinTf32Block for every
-// input and length.
-func genLog10RlibmEstrinTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			sel := (math.Float64bits(r-(0x1.57e33c678cf1ap-10)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.5765465465466p-09)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.01578cbe9d5e3p-08)) >> 63) ^ 1
-			c := &genLog10RlibmEstrinTf32VecTab[sel]
-			tv_0 := c[1] * r
-			tv_1 := c[0] + tv_0
-			tv_2 := c[3] * r
-			tv_3 := c[2] + tv_2
-			tv_4 := r * r
-			tv_5 := tv_3 * tv_4
-			tv_6 := tv_1 + tv_5
-			tv_7 := tv_4 * tv_4
-			tv_8 := c[4] * tv_7
-			tv_9 := tv_6 + tv_8
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_9) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmEstrinTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmEstrinTf32Block(b[n:])
-	}
-}
-
-// genLog10RlibmEstrinTf32VecBatch is genLog10RlibmEstrinTf32Batch over the vector block kernel.
-func genLog10RlibmEstrinTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinTf32AsmBatch is genLog10RlibmEstrinTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmEstrinTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmEstrinTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog10RlibmEstrinBf16 is the log10 rlibm-estrin prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog10RlibmEstrinBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	t1_0 := 0x1.bcb7af6557023p-02 * r
-	t1_1 := 0x1.abfce2144583dp-40 + t1_0
-	p = t1_1
-	return roundBf16(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmEstrinBf16Block applies the log10 rlibm-estrin bf16 prefix kernel to every element of b in place.
-func genLog10RlibmEstrinBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := 0x1.bcb7af6557023p-02 * r
-		t2_1 := 0x1.abfce2144583dp-40 + t2_0
-		p = t2_1
-		b[i] = roundBf16(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmEstrinBf16Batch evaluates the log10 rlibm-estrin kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmEstrinBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinBf16VecBlock applies the same kernel as genLog10RlibmEstrinBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmEstrinBf16Block for every
-// input and length.
-func genLog10RlibmEstrinBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := 0x1.bcb7af6557023p-02 * r
-			tv_1 := 0x1.abfce2144583dp-40 + tv_0
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_1) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmEstrinBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmEstrinBf16Block(b[n:])
-	}
-}
-
-// genLog10RlibmEstrinBf16VecBatch is genLog10RlibmEstrinBf16Batch over the vector block kernel.
-func genLog10RlibmEstrinBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinBf16AsmBatch is genLog10RlibmEstrinBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmEstrinBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmEstrinBf16VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
 // genLog10RlibmEstrinFma is the generated log10 implementation with rlibm-estrin-fma evaluation.
 func genLog10RlibmEstrinFma(x float64) float64 {
 	switch {
@@ -15427,432 +5721,6 @@ func genLog10RlibmEstrinFmaAsmBatch(dst, src []float32) {
 		sb := src[base : base+n]
 		widenF32(b, sb)
 		genLog10RlibmEstrinFmaVecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog10RlibmEstrinFmaTf32 is the log10 rlibm-estrin-fma prefix kernel for tf32: a degree-4 prefix of the
-// full polynomial, correctly rounded to fp19_e8 for every fp19_e8 input.
-func genLog10RlibmEstrinFmaTf32(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundTf32(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	if r < 0x1.5765465465466p-09 {
-		if r < 0x1.57e33c678cf1ap-10 {
-			t3_0 := math.FMA(0x1.bcb7af6557023p-02, r, 0x1.abfce2144583dp-40)
-			t3_1 := math.FMA(-0x1.f284600e7b4ecp-05, r, -0x1.bc71add63818cp-03)
-			t3_2 := r * r
-			t3_3 := math.FMA(t3_1, t3_2, t3_0)
-			t3_4 := t3_2 * t3_2
-			t3_5 := math.FMA(0x1.6b1c5cd4afb58p+06, t3_4, t3_3)
-			p = t3_5
-		} else {
-			t3_0 := math.FMA(0x1.bcb751d0baf44p-02, r, 0x1.6da836cd520e6p-31)
-			t3_1 := math.FMA(-0x1.030d3a05548c2p-02, r, -0x1.ba657e30595bcp-03)
-			t3_2 := r * r
-			t3_3 := math.FMA(t3_1, t3_2, t3_0)
-			t3_4 := t3_2 * t3_2
-			t3_5 := math.FMA(0x1.9dd7ea181ebc1p+05, t3_4, t3_3)
-			p = t3_5
-		}
-	} else {
-		if r < 0x1.01578cbe9d5e3p-08 {
-			t3_0 := math.FMA(0x1.bcb78c65e9146p-02, r, 0x1.3d37b3ab4fda7p-31)
-			t3_1 := math.FMA(0x1.c1d9df45e404fp-04, r, -0x1.bc4d1d90b2756p-03)
-			t3_2 := r * r
-			t3_3 := math.FMA(t3_1, t3_2, t3_0)
-			t3_4 := t3_2 * t3_2
-			t3_5 := math.FMA(0x1.2232ecbfd7fc3p+01, t3_4, t3_3)
-			p = t3_5
-		} else {
-			t3_0 := math.FMA(0x1.bcb89a2482d57p-02, r, -0x1.480a5d46bfe63p-28)
-			t3_1 := math.FMA(0x1.04b69a8b37d31p-02, r, -0x1.bea070f87c7bep-03)
-			t3_2 := r * r
-			t3_3 := math.FMA(t3_1, t3_2, t3_0)
-			t3_4 := t3_2 * t3_2
-			t3_5 := math.FMA(-0x1.39a36914d9f9p+02, t3_4, t3_3)
-			p = t3_5
-		}
-	}
-	return roundTf32(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmEstrinFmaTf32Block applies the log10 rlibm-estrin-fma tf32 prefix kernel to every element of b in place.
-func genLog10RlibmEstrinFmaTf32Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundTf32(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		if r < 0x1.5765465465466p-09 {
-			if r < 0x1.57e33c678cf1ap-10 {
-				t4_0 := math.FMA(0x1.bcb7af6557023p-02, r, 0x1.abfce2144583dp-40)
-				t4_1 := math.FMA(-0x1.f284600e7b4ecp-05, r, -0x1.bc71add63818cp-03)
-				t4_2 := r * r
-				t4_3 := math.FMA(t4_1, t4_2, t4_0)
-				t4_4 := t4_2 * t4_2
-				t4_5 := math.FMA(0x1.6b1c5cd4afb58p+06, t4_4, t4_3)
-				p = t4_5
-			} else {
-				t4_0 := math.FMA(0x1.bcb751d0baf44p-02, r, 0x1.6da836cd520e6p-31)
-				t4_1 := math.FMA(-0x1.030d3a05548c2p-02, r, -0x1.ba657e30595bcp-03)
-				t4_2 := r * r
-				t4_3 := math.FMA(t4_1, t4_2, t4_0)
-				t4_4 := t4_2 * t4_2
-				t4_5 := math.FMA(0x1.9dd7ea181ebc1p+05, t4_4, t4_3)
-				p = t4_5
-			}
-		} else {
-			if r < 0x1.01578cbe9d5e3p-08 {
-				t4_0 := math.FMA(0x1.bcb78c65e9146p-02, r, 0x1.3d37b3ab4fda7p-31)
-				t4_1 := math.FMA(0x1.c1d9df45e404fp-04, r, -0x1.bc4d1d90b2756p-03)
-				t4_2 := r * r
-				t4_3 := math.FMA(t4_1, t4_2, t4_0)
-				t4_4 := t4_2 * t4_2
-				t4_5 := math.FMA(0x1.2232ecbfd7fc3p+01, t4_4, t4_3)
-				p = t4_5
-			} else {
-				t4_0 := math.FMA(0x1.bcb89a2482d57p-02, r, -0x1.480a5d46bfe63p-28)
-				t4_1 := math.FMA(0x1.04b69a8b37d31p-02, r, -0x1.bea070f87c7bep-03)
-				t4_2 := r * r
-				t4_3 := math.FMA(t4_1, t4_2, t4_0)
-				t4_4 := t4_2 * t4_2
-				t4_5 := math.FMA(-0x1.39a36914d9f9p+02, t4_4, t4_3)
-				p = t4_5
-			}
-		}
-		b[i] = roundTf32(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmEstrinFmaTf32Batch evaluates the log10 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmEstrinFmaTf32Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinFmaTf32Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinFmaTf32VecTab holds the per-piece coefficient rows of genLog10RlibmEstrinFmaTf32VecBlock, selected
-// branch-free by sign-bit counting against the piece bounds.
-var genLog10RlibmEstrinFmaTf32VecTab = [4][5]float64{
-	{0x1.abfce2144583dp-40, 0x1.bcb7af6557023p-02, -0x1.bc71add63818cp-03, -0x1.f284600e7b4ecp-05, 0x1.6b1c5cd4afb58p+06},
-	{0x1.6da836cd520e6p-31, 0x1.bcb751d0baf44p-02, -0x1.ba657e30595bcp-03, -0x1.030d3a05548c2p-02, 0x1.9dd7ea181ebc1p+05},
-	{0x1.3d37b3ab4fda7p-31, 0x1.bcb78c65e9146p-02, -0x1.bc4d1d90b2756p-03, 0x1.c1d9df45e404fp-04, 0x1.2232ecbfd7fc3p+01},
-	{-0x1.480a5d46bfe63p-28, 0x1.bcb89a2482d57p-02, -0x1.bea070f87c7bep-03, 0x1.04b69a8b37d31p-02, -0x1.39a36914d9f9p+02},
-}
-
-// genLog10RlibmEstrinFmaTf32VecBlock applies the same kernel as genLog10RlibmEstrinFmaTf32Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmEstrinFmaTf32Block for every
-// input and length.
-func genLog10RlibmEstrinFmaTf32VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			sel := (math.Float64bits(r-(0x1.57e33c678cf1ap-10)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.5765465465466p-09)) >> 63) ^ 1
-			sel += (math.Float64bits(r-(0x1.01578cbe9d5e3p-08)) >> 63) ^ 1
-			c := &genLog10RlibmEstrinFmaTf32VecTab[sel]
-			tv_0 := math.FMA(c[1], r, c[0])
-			tv_1 := math.FMA(c[3], r, c[2])
-			tv_2 := r * r
-			tv_3 := math.FMA(tv_1, tv_2, tv_0)
-			tv_4 := tv_2 * tv_2
-			tv_5 := math.FMA(c[4], tv_4, tv_3)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_5) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<41 - 1) + (u>>42)&1
-			ru &^= 1<<42 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmEstrinFmaTf32(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmEstrinFmaTf32Block(b[n:])
-	}
-}
-
-// genLog10RlibmEstrinFmaTf32VecBatch is genLog10RlibmEstrinFmaTf32Batch over the vector block kernel.
-func genLog10RlibmEstrinFmaTf32VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinFmaTf32AsmBatch is genLog10RlibmEstrinFmaTf32VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmEstrinFmaTf32AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmEstrinFmaTf32VecBlock(b)
-		db := dst[base : base+n]
-		narrowF32(db, b)
-	}
-}
-
-// genLog10RlibmEstrinFmaBf16 is the log10 rlibm-estrin-fma prefix kernel for bf16: a degree-1 prefix of the
-// full polynomial, correctly rounded to fp16_e8 for every fp16_e8 input.
-func genLog10RlibmEstrinFmaBf16(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	r, k := rangered.ReduceLog(x)
-	if r == 0 {
-		return roundBf16(rangered.CompensateLog10(0, k))
-	}
-	var p float64
-	t1_0 := math.FMA(0x1.bcb7af6557023p-02, r, 0x1.abfce2144583dp-40)
-	p = t1_0
-	return roundBf16(rangered.CompensateLog10(p, k))
-}
-
-// genLog10RlibmEstrinFmaBf16Block applies the log10 rlibm-estrin-fma bf16 prefix kernel to every element of b in place.
-func genLog10RlibmEstrinFmaBf16Block(b []float64) {
-	for i, x := range b {
-		switch {
-		case math.IsNaN(x):
-			b[i] = x
-			continue
-		case x < 0 || math.IsInf(x, -1):
-			b[i] = math.NaN()
-			continue
-		case x == 0:
-			b[i] = math.Inf(-1)
-			continue
-		case math.IsInf(x, 1):
-			b[i] = math.Inf(1)
-			continue
-		}
-		r, k := rangered.ReduceLog(x)
-		if r == 0 {
-			b[i] = roundBf16(rangered.CompensateLog10(0, k))
-			continue
-		}
-		var p float64
-		t2_0 := math.FMA(0x1.bcb7af6557023p-02, r, 0x1.abfce2144583dp-40)
-		p = t2_0
-		b[i] = roundBf16(rangered.CompensateLog10(p, k))
-	}
-}
-
-// genLog10RlibmEstrinFmaBf16Batch evaluates the log10 rlibm-estrin-fma kernel over src into dst, one on-stack
-// float64 block at a time; see GeneratedBatchFuncs for the contract.
-func genLog10RlibmEstrinFmaBf16Batch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinFmaBf16Block(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinFmaBf16VecBlock applies the same kernel as genLog10RlibmEstrinFmaBf16Block to every element of b
-// in 8-lane groups: struct-of-arrays range reduction, then a branch-free
-// polynomial loop (bit-select masks instead of the special switch and piece
-// dispatch). Lanes holding special inputs are recomputed with the scalar
-// kernel afterwards, and the sub-group tail runs the scalar-body block
-// kernel, so outputs are bit-identical to genLog10RlibmEstrinFmaBf16Block for every
-// input and length.
-func genLog10RlibmEstrinFmaBf16VecBlock(b []float64) {
-	n := len(b) &^ (generatedVecLanes - 1)
-	for base := 0; base < n; base += generatedVecLanes {
-		v := (*[generatedVecLanes]float64)(b[base:])
-		var vr, vx [generatedVecLanes]float64
-		var vq, vj [generatedVecLanes]int32
-		var sl [generatedVecLanes]bool
-		slow := false
-		for l := 0; l < generatedVecLanes; l++ {
-			x := v[l]
-			vx[l] = x
-			r, k := rangered.ReduceLog(x)
-			vr[l] = r
-			vq[l], vj[l] = k.Q, k.J
-			if bx := math.Float64bits(x); bx == 0 || bx >= 0x7ff0000000000000 {
-				sl[l], slow = true, true
-			}
-		}
-		for l := 0; l < generatedVecLanes; l++ {
-			r := vr[l]
-			tv_0 := math.FMA(0x1.bcb7af6557023p-02, r, 0x1.abfce2144583dp-40)
-			z := math.Float64bits(r) << 1
-			m := (z | -z) >> 63
-			pb := math.Float64bits(tv_0) & -m
-			res := rangered.CompensateLog10(math.Float64frombits(pb), rangered.Key{Q: vq[l], J: vj[l]})
-			u := math.Float64bits(res)
-			ru := u + (1<<44 - 1) + (u>>45)&1
-			ru &^= 1<<45 - 1
-			if (u>>52)&0x7ff-897 > 1149-897 {
-				sl[l], slow = true, true
-			}
-			v[l] = math.Float64frombits(ru)
-		}
-		if slow {
-			for l := 0; l < generatedVecLanes; l++ {
-				if sl[l] {
-					v[l] = genLog10RlibmEstrinFmaBf16(vx[l])
-				}
-			}
-		}
-	}
-	if n != len(b) {
-		genLog10RlibmEstrinFmaBf16Block(b[n:])
-	}
-}
-
-// genLog10RlibmEstrinFmaBf16VecBatch is genLog10RlibmEstrinFmaBf16Batch over the vector block kernel.
-func genLog10RlibmEstrinFmaBf16VecBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		for i := range b {
-			b[i] = float64(sb[i])
-		}
-		genLog10RlibmEstrinFmaBf16VecBlock(b)
-		db := dst[base : base+n]
-		for i := range db {
-			db[i] = float32(b[i])
-		}
-	}
-}
-
-// genLog10RlibmEstrinFmaBf16AsmBatch is genLog10RlibmEstrinFmaBf16VecBatch with the float32 conversion staging run
-// through the assembly widen/narrow helpers where available.
-func genLog10RlibmEstrinFmaBf16AsmBatch(dst, src []float32) {
-	_ = dst[:len(src)]
-	var buf [generatedBatchBlock]float64
-	for base := 0; base < len(src); base += generatedBatchBlock {
-		n := len(src) - base
-		if n > generatedBatchBlock {
-			n = generatedBatchBlock
-		}
-		b := buf[:n]
-		sb := src[base : base+n]
-		widenF32(b, sb)
-		genLog10RlibmEstrinFmaBf16VecBlock(b)
 		db := dst[base : base+n]
 		narrowF32(db, b)
 	}

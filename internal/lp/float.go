@@ -11,8 +11,7 @@ import (
 // over y = (C_0, ..., C_d, t): maximize t subject to a_i·y <= b_i. Row 0 is
 // the margin cap t <= 1, and accepted constraint k contributes the lo row 1+2k
 // (-P(X) + w·t <= -Lo) and the hi row 2+2k (P(X) + w·t <= Hi), where
-// w = (Hi-Lo)/2 and a prefix constraint leaves its excluded coefficients'
-// entries at zero.
+// w = (Hi-Lo)/2.
 //
 // A basis is a set of n = nc+1 rows taken as active (equalities). The float
 // simplex is the dual simplex in this form: its basis always keeps the
@@ -23,7 +22,6 @@ import (
 type floatLP struct {
 	n    int       // columns: nc coefficients, then t
 	a, b []float64 // unscaled rows, row-major m×n, and right-hand sides
-	full []bool    // per constraint: a full (non-prefix) polynomial bound
 	xs   []float64 // per constraint: X
 	w    []*big.Rat
 
@@ -81,7 +79,6 @@ func ratFloat(x *big.Rat) float64 {
 // addConstraint appends the lo/hi row pair of c.
 func (f *floatLP) addConstraint(c *Constraint) {
 	nc := f.n - 1
-	p := c.prefixCount(nc)
 	w := new(big.Rat).Sub(c.Hi, c.Lo)
 	w.Mul(w, big.NewRat(1, 2))
 	x := ratFloat(c.X)
@@ -89,14 +86,13 @@ func (f *floatLP) addConstraint(c *Constraint) {
 	hi := make([]float64, f.n)
 	lo := make([]float64, f.n)
 	pow := 1.0
-	for j := 0; j < p; j++ {
+	for j := 0; j < nc; j++ {
 		hi[j], lo[j] = pow, -pow
 		pow = float64(pow * x)
 	}
 	hi[nc], lo[nc] = wf, wf
 	f.appendRow(lo, -ratFloat(c.Lo))
 	f.appendRow(hi, ratFloat(c.Hi))
-	f.full = append(f.full, p == nc)
 	f.xs = append(f.xs, x)
 	f.w = append(f.w, w)
 }
@@ -150,17 +146,15 @@ func grow(s []float64, n int) []float64 {
 }
 
 // coldBasis returns the starting basis of a cold float solve: the margin cap
-// plus the hi rows of nc full constraints spread across the sorted inputs.
-// Its vertex interpolates those intervals' midpoints at t = 1, and its duals
-// (1 on the cap, 0 elsewhere) are feasible. Returns nil when fewer than nc
-// distinct inputs carry full constraints.
+// plus the hi rows of nc constraints spread across the sorted inputs. Its
+// vertex interpolates those intervals' midpoints at t = 1, and its duals (1
+// on the cap, 0 elsewhere) are feasible. Returns nil when fewer than nc
+// distinct inputs carry constraints.
 func (f *floatLP) coldBasis() []int {
 	nc := f.n - 1
-	var cand []int
-	for k, full := range f.full {
-		if full {
-			cand = append(cand, k)
-		}
+	cand := make([]int, len(f.xs))
+	for k := range cand {
+		cand[k] = k
 	}
 	sort.SliceStable(cand, func(i, j int) bool { return f.xs[cand[i]] < f.xs[cand[j]] })
 	distinct := cand[:0]
@@ -421,7 +415,7 @@ func (s *Solver) exactRow(i int) ([]*big.Rat, *big.Rat) {
 	c := &s.accepted[k]
 	lo := i%2 == 1
 	pow := new(big.Rat).SetInt64(1)
-	for j := 0; j < c.prefixCount(s.nc); j++ {
+	for j := 0; j < s.nc; j++ {
 		row[j].Set(pow)
 		if lo {
 			row[j].Neg(row[j])
@@ -439,7 +433,7 @@ func (s *Solver) exactRow(i int) ([]*big.Rat, *big.Rat) {
 // for v = (C, t) over all nc+1 components.
 func (s *Solver) rowValues(k int, v []*big.Rat) (lo, hi *big.Rat) {
 	c := &s.accepted[k]
-	p := EvalRat(v[:c.prefixCount(s.nc)], c.X)
+	p := EvalRat(v[:s.nc], c.X)
 	wt := new(big.Rat).Mul(s.flp.w[k], v[s.nc])
 	return new(big.Rat).Sub(wt, p), p.Add(p, wt)
 }

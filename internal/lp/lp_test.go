@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -144,6 +145,28 @@ func TestSolvePolyInfeasible(t *testing.T) {
 	}
 	if _, ok := solvePoly(cons, 1); ok {
 		t.Error("expected infeasible for non-collinear interpolation")
+	}
+}
+
+// TestSolveCrossedConstraintInfeasible: a constraint with Lo > Hi is an
+// empty interval, so Resolve reports ErrInfeasible — never the polynomial
+// through the interval's midpoint that the margin rows alone would admit.
+func TestSolveCrossedConstraintInfeasible(t *testing.T) {
+	cons := []Constraint{
+		{X: r(0, 1), Lo: r(0, 1), Hi: r(1, 1)},
+		{X: r(1, 1), Lo: r(3, 1), Hi: r(2, 1)}, // crossed
+		{X: r(2, 1), Lo: r(4, 1), Hi: r(5, 1)},
+	}
+	s := NewSolver(Options{Degree: 2})
+	s.AddConstraints(cons...)
+	res, err := s.Resolve(context.Background())
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("Resolve = %v, %v; want ErrInfeasible", res.Coeffs, err)
+	}
+	// Uncrossing the interval makes the system feasible again.
+	cons[1].Lo, cons[1].Hi = r(2, 1), r(3, 1)
+	if _, err := NewSolver(Options{Degree: 2}).Solve(context.Background(), cons); err != nil {
+		t.Fatalf("uncrossed system: %v", err)
 	}
 }
 

@@ -1,46 +1,23 @@
 package lp
 
-import (
-	"math/big"
-	"strconv"
-)
+import "math/big"
 
 // Constraint bounds the polynomial output at one reduced input:
-// Lo <= P(X) <= Hi. With Prefix > 0 the bound applies to the polynomial's
-// leading Prefix coefficients only — the progressive-polynomial (RLIBM-PROG)
-// prefix constraint Lo <= sum_{j < Prefix} C_j X^j <= Hi. Prefix == 0 means
-// the full degree. One LP can mix full and prefix constraints over the same
-// coefficient vector, which is how a single solve produces a polynomial whose
-// truncations serve narrower formats.
+// Lo <= P(X) <= Hi. A crossed constraint (Lo > Hi) is an empty interval,
+// which no polynomial meets.
 type Constraint struct {
 	X      *big.Rat
 	Lo, Hi *big.Rat
-	Prefix int
 }
 
-// prefixCount clamps the constraint's effective coefficient count to nc.
-func (c *Constraint) prefixCount(nc int) int {
-	if c.Prefix > 0 && c.Prefix < nc {
-		return c.Prefix
-	}
-	return nc
-}
-
-// key is the dominance-pruning identity: bounds for the same reduced input
-// constrain different linear forms when their prefixes differ, so they are
-// never comparable.
-func (c *Constraint) key() string {
-	if c.Prefix > 0 {
-		return c.X.RatString() + "#" + strconv.Itoa(c.Prefix)
-	}
-	return c.X.RatString()
-}
+// key is the dominance-pruning identity: the reduced input.
+func (c *Constraint) key() string { return c.X.RatString() }
 
 // CheckPoly reports whether the exact rational polynomial satisfies every
-// constraint (prefix constraints against the truncated polynomial).
+// constraint.
 func CheckPoly(coeffs []*big.Rat, cons []Constraint) bool {
 	for _, c := range cons {
-		v := EvalRat(coeffs[:c.prefixCount(len(coeffs))], c.X)
+		v := EvalRat(coeffs, c.X)
 		if v.Cmp(c.Lo) < 0 || v.Cmp(c.Hi) > 0 {
 			return false
 		}

@@ -267,10 +267,17 @@ func cloneRow(row []big.Rat) []big.Rat {
 // pivots per two-phase solve. Where a canonicalization stage finds its
 // coefficient free, the reference fixes it at 0 and solves again, so a
 // Canonical answer follows the same rule as Resolve. It returns the
-// coefficients and the optimal margin t.
+// coefficients and the optimal margin t. A crossed constraint (Lo > Hi) is
+// an empty interval, infeasible before any pivot: the tableau's row form,
+// with its negative margin weight, would otherwise admit the midpoint.
 func refSolve(degree int, cons []Constraint, maxPivots int) ([]*big.Rat, *big.Rat, refStats, error) {
 	s := NewSolver(Options{Degree: degree})
 	s.AddConstraints(cons...)
+	for _, c := range s.accepted {
+		if c.Lo.Cmp(c.Hi) > 0 {
+			return nil, nil, refStats{}, ErrInfeasible
+		}
+	}
 	fixed := make([]bool, s.nc)
 	for {
 		coeffs, t, st, free, err := refSolveFixed(s.nc, s.accepted, maxPivots, fixed)
@@ -298,7 +305,7 @@ func refSolveFixed(nc int, cons []Constraint, maxPivots int, fixed []bool) ([]*b
 		c := &cons[k]
 		lo, hi := tb.rows[1+2*k], tb.rows[2+2*k]
 		pow := big.NewRat(1, 1)
-		for j := 0; j < c.prefixCount(nc); j++ {
+		for j := 0; j < nc; j++ {
 			lo[2*j].Set(pow)
 			lo[2*j+1].Neg(pow)
 			hi[2*j].Set(pow)

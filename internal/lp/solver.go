@@ -96,10 +96,9 @@ func (s *Solver) AddConstraints(cons ...Constraint) int {
 			continue // dominated: no new information
 		}
 		s.accepted = append(s.accepted, Constraint{
-			X:      new(big.Rat).Set(c.X),
-			Lo:     new(big.Rat).Set(c.Lo),
-			Hi:     new(big.Rat).Set(c.Hi),
-			Prefix: c.Prefix,
+			X:  new(big.Rat).Set(c.X),
+			Lo: new(big.Rat).Set(c.Lo),
+			Hi: new(big.Rat).Set(c.Hi),
 		})
 		n++
 		if b == nil {
@@ -166,8 +165,9 @@ func (s *Solver) Solve(ctx context.Context, cons []Constraint) (Result, error) {
 // uniform relative margin t (capped at 1) by which P(X_i) clears each
 // interval's edges, and return the lex-min optimum: among the points with
 // the best t, the least C_0, then the least C_1, and so on, with a
-// coefficient the constraints leave free set to 0. A negative best t means
-// no polynomial meets every interval: ErrInfeasible.
+// coefficient the constraints leave free set to 0. A negative best t, or a
+// crossed constraint, means no polynomial meets every interval:
+// ErrInfeasible.
 //
 // A float64 simplex runs first (see floatResolve). When its basis passes the
 // exact certificate, the optimum is unique and is returned directly.
@@ -179,10 +179,17 @@ func (s *Solver) Resolve(ctx context.Context) (Result, error) {
 		s.flp = newFloatLP(s.nc)
 	}
 	f := s.flp
-	for k := len(f.full); k < len(s.accepted); k++ {
+	for k := len(f.xs); k < len(s.accepted); k++ {
 		f.addConstraint(&s.accepted[k])
 	}
 	st := Stats{Rows: f.rows(), Cols: f.n}
+	for k := range s.accepted {
+		// A crossed interval is empty. Its rows, with a negative margin
+		// weight (Hi-Lo)/2, would admit its midpoint at t = 1.
+		if c := &s.accepted[k]; c.Lo.Cmp(c.Hi) > 0 {
+			return Result{Stats: st}, ErrInfeasible
+		}
+	}
 	coeffs, basis, err := s.floatResolve(ctx, &st)
 	if coeffs == nil && err == nil {
 		coeffs, basis, err = s.exactResolve(ctx, basis, &st)

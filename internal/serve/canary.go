@@ -130,7 +130,7 @@ func (c *canary) offer(f rlibm.Func, p rlibm.Precision, src, dst []float32) {
 }
 
 func (c *canary) offerOne(it canaryItem) {
-	if !canaryAdmissible(it.f, it.p, it.x) {
+	if !canaryAdmissible(it.f, it.x) {
 		c.skipped.Inc()
 		return
 	}
@@ -142,17 +142,13 @@ func (c *canary) offerOne(it canaryItem) {
 }
 
 // canaryAdmissible reports whether x is in the kernel's polynomial domain
-// for f at precision p — the inputs whose results the oracle can
-// adjudicate. NaN, ±Inf, zeros and log of non-positive x are IEEE
-// special-case territory; for narrow precisions the correct-rounding
-// guarantee covers the narrow format's own inputs, so an input that is not
-// representable at p is skipped rather than misjudged.
-func canaryAdmissible(f rlibm.Func, p rlibm.Precision, x float32) bool {
+// for f — the inputs whose results the oracle can adjudicate. NaN, ±Inf,
+// zeros and log of non-positive x are IEEE special-case territory. Every
+// precision's guarantee covers every float32 input, so a narrow request's
+// inputs are admissible whether or not the narrow format represents them.
+func canaryAdmissible(f rlibm.Func, x float32) bool {
 	fx := float64(x)
 	if math.IsNaN(fx) || math.IsInf(fx, 0) || fx == 0 {
-		return false
-	}
-	if p != rlibm.PrecFloat32 && !precFormats[p].IsRepresentable(fx) {
 		return false
 	}
 	switch f {

@@ -292,8 +292,8 @@ func TestStreamPrecBadFrames(t *testing.T) {
 
 // TestCanaryNarrowPrecision: the canary adjudicates narrow traffic against
 // the narrow format's correctly rounded value — bf16 traffic verifies clean
-// (checked > 0, zero mismatches), and an input that is not representable at
-// the served precision is skipped rather than misjudged.
+// (checked > 0, zero mismatches), inputs the narrow format cannot represent
+// are checked too, and a wrong narrow result on such an input is flagged.
 func TestCanaryNarrowPrecision(t *testing.T) {
 	srv := New(Config{Registry: obs.NewRegistry(), CanarySample: 1, CanaryQueue: 1 << 10})
 	c := srv.canary
@@ -305,23 +305,36 @@ func TestCanaryNarrowPrecision(t *testing.T) {
 	c.offer(rlibm.FuncExp, rlibm.PrecBfloat16, src, dst)
 
 	// 1 + 2^-8 needs 9 significand bits: representable in float32 and tf32,
-	// not in bfloat16 — the bf16 canary must skip it, the tf32 one check it.
-	narrowOnly := []float32{1 + 1.0/256}
-	evT := precEvaluator(t, rlibm.FuncExp, rlibm.Horner, rlibm.PrecTF32)
-	outT := make([]float32, 1)
-	evT.EvalBatch(outT, narrowOnly)
-	c.offer(rlibm.FuncExp, rlibm.PrecBfloat16, narrowOnly, make([]float32, 1))
-	c.offer(rlibm.FuncExp, rlibm.PrecTF32, narrowOnly, outT)
-
+	// not in bfloat16 — both canaries check it.
+	offGrid := []float32{1 + 1.0/256}
+	for _, p := range []rlibm.Precision{rlibm.PrecBfloat16, rlibm.PrecTF32} {
+		out := make([]float32, 1)
+		precEvaluator(t, rlibm.FuncExp, rlibm.Horner, p).EvalBatch(out, offGrid)
+		c.offer(rlibm.FuncExp, p, offGrid, out)
+	}
 	srv.Close()
-	if n := c.checked.Value(); n != int64(len(src))+1 {
-		t.Errorf("checked_total = %d, want %d", n, len(src)+1)
+	if n := c.checked.Value(); n != int64(len(src))+2 {
+		t.Errorf("checked_total = %d, want %d", n, len(src)+2)
 	}
 	if n := c.mismatch.Value(); n != 0 {
 		t.Errorf("mismatch_total = %d on correct narrow traffic, want 0", n)
 	}
-	if n := c.skipped.Value(); n != 1 {
-		t.Errorf("skipped_total = %d, want 1 (the bf16-unrepresentable input)", n)
+	if n := c.skipped.Value(); n != 0 {
+		t.Errorf("skipped_total = %d, want 0 (off-grid narrow inputs are admissible)", n)
+	}
+
+	// ln(1.0275289) at bf16 is 0.027099609375; the next bf16 value up, which
+	// a polynomial verified only on the bf16 grid once served, is a mismatch.
+	srv2 := New(Config{Registry: obs.NewRegistry(), CanarySample: 1, CanaryQueue: 16})
+	x := []float32{math.Float32frombits(0x3f838611)}
+	srv2.canary.offer(rlibm.FuncLog, rlibm.PrecBfloat16, x, []float32{0.027099609375})
+	srv2.canary.offer(rlibm.FuncLog, rlibm.PrecBfloat16, x, []float32{0.0272216796875})
+	srv2.Close()
+	if n := srv2.canary.checked.Value(); n != 2 {
+		t.Errorf("off-grid log checked_total = %d, want 2", n)
+	}
+	if n := srv2.canary.mismatch.Value(); n != 1 {
+		t.Errorf("off-grid log mismatch_total = %d, want 1 (the wrong result only)", n)
 	}
 }
 

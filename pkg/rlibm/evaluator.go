@@ -21,11 +21,11 @@ type Evaluator struct {
 // Option configures New.
 type Option func(*Evaluator)
 
-// WithPrecision selects the output precision the Evaluator serves.
-// PrecFloat32 (the default) runs the full polynomial; narrower precisions
-// run the progressive prefix kernels, whose every result is the correctly
-// rounded value of the narrow format (returned as a float32 that carries the
-// narrow value exactly).
+// WithPrecision selects the output precision the Evaluator serves. Every
+// precision runs the full polynomial; a narrower one rounds its result once
+// to the narrow format, which is the correctly rounded narrow value for
+// every float32 input (returned as a float32 that carries the narrow value
+// exactly).
 func WithPrecision(p Precision) Option {
 	return func(e *Evaluator) { e.p = p }
 }
@@ -108,6 +108,6 @@ func (e *Evaluator) EvalBatch(dst, src []float32) {
 // float32 input to the double the evaluator narrows into its float32 result,
 // so float32(e.Kernel()(float64(x))) == e.Eval(x) bit for bit. At full
 // precision the double lies in the 34-bit round-to-odd interval of the exact
-// result; at narrow precisions it is already the correctly rounded narrow
-// value.
+// result; at narrow precisions it is that double rounded once to the
+// correctly rounded narrow value.
 func (e *Evaluator) Kernel() func(float64) float64 { return e.kernel }

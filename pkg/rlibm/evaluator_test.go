@@ -3,6 +3,7 @@ package rlibm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -142,19 +143,27 @@ func TestEvaluatorBf16BatchExhaustive(t *testing.T) {
 
 // TestEvaluatorBatchZeroAllocs: the resolved-dispatch batch path keeps the
 // zero-allocation property of the package-level EvalBatch below the fan-out
-// threshold.
+// threshold, at both narrow precisions and on every backend.
 func TestEvaluatorBatchZeroAllocs(t *testing.T) {
-	e, err := New(FuncExp2, EstrinFMA, WithPrecision(PrecBfloat16))
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := make([]float32, 1024)
 	for i := range src {
-		src[i] = float32(i%200)/8 - 12
+		src[i] = float32(i%200)/8 - 12.3
 	}
 	dst := make([]float32, len(src))
-	if avg := testing.AllocsPerRun(20, func() { e.EvalBatch(dst, src) }); avg != 0 {
-		t.Errorf("Evaluator.EvalBatch allocates %.1f objects per call on the inline path", avg)
+	for _, p := range []Precision{PrecTF32, PrecBfloat16} {
+		backends, err := Backends(FuncExp2, EstrinFMA, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range backends {
+			e, err := New(FuncExp2, EstrinFMA, WithPrecision(p), WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(20, func() { e.EvalBatch(dst, src) }); avg != 0 {
+				t.Errorf("%v/%v: Evaluator.EvalBatch allocates %.1f objects per call on the inline path", p, b, avg)
+			}
+		}
 	}
 }
 
@@ -201,5 +210,50 @@ func TestParseCaseInsensitive(t *testing.T) {
 	}
 	if _, err := ParseFunc("sin"); err == nil || !strings.Contains(err.Error(), "exp, exp2") {
 		t.Errorf("ParseFunc(sin) error = %v, want enumeration", err)
+	}
+}
+
+// TestNarrowOffGridReplay: a narrow precision rounds the full kernel once,
+// so float32 inputs the narrow format cannot represent are correctly rounded
+// too. ln(1.0275289) (0x3f838611) at bfloat16 is 0.027099609375; a truncated
+// polynomial verified only on the bfloat16 grid returned the next value up.
+// Checked through Eval, through EvalBatch on every available backend, and
+// through the fan-out path.
+func TestNarrowOffGridReplay(t *testing.T) {
+	x := math.Float32frombits(0x3f838611)
+	const want = float32(0.027099609375)
+	prev := SetMaxBatchWorkers(4)
+	if prev == 0 {
+		prev = runtime.GOMAXPROCS(0)
+	}
+	defer SetMaxBatchWorkers(prev)
+	src := make([]float32, fanOutThreshold+fanOutChunk+3)
+	for i := range src {
+		src[i] = x
+	}
+	dst := make([]float32, len(src))
+	for _, s := range Schemes {
+		backends, err := Backends(FuncLog, s, PrecBfloat16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range backends {
+			e, err := New(FuncLog, s, WithPrecision(PrecBfloat16), WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Eval(x); got != want {
+				t.Errorf("%v/%v: Eval(%g) = %g, want %g", s, b, x, got, want)
+			}
+			for _, n := range []int{1, 9, len(src)} {
+				clear(dst)
+				e.EvalBatch(dst[:n], src[:n])
+				for i, got := range dst[:n] {
+					if got != want {
+						t.Fatalf("%v/%v: EvalBatch n=%d [%d] = %g, want %g", s, b, n, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"strings"
 )
 
-// Precision selects the output precision an Evaluator serves. The generated
-// polynomials are progressive (RLIBM-PROG): one coefficient table whose
-// lower-degree prefixes are themselves correctly rounded for narrower
-// formats, so narrow precisions run a shorter evaluation — not a post-hoc
-// rounding of the full result, though the bits are identical to one.
+// Precision selects the output precision an Evaluator serves. A narrow
+// precision is exactly a post-hoc rounding of the full result: the full
+// kernel's double lies in the 34-bit round-to-odd interval of the exact
+// value, so rounding it once to the narrow format (RLIBM-ALL) gives the
+// correctly rounded narrow result for every float32 input, whether or not
+// the narrow format can represent it.
 type Precision int
 
 const (

@@ -125,8 +125,8 @@ func ParseFunc(name string) (Func, error) {
 // precision). Resolving a kernel once and looping over it is the batch fast
 // path; the scalar entry points go through the same kernels so batch and
 // scalar results are bit-identical by construction. Precision index 0 is the
-// full float32 kernel; narrower precisions hold the progressive prefix
-// kernels.
+// full float32 kernel; a narrower precision is the same kernel with its
+// double rounded once to the narrow format.
 var kernels [NumFuncs][NumSchemes][NumPrecisions]func(float64) float64
 
 // batchKernels adds the backend dimension: blocked in-place kernels with the
@@ -143,24 +143,26 @@ var batchKernels [NumBackends][NumFuncs][NumSchemes][NumPrecisions]func(dst, src
 
 func init() {
 	batchRegs := [NumBackends]struct {
-		full, prefix map[string]func(dst, src []float32)
+		full  map[string]func(dst, src []float32)
+		block map[string]func([]float64)
+		asm   bool
 	}{
-		BackendGo:     {libm.GeneratedBatchFuncs, libm.GeneratedPrefixBatchFuncs},
-		BackendVector: {libm.GeneratedVecBatchFuncs, libm.GeneratedPrefixVecBatchFuncs},
-		BackendAsm:    {libm.GeneratedAsmBatchFuncs, libm.GeneratedPrefixAsmBatchFuncs},
+		BackendGo:     {libm.GeneratedBatchFuncs, libm.GeneratedBlockFuncs, false},
+		BackendVector: {libm.GeneratedVecBatchFuncs, libm.GeneratedVecBlockFuncs, false},
+		BackendAsm:    {libm.GeneratedAsmBatchFuncs, libm.GeneratedVecBlockFuncs, true},
 	}
 	for fi, f := range Funcs {
 		for si, s := range Schemes {
 			key := f.String() + "/" + s.String()
+			full := libm.GeneratedFuncs[key]
+			if full == nil {
+				panic("rlibm: missing generated kernel " + key)
+			}
 			for pi, p := range Precisions {
-				k := libm.GeneratedFuncs[key]
-				lookup := key
-				if p != PrecFloat32 {
-					lookup = key + "/" + p.String()
-					k = libm.GeneratedPrefixFuncs[lookup]
-				}
-				if k == nil {
-					panic("rlibm: missing generated kernel " + lookup)
+				ps, narrow := libm.PrecSpecByName(p.String())
+				k := full
+				if narrow {
+					k = ps.Kernel(full)
 				}
 				kernels[fi][si][pi] = k
 				// The bfloat16 memo table answers any bf16-pattern input with
@@ -175,16 +177,17 @@ func init() {
 					if Backend(bi) == BackendAuto {
 						continue
 					}
-					m := reg.full
-					if p != PrecFloat32 {
-						m = reg.prefix
-					}
-					bk := m[lookup]
-					if bk == nil {
-						panic("rlibm: missing " + Backend(bi).String() + " batch kernel " + lookup)
-					}
-					if memo != nil {
+					var bk func(dst, src []float32)
+					switch {
+					case memo != nil:
 						bk = memo
+					case !narrow:
+						bk = reg.full[key]
+					case reg.block[key] != nil:
+						bk = ps.Batch(reg.block[key], reg.asm)
+					}
+					if bk == nil {
+						panic("rlibm: missing " + Backend(bi).String() + " batch kernel " + key)
 					}
 					batchKernels[bi][fi][si][pi] = bk
 				}
@@ -196,18 +199,18 @@ func init() {
 // bf16Batch is the bfloat16 batch kernel with the memo-table fast path: an
 // input that is a bfloat16 value (any float32 whose low 16 bits are zero —
 // the whole 2^16 space, specials included) is answered with one load from a
-// per-function result table; anything else runs the prefix kernel. The
-// table is built lazily from the same prefix kernel, so both branches are
-// bit-identical to scalar evaluation by construction, and it is shared
-// across schemes because every scheme's prefix computes the identical
-// correctly rounded bfloat16 result.
+// per-function result table; anything else runs kern, the full kernel
+// rounded to bfloat16. The table holds the full Horner kernel rounded to
+// bfloat16, which every scheme's kernel rounds to as well at every bfloat16
+// pattern (asserted exhaustively in internal/libm), so both branches are
+// bit-identical to scalar evaluation and one table serves every scheme.
 func bf16Batch(fname string, kern func(float64) float64) func(dst, src []float32) {
 	var once sync.Once
 	var tab *[1 << 16]uint32
 	return func(dst, src []float32) {
 		once.Do(func() {
 			if tab = libm.Bf16Table(fname); tab == nil {
-				panic("rlibm: no bf16 prefix kernel for " + fname)
+				panic("rlibm: no bf16 table for " + fname)
 			}
 		})
 		for i, x := range src {
