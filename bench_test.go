@@ -46,8 +46,6 @@ func sweep(name string, n int) []float32 {
 	return out
 }
 
-var sinkF32 float32
-
 // BenchmarkTable2 regenerates the measurements behind Table 2 and Figure 6
 // using the straight-line function backend — specialized code per
 // implementation, like the artifact's generated C, so the scheme deltas are
@@ -59,40 +57,19 @@ var sinkF32 float32
 // schemes.
 // Run with: go test -bench BenchmarkTable2 -benchmem
 func BenchmarkTable2(b *testing.B) {
-	for _, f := range libm.Funcs {
+	for _, name := range libm.FuncNames {
 		in := make([]float64, 1<<14)
-		for i, v := range sweep(f.Name, 1<<14) {
+		for i, v := range sweep(name, 1<<14) {
 			in[i] = float64(v)
 		}
 		for _, s := range libm.Schemes {
-			impl := libm.GeneratedFuncs[f.Name+"/"+s.String()]
-			b.Run(f.Name+"/"+s.String(), func(b *testing.B) {
+			impl := libm.GeneratedFuncs[name+"/"+s.String()]
+			b.Run(name+"/"+s.String(), func(b *testing.B) {
 				var prev float64
 				for i := 0; i < b.N; i++ {
 					prev = impl(in[i&(1<<14-1)] + math.Float64frombits(math.Float64bits(prev)&1))
 				}
 				sinkF64 = prev
-			})
-		}
-	}
-}
-
-var sinkF32f float32
-
-// BenchmarkTable2DataDriven is the same sweep through the data-driven
-// public float32 API (includes the float32<->float64 conversions and the
-// shared eval-loop dispatch).
-func BenchmarkTable2DataDriven(b *testing.B) {
-	for _, f := range libm.Funcs {
-		in := sweep(f.Name, 1<<14)
-		for si, s := range libm.Schemes {
-			impl := f.F32[si]
-			b.Run(f.Name+"/"+s.String(), func(b *testing.B) {
-				var acc float32
-				for i := 0; i < b.N; i++ {
-					acc += impl(in[i&(1<<14-1)])
-				}
-				sinkF32f = acc
 			})
 		}
 	}
@@ -184,30 +161,6 @@ func BenchmarkRounding(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sinkF64 = fp.Bfloat16.Round(1.0000001+float64(i&1023)*1e-9, fp.RNE)
 		}
-	})
-}
-
-// BenchmarkBackends compares the two generated backends: the data-driven
-// evaluator (shared eval loops over coefficient tables) and the
-// straight-line function backend (one specialized Go function per
-// implementation, the shape of the artifact's generated C). The gap is the
-// interpretation overhead the paper's C artifact never pays.
-func BenchmarkBackends(b *testing.B) {
-	in := sweep("exp2", 1<<14)
-	b.Run("exp2/estrin-fma/data-driven", func(b *testing.B) {
-		var acc float32
-		for i := 0; i < b.N; i++ {
-			acc += libm.Exp2EstrinFMA(in[i&(1<<14-1)])
-		}
-		sinkF32 = acc
-	})
-	gen := libm.GeneratedFuncs["exp2/rlibm-estrin-fma"]
-	b.Run("exp2/estrin-fma/straight-line", func(b *testing.B) {
-		var acc float64
-		for i := 0; i < b.N; i++ {
-			acc += gen(float64(in[i&(1<<14-1)]))
-		}
-		sinkF64 = acc
 	})
 }
 

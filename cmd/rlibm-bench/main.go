@@ -132,15 +132,15 @@ func main() {
 	}
 	var rows []row
 	rep.Functions = map[string]map[string]float64{}
-	for _, f := range libm.Funcs {
-		sweep := makeSweep(f.Name, *inputs, *seed)
+	for _, name := range libm.FuncNames {
+		sweep := makeSweep(name, *inputs, *seed)
 		var r row
-		r.name = f.Name
+		r.name = name
 		var impls [4]func(float64) float64
 		for si, s := range libm.Schemes {
-			impls[si] = libm.GeneratedFuncs[f.Name+"/"+s.String()]
+			impls[si] = libm.GeneratedFuncs[name+"/"+s.String()]
 			if impls[si] == nil {
-				fmt.Fprintf(os.Stderr, "missing generated function %s/%v\n", f.Name, s)
+				fmt.Fprintf(os.Stderr, "missing generated function %s/%v\n", name, s)
 				os.Exit(1)
 			}
 			r.ns[si] = math.Inf(1)
@@ -159,9 +159,9 @@ func main() {
 		for si, s := range libm.Schemes {
 			perScheme[s.String()] = r.ns[si]
 		}
-		rep.Functions[f.Name] = perScheme
+		rep.Functions[name] = perScheme
 		fmt.Printf("%-6s  rlibm %7.2f ns/op   knuth %7.2f   estrin %7.2f   estrin+fma %7.2f\n",
-			f.Name, r.ns[0], r.ns[1], r.ns[2], r.ns[3])
+			name, r.ns[0], r.ns[1], r.ns[2], r.ns[3])
 	}
 
 	fmt.Println()

@@ -115,8 +115,6 @@ func main() {
 	if *unitSize != 0 {
 		cfg.UnitSize = *unitSize
 	}
-	// Verify the generated straight-line kernels: they are what ships.
-	cfg.UseFuncs = true
 
 	plan, err := campaign.NewPlan(cfg)
 	if err != nil {

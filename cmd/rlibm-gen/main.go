@@ -1,7 +1,8 @@
 // Command rlibm-gen runs the polynomial generation pipeline (the paper's
 // Figure 1 / Algorithm 2) and emits either a human-readable report, a
-// Table-1-style summary, or internal/libm's two generated files: the data
-// tables and the straight-line kernels emitted from them.
+// Table-1-style summary, or internal/libm's two generated files: the
+// straight-line kernels and, for the tests only, the table they were
+// emitted from.
 //
 // Usage:
 //
@@ -50,7 +51,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed for constraint sampling")
 		degree     = flag.Int("degree", 0, "starting polynomial degree (0 = per-function default)")
 		pieces     = flag.Int("pieces", 0, "piecewise pieces (0 = per-function default)")
-		emit       = flag.String("emit", "", "write internal/libm's generated files (zz_generated_data.go, zz_generated_funcs.go) into this directory")
+		emit       = flag.String("emit", "", "write internal/libm's generated files (zz_generated_funcs.go, the kernels; zz_generated_table_test.go, their table for the tests) into this directory")
 		table1     = flag.Bool("table1", false, "print a Table-1-style summary")
 		timeout    = flag.Duration("timeout", 0, "abort generation after this long (0 = no limit); cancellation reaches down into the simplex pivot loop")
 		opts       = cliflags.Register(flag.CommandLine)
@@ -179,7 +180,7 @@ func main() {
 		if err := libm.Emit(*emit, libmTable(results)); err != nil {
 			fatal(fmt.Errorf("-emit %s: %w", *emit, err))
 		}
-		ro.Log.Infof("wrote zz_generated_data.go and zz_generated_funcs.go in %s", *emit)
+		ro.Log.Infof("wrote zz_generated_funcs.go and zz_generated_table_test.go in %s", *emit)
 	}
 	if report != nil {
 		report.Cache = oracle.NewCacheReport(0, oracleValues)
@@ -197,8 +198,8 @@ func main() {
 	}
 }
 
-// libmTable gathers the results into the table internal/libm embeds, one
-// entry per function in the order the results arrive.
+// libmTable gathers the results into the table internal/libm emits its
+// kernels from, one entry per function in the order the results arrive.
 func libmTable(results []*core.Result) libm.Table {
 	var t libm.Table
 	index := map[oracle.Func]int{}

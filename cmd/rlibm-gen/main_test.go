@@ -69,7 +69,7 @@ func TestLibmTableEmits(t *testing.T) {
 	if err := libm.Emit(dir, tab); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"zz_generated_data.go", "zz_generated_funcs.go"} {
+	for _, name := range []string{"zz_generated_funcs.go", "zz_generated_table_test.go"} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("%s not written: %v", name, err)
 		}

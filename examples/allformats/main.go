@@ -18,13 +18,23 @@ import (
 	"math"
 
 	"rlibm/internal/fp"
-	"rlibm/internal/libm"
 	"rlibm/internal/oracle"
+	"rlibm/pkg/rlibm"
 )
+
+// kernel returns the raw double kernel of f (Estrin+FMA, full precision):
+// the double every format and rounding mode below is rounded from.
+func kernel(f rlibm.Func) func(float64) float64 {
+	ev, err := rlibm.New(f, rlibm.EstrinFMA)
+	if err != nil {
+		panic(err)
+	}
+	return ev.Kernel()
+}
 
 func main() {
 	x := float32(2.75)
-	d := libm.Exp2Double(x, libm.SchemeEstrinFMA)
+	d := kernel(rlibm.FuncExp2)(float64(x))
 	fmt.Printf("exp2(%g): raw double result %.17g\n\n", x, d)
 
 	formats := []struct {
@@ -44,7 +54,7 @@ func main() {
 	for _, f := range formats {
 		fmt.Printf("%-14s", f.name)
 		for _, m := range fp.StandardModes {
-			got := libm.RoundTo(d, f.f, m)
+			got := f.f.Round(d, m)
 			want := oracle.Correct(oracle.Exp2, float64(x), f.f, m)
 			mark := ""
 			if got != want {
@@ -75,14 +85,15 @@ func main() {
 
 	// Exhaustive-by-sampling confirmation across formats and modes.
 	fmt.Println("\nsampling 2000 inputs across formats and modes:")
+	log2 := kernel(rlibm.FuncLog2)
 	wrong := 0
 	checked := 0
 	for i := 0; i < 2000; i++ {
 		xi := float32(math.Ldexp(1+float64(i)/2000, i%40-20))
-		di := libm.Log2Double(xi, libm.SchemeEstrinFMA)
+		di := log2(float64(xi))
 		for _, f := range formats {
 			for _, m := range fp.StandardModes {
-				got := libm.RoundTo(di, f.f, m)
+				got := f.f.Round(di, m)
 				want := oracle.Correct(oracle.Log2, float64(xi), f.f, m)
 				checked++
 				if math.Float64bits(got) != math.Float64bits(want) {

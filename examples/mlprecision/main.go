@@ -26,9 +26,23 @@ import (
 	"math"
 
 	"rlibm/internal/fp"
-	"rlibm/internal/libm"
 	"rlibm/internal/oracle"
 	"rlibm/pkg/rlibm"
+)
+
+// kernel returns the raw double kernel of f (Estrin+FMA, full precision):
+// one double that rounds correctly to every small format in every mode.
+func kernel(f rlibm.Func) func(float64) float64 {
+	ev, err := rlibm.New(f, rlibm.EstrinFMA)
+	if err != nil {
+		panic(err)
+	}
+	return ev.Kernel()
+}
+
+var (
+	expKernel = kernel(rlibm.FuncExp)
+	logKernel = kernel(rlibm.FuncLog)
 )
 
 func main() {
@@ -67,7 +81,7 @@ func main() {
 			return true
 		}
 		naive := f.Round(math.Exp(v), fp.RNE)
-		correct := libm.RoundTo(libm.ExpDouble(float32(v), libm.SchemeEstrinFMA), f, fp.RNE)
+		correct := f.Round(expKernel(v), fp.RNE)
 		if naive != correct {
 			want := oracle.Correct(oracle.Exp, v, f, fp.RNE)
 			fmt.Printf("  exp(%-12g): naive %-13g correct %-13g (oracle %g)\n", v, naive, correct, want)
@@ -133,9 +147,9 @@ func crossEntropySmall(logits []float32, target int, format fp.Format, mode fp.M
 	}
 	sum := 0.0
 	for _, l := range logits {
-		e := libm.RoundTo(libm.ExpDouble(float32(rnd(float64(l)-maxL)), libm.SchemeEstrinFMA), format, mode)
+		e := format.Round(expKernel(float64(float32(rnd(float64(l)-maxL)))), mode)
 		sum = rnd(sum + e)
 	}
-	logSum := libm.RoundTo(libm.LogDouble(float32(sum), libm.SchemeEstrinFMA), format, mode)
+	logSum := format.Round(logKernel(float64(float32(sum))), mode)
 	return rnd(logSum - rnd(float64(logits[target])-maxL))
 }

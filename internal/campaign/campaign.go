@@ -27,6 +27,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 
 	"rlibm/internal/libm"
@@ -36,8 +37,10 @@ import (
 // whenever unit enumeration, lane semantics, the tally definition or the
 // first-failure rendering changes: the version participates in the plan
 // hash, so a stale checkpoint can never silently resume under different
-// semantics.
-const PlanVersion = 4
+// semantics. Version 5: the float32 and random lanes always verify the
+// generated kernels (version 4 verified a table interpreter unless
+// Config.UseFuncs was set).
+const PlanVersion = 5
 
 // Lane selects one verification drive of the implementations.
 type Lane uint8
@@ -85,8 +88,8 @@ type Range struct {
 	Lo, Hi uint64
 }
 
-// Config describes a campaign. Everything here participates in the plan
-// hash except nothing — the whole Config defines the work, so any change
+// Config describes a campaign. Everything here but the ignored UseFuncs
+// participates in the plan hash — the Config defines the work, so any change
 // starts a new campaign (Workers is an Engine property, not a Config one:
 // tallies are identical for every worker count).
 type Config struct {
@@ -111,9 +114,10 @@ type Config struct {
 	// UnitSize caps the number of inputs per unit — the resume grain and
 	// the checkpoint commit grain. 0 selects DefaultUnitSize.
 	UnitSize uint64
-	// UseFuncs verifies the straight-line generated backend instead of the
-	// data-driven one (float32/random lanes only; the bf16 lane always
-	// rounds the generated straight-line kernels).
+	// UseFuncs is ignored: every lane verifies the generated kernels, the
+	// only evaluator libm ships. It is not part of the plan hash. The field
+	// remains only for callers that still set it; ROADMAP item 6 deletes
+	// it.
 	UseFuncs bool
 }
 
@@ -227,13 +231,13 @@ func NewPlan(cfg Config) (*Plan, error) {
 		return nil, fmt.Errorf("campaign: lane %s listed twice", d)
 	}
 	for _, fn := range cfg.Funcs {
-		if !knownFunc(fn) {
+		if !slices.Contains(libm.FuncNames, fn) {
 			return nil, fmt.Errorf("campaign: unknown function %q", fn)
 		}
 	}
 	for _, s := range cfg.Schemes {
-		if _, err := parseScheme(s); err != nil {
-			return nil, err
+		if !slices.Contains(AllSchemeNames(), s) {
+			return nil, fmt.Errorf("campaign: unknown scheme %q", s)
 		}
 	}
 	if len(cfg.Lanes) == 0 {
@@ -313,7 +317,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 
 // hashConfig derives the plan hash binding checkpoints to a campaign: a
 // SHA-256 over a canonical rendering of the plan semantics version and
-// every Config field.
+// every Config field but the ignored UseFuncs.
 func hashConfig(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v%d", PlanVersion)
@@ -327,8 +331,7 @@ func hashConfig(cfg Config) string {
 	for _, r := range cfg.Ranges {
 		fmt.Fprintf(&b, "|range=%x:%x", r.Lo, r.Hi)
 	}
-	fmt.Fprintf(&b, "|random=%d|seed=%d|unit=%d|usefuncs=%t",
-		cfg.RandomN, cfg.Seed, cfg.UnitSize, cfg.UseFuncs)
+	fmt.Fprintf(&b, "|random=%d|seed=%d|unit=%d", cfg.RandomN, cfg.Seed, cfg.UnitSize)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
 }
@@ -346,35 +349,9 @@ func duplicate[T comparable](xs []T) (T, bool) {
 	return zero, false
 }
 
-// knownFunc reports whether the library implements fn.
-func knownFunc(fn string) bool {
-	for _, f := range libm.Funcs {
-		if f.Name == fn {
-			return true
-		}
-	}
-	return false
-}
-
-// parseScheme resolves a libm scheme from its canonical name.
-func parseScheme(s string) (libm.Scheme, error) {
-	for _, sc := range libm.Schemes {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("campaign: unknown scheme %q", s)
-}
-
 // AllFuncNames and AllSchemeNames list the library surface in canonical
 // order, for CLIs resolving "all".
-func AllFuncNames() []string {
-	names := make([]string, 0, len(libm.Funcs))
-	for _, f := range libm.Funcs {
-		names = append(names, f.Name)
-	}
-	return names
-}
+func AllFuncNames() []string { return slices.Clone(libm.FuncNames) }
 
 func AllSchemeNames() []string {
 	names := make([]string, 0, len(libm.Schemes))

@@ -290,7 +290,7 @@ func verifiedInputs(plan *Plan) int64 {
 // default widths: that sweep's checked and wrong totals are the float32
 // and random lanes' sums. The 100000-input case reaches random input 91114,
 // the known w=32 exp2 miss, so wrong counting and the first-failure
-// rendering are pinned too. Interpreter and generated kernels agree.
+// rendering are pinned too.
 func TestCustomPlanMatchesSweepCounts(t *testing.T) {
 	cases := []struct {
 		randomN        int
@@ -301,32 +301,30 @@ func TestCustomPlanMatchesSweepCounts(t *testing.T) {
 		{100000, 3110550, 3, "exp2(-4.6942086) 0xc09636f5 w=32 rtz: got 0.03862801194190979 want 0.03862801566720009"},
 	}
 	for _, c := range cases {
-		for _, useFuncs := range []bool{false, true} {
-			plan, err := NewPlan(Config{
-				Funcs: []string{"exp2"}, Schemes: []string{"rlibm"},
-				Widths: []int{10, 16, 19, 24, 27, 32}, Lanes: AllLanes,
-				Stride: 1 << 20, RandomN: c.randomN, Seed: 7, UseFuncs: useFuncs,
-			})
-			if err != nil {
-				t.Fatal(err)
+		plan, err := NewPlan(Config{
+			Funcs: []string{"exp2"}, Schemes: []string{"rlibm"},
+			Widths: []int{10, 16, 19, 24, 27, 32}, Lanes: AllLanes,
+			Stride: 1 << 20, RandomN: c.randomN, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals := runToCompletion(t, plan, 2, "", false)
+		var checked, wrong int64
+		first := ""
+		for _, combo := range totals.Combos {
+			if combo.Lane == "bf16" {
+				continue
 			}
-			totals := runToCompletion(t, plan, 2, "", false)
-			var checked, wrong int64
-			first := ""
-			for _, combo := range totals.Combos {
-				if combo.Lane == "bf16" {
-					continue
-				}
-				checked += combo.Checked
-				wrong += combo.Wrong
-				if combo.First != "" {
-					first = combo.First
-				}
+			checked += combo.Checked
+			wrong += combo.Wrong
+			if combo.First != "" {
+				first = combo.First
 			}
-			if checked != c.checked || wrong != c.wrong || first != c.first {
-				t.Errorf("random %d, funcs %v: checked %d wrong %d first %q; want %d, %d, %q",
-					c.randomN, useFuncs, checked, wrong, first, c.checked, c.wrong, c.first)
-			}
+		}
+		if checked != c.checked || wrong != c.wrong || first != c.first {
+			t.Errorf("random %d: checked %d wrong %d first %q; want %d, %d, %q",
+				c.randomN, checked, wrong, first, c.checked, c.wrong, c.first)
 		}
 	}
 }

@@ -30,12 +30,13 @@ const (
 	checkpointHeaderLen = 16
 	checkpointFooterLen = 8
 	// CheckpointVersion gates the checkpoint layout: a file of any other
-	// version fails validation and is quarantined. Versions 2 and 3 hold
+	// version fails validation and is quarantined. Versions 2 to 4 hold
 	// one tally per scheme in each unit; version 1 files, written when a
-	// unit covered a single scheme, and version 2 files, whose bf16 tallies
-	// checked the retired prefix kernels (plan version 3), are quarantined,
-	// never resumed.
-	CheckpointVersion = 3
+	// unit covered a single scheme, version 2 files, whose bf16 tallies
+	// checked the retired prefix kernels (plan version 3), and version 3
+	// files, whose float32 and random tallies checked the retired table
+	// interpreter (plan version 4), are quarantined, never resumed.
+	CheckpointVersion = 4
 	// CheckpointFile is the file name inside a campaign state directory.
 	CheckpointFile = "checkpoint.rlcc"
 

@@ -16,12 +16,15 @@ import (
 
 // oldCheckpoints are partial checkpoints of testConfig's campaign written
 // under earlier semantics: plan version 2 (checkpoint layout 1, one unit
-// per (function, scheme)), cut after 11 units, and plan version 3
+// per (function, scheme)), cut after 11 units; plan version 3
 // (checkpoint layout 2, whose bf16 lane checked the retired prefix
-// kernels), cut after 12.
+// kernels), cut after 12; and plan version 4 (checkpoint layout 3, whose
+// float32 and random lanes verified the retired table interpreter), cut
+// after 14.
 var oldCheckpoints = []string{
 	"testdata/checkpoint-plan-v2.rlcc",
 	"testdata/checkpoint-plan-v3.rlcc",
+	"testdata/checkpoint-plan-v4.rlcc",
 }
 
 // TestOldCheckpointQuarantined: an old-layout checkpoint is quarantined,

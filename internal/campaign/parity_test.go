@@ -15,7 +15,7 @@ func genVerifySlices() []Config {
 	slice := func(funcs []string, ranges []Range) Config {
 		return Config{
 			Funcs: funcs, Schemes: AllSchemeNames(), Widths: []int{19, 27, 32},
-			Lanes: []Lane{LaneFloat32}, Stride: 1, Ranges: ranges, UseFuncs: true, UnitSize: 512,
+			Lanes: []Lane{LaneFloat32}, Stride: 1, Ranges: ranges, UnitSize: 512,
 		}
 	}
 	run := func(lo uint64) Range { return Range{lo, lo + 512} }
@@ -109,7 +109,7 @@ func TestOneWrongSchemeLeavesOthersAlone(t *testing.T) {
 		if scheme != broken {
 			return nil
 		}
-		base, err := (&Engine{Plan: &Plan{Cfg: Config{UseFuncs: true}}}).implFor(fn, scheme)
+		base, err := (&Engine{Plan: &Plan{}}).implFor(fn, scheme)
 		if err != nil {
 			panic(err)
 		}

@@ -17,32 +17,18 @@ import (
 const ctxCheckMask = 0xff
 
 // implFor resolves the double-precision implementation one float32/random
-// unit verifies: the data-driven kernel by default, the straight-line
-// generated backend with UseFuncs.
+// unit verifies: the generated kernel libm ships for fn under scheme.
 func (e *Engine) implFor(fn, scheme string) (func(float32) float64, error) {
 	if e.implOverride != nil {
 		if impl := e.implOverride(fn, scheme); impl != nil {
 			return impl, nil
 		}
 	}
-	s, err := parseScheme(scheme)
-	if err != nil {
-		return nil, err
+	gen := libm.GeneratedFuncs[fn+"/"+scheme]
+	if gen == nil {
+		return nil, fmt.Errorf("campaign: no generated kernel for %s/%s", fn, scheme)
 	}
-	if e.Plan.Cfg.UseFuncs {
-		gen := libm.GeneratedFuncs[fn+"/"+scheme]
-		if gen == nil {
-			return nil, fmt.Errorf("campaign: no generated backend for %s/%s", fn, scheme)
-		}
-		return func(x float32) float64 { return gen(float64(x)) }, nil
-	}
-	for _, f := range libm.Funcs {
-		if f.Name == fn {
-			double := f.Double
-			return func(x float32) float64 { return double(x, s) }, nil
-		}
-	}
-	return nil, fmt.Errorf("campaign: unknown function %q", fn)
+	return func(x float32) float64 { return gen(float64(x)) }, nil
 }
 
 // runUnit verifies one unit for every scheme of the plan. completed is

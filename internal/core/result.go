@@ -92,12 +92,6 @@ func (r *Result) PolyEval(rv float64) float64 {
 	return piece.Eval.Eval(rv)
 }
 
-// RoundTo rounds the implementation's result for x to the requested format
-// and mode — the user-facing double-rounding step of RLibm-ALL.
-func (r *Result) RoundTo(x float64, t fp.Format, m fp.Mode) float64 {
-	return t.Round(r.Eval(x), m)
-}
-
 // MaxDegree returns the highest polynomial degree across pieces.
 func (r *Result) MaxDegree() int {
 	d := 0

@@ -65,29 +65,29 @@ type vecSpec struct {
 	los []float64         // piece lower bounds, parallel to evs
 
 	specialBits []uint64 // exact-value inputs that must take the fallback
-	fd          *funcData
+	ft          *FuncTable
 }
 
 // vecSpecFull builds the spec for a full-precision implementation.
-func vecSpecFull(fn string, fd *funcData, s Scheme, name string) (*vecSpec, error) {
-	impl := &fd.impls[s]
+func vecSpecFull(ft *FuncTable, s Scheme, name string) (*vecSpec, error) {
+	st := &ft.Schemes[s]
 	spec := &vecSpec{
-		fn:          fn,
+		fn:          ft.Name,
 		name:        name + "VecBlock",
 		fallback:    name + "Block",
 		scalar:      name,
-		evs:         make([]*poly.Evaluator, 0, len(impl.pieces)),
-		los:         make([]float64, 0, len(impl.pieces)),
-		specialBits: impl.specialBits,
-		fd:          fd,
+		evs:         make([]*poly.Evaluator, 0, len(st.Pieces)),
+		los:         make([]float64, 0, len(st.Pieces)),
+		specialBits: st.SpecialBits,
+		ft:          ft,
 	}
-	for _, p := range impl.pieces {
-		ev, err := evaluatorFor(s, p)
+	for _, p := range st.Pieces {
+		ev, err := evaluatorFor(st.Scheme, p)
 		if err != nil {
 			return nil, err
 		}
 		spec.evs = append(spec.evs, ev)
-		spec.los = append(spec.los, p.lo)
+		spec.los = append(spec.los, p.Lo)
 	}
 	if len(spec.evs) > 1 {
 		spec.tab = name + "VecTab"
@@ -254,9 +254,9 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 		// bitwise), so the final p*vs[l] below rounds exactly like the
 		// scalar kernel's CompensateExpFamily(p, k).
 		fmt.Fprintf(w, "\t\t\tvs[l] = rangered.CompensateExpFamily(1, k)\n")
-		fd := spec.fd
+		ft := spec.ft
 		fmt.Fprintf(w, "\t\t\tif !(x > %s && x < %s && (x < %s || x > %s)) {\n",
-			hexF(fd.domLo), hexF(fd.domHi), hexF(fd.tinyLo), hexF(fd.tinyHi))
+			hexF(ft.DomLo), hexF(ft.DomHi), hexF(ft.TinyLo), hexF(ft.TinyHi))
 		fmt.Fprintf(w, "\t\t\t\tsl[l], slow = true, true\n\t\t\t}\n")
 	}
 	if len(spec.specialBits) > 0 {

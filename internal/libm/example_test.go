@@ -7,25 +7,27 @@ import (
 	"rlibm/internal/libm"
 )
 
-// The common case: correctly rounded float32 results.
-func ExampleExp2() {
-	fmt.Println(libm.Exp2(0.5))
-	fmt.Println(libm.Exp2(10))
-	fmt.Println(libm.Exp2(-1))
+// The common case: a kernel's double converted to float32 is the correctly
+// rounded float32 result.
+func ExampleGeneratedFuncs() {
+	exp2 := libm.GeneratedFuncs["exp2/rlibm-estrin-fma"]
+	fmt.Println(float32(exp2(0.5)))
+	fmt.Println(float32(exp2(10)))
+	fmt.Println(float32(exp2(-1)))
 	// Output:
 	// 1.4142135
 	// 1024
 	// 0.5
 }
 
-// One polynomial serves every format and rounding mode: take the raw double
-// and round it wherever needed (the RLibm-ALL guarantee).
-func ExampleRoundTo() {
-	d := libm.Log2Double(10, libm.SchemeEstrinFMA)
-	fmt.Println("bfloat16 rne:", libm.RoundTo(d, fp.Bfloat16, fp.RNE))
-	fmt.Println("bfloat16 rtp:", libm.RoundTo(d, fp.Bfloat16, fp.RTP))
-	fmt.Println("tf32     rne:", libm.RoundTo(d, fp.TensorFloat32, fp.RNE))
-	fmt.Println("float32  rtz:", float32(libm.RoundTo(d, fp.Float32, fp.RTZ)))
+// One polynomial serves every format and rounding mode: take the kernel's
+// raw double and round it wherever needed (the RLibm-ALL guarantee).
+func ExampleGeneratedFuncs_allFormats() {
+	d := libm.GeneratedFuncs["log2/rlibm-estrin-fma"](10)
+	fmt.Println("bfloat16 rne:", fp.Bfloat16.Round(d, fp.RNE))
+	fmt.Println("bfloat16 rtp:", fp.Bfloat16.Round(d, fp.RTP))
+	fmt.Println("tf32     rne:", fp.TensorFloat32.Round(d, fp.RNE))
+	fmt.Println("float32  rtz:", float32(fp.Float32.Round(d, fp.RTZ)))
 	// Output:
 	// bfloat16 rne: 3.328125
 	// bfloat16 rtp: 3.328125
@@ -36,9 +38,12 @@ func ExampleRoundTo() {
 // The four paper configurations return identical results; they differ only
 // in evaluation speed.
 func ExampleSchemes() {
-	x := float32(0.25)
-	fmt.Println(libm.Exp10Horner(x) == libm.Exp10Knuth(x),
-		libm.Exp10Estrin(x) == libm.Exp10EstrinFMA(x))
+	x := 0.25
+	var ys []float32
+	for _, s := range libm.Schemes {
+		ys = append(ys, float32(libm.GeneratedFuncs["exp10/"+s.String()](x)))
+	}
+	fmt.Println(ys[0] == ys[1], ys[2] == ys[3])
 	// Output:
 	// true true
 }

@@ -7,56 +7,49 @@ import (
 	"testing"
 )
 
-// TestGeneratedFuncsMatchDataBackend: the straight-line function backend is
-// bit-identical to the data-driven backend on every path — special values,
-// plateaus, special tables, structural zeros and the polynomial pieces.
+// TestGeneratedFuncsMatchDataBackend: every shipped straight-line kernel
+// is bit-identical to the reference interpreter running the table it was
+// emitted from, on every path — special values, plateaus, special tables,
+// structural zeros and the polynomial pieces.
 func TestGeneratedFuncsMatchDataBackend(t *testing.T) {
 	if len(GeneratedFuncs) != 24 {
 		t.Fatalf("expected 24 generated functions, have %d", len(GeneratedFuncs))
 	}
 	rng := rand.New(rand.NewSource(121))
-	for key, gen := range GeneratedFuncs {
-		name, schemeName, _ := strings.Cut(key, "/")
-		var scheme Scheme
-		found := false
+	for _, name := range FuncNames {
 		for _, s := range Schemes {
-			if s.String() == schemeName {
-				scheme, found = s, true
-				break
+			key := name + "/" + s.String()
+			gen := GeneratedFuncs[key]
+			if gen == nil {
+				t.Fatalf("no generated kernel %q", key)
 			}
+			testMatchesReference(t, rng, key, gen, reference(generatedFunc(name), s))
 		}
-		if !found {
-			t.Fatalf("unknown scheme in key %q", key)
-		}
-		var double func(float32, Scheme) float64
-		for _, f := range Funcs {
-			if f.Name == name {
-				double = f.Double
-				break
-			}
-		}
-		if double == nil {
-			t.Fatalf("unknown function in key %q", key)
-		}
-		// Edge inputs plus a random sweep.
-		inputs := []float64{
-			math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
-			1, -1, 0.5, 2, 3, 100, -104, 89, -150, 128, 1e-40, -1e-40,
-		}
-		for i := 0; i < 20000; i++ {
-			inputs = append(inputs, float64(randInput(rng, name)))
-		}
-		for _, raw := range inputs {
-			// Both backends must see the same value: the public API takes
-			// float32, so quantize the probe first.
-			x := float64(float32(raw))
-			got := gen(x)
-			want := double(float32(x), scheme)
-			if math.Float64bits(got) != math.Float64bits(want) &&
-				!(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("%s(%x=%g): straight-line %x, data backend %x",
-					key, math.Float64bits(x), x, math.Float64bits(got), math.Float64bits(want))
-			}
+	}
+}
+
+// testMatchesReference checks gen against ref on edge inputs and a random
+// sweep over key's function domain.
+func testMatchesReference(t *testing.T, rng *rand.Rand, key string, gen, ref func(float64) float64) {
+	name, _, _ := strings.Cut(key, "/")
+	// Edge inputs plus a random sweep.
+	inputs := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		1, -1, 0.5, 2, 3, 100, -104, 89, -150, 128, 1e-40, -1e-40,
+	}
+	for i := 0; i < 20000; i++ {
+		inputs = append(inputs, float64(randInput(rng, name)))
+	}
+	for _, raw := range inputs {
+		// Both backends must see the same value: the public API takes
+		// float32, so quantize the probe first.
+		x := float64(float32(raw))
+		got := gen(x)
+		want := ref(x)
+		if math.Float64bits(got) != math.Float64bits(want) &&
+			!(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("%s(%x=%g): straight-line %x, reference %x",
+				key, math.Float64bits(x), x, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }

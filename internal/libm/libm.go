@@ -8,21 +8,16 @@
 // interval of the 34-bit round-to-odd result, so one implementation yields
 // correctly rounded results for every floating-point format from 10 to 32
 // bits (with an 8-bit exponent) under all five IEEE rounding modes: round
-// the returned double to the desired format. The float32 convenience
-// wrappers do exactly that via the hardware's double->float32 conversion.
+// the returned double to the desired format (fp.Format.Round, or
+// PrecSpec.Kernel for the serving precisions).
 //
-// The polynomial coefficients and special-case tables are produced by
-// cmd/rlibm-gen running this repository's generator (internal/core) and are
-// embedded in zz_generated_data.go.
+// The implementations are straight-line kernels in zz_generated_funcs.go
+// (GeneratedFuncs and its block, batch and vector forms), emitted by
+// cmd/rlibm-gen from the table this repository's generator (internal/core)
+// produces; see Emit. They are the only evaluator: the table itself is
+// compiled only into this package's tests, where a reference interpreter
+// runs it against the kernels bit for bit.
 package libm
-
-import (
-	"math"
-
-	"rlibm/internal/fp"
-	"rlibm/internal/poly"
-	"rlibm/internal/rangered"
-)
 
 // Scheme selects one of the four generated variants.
 type Scheme int
@@ -35,10 +30,8 @@ const (
 	// SchemeEstrin uses Estrin's parallel evaluation.
 	SchemeEstrin
 	// SchemeEstrinFMA combines Estrin's evaluation with fused
-	// multiply-adds — the paper's fastest configuration and this package's
-	// default.
+	// multiply-adds — the paper's fastest configuration.
 	SchemeEstrinFMA
-	numSchemes
 )
 
 // Schemes lists the four variants in the paper's order.
@@ -58,140 +51,7 @@ func (s Scheme) String() string {
 	return "unknown"
 }
 
-// pieceData is one polynomial piece: coefficients plus (for the Knuth
-// variant) the adapted alpha coefficients, selected by the reduced input.
-type pieceData struct {
-	lo     float64 // reduced-input lower bound (first piece: -Inf)
-	coeffs []float64
-	// Knuth-adapted coefficients by degree; exactly one is non-nil for
-	// adapted pieces.
-	a4 *[5]float64
-	a5 *[6]float64
-	a6 *[7]float64
-}
-
-// implData is one generated variant of one function.
-type implData struct {
-	scheme      Scheme
-	pieces      []pieceData
-	specialBits []uint64 // sorted float64 bit patterns of special inputs
-	specialVals []float64
-}
-
-// funcData carries the per-function constants shared by the four variants.
-type funcData struct {
-	domLo, domHi         float64 // polynomial path is (domLo, domHi)
-	loVal, hiVal         float64 // plateau results beyond the cuts
-	tinyLo, tinyHi       float64 // near-zero plateau (exp family only)
-	tinyLoVal, tinyHiVal float64
-	impls                [numSchemes]implData
-}
-
-// evalPoly evaluates the variant's piecewise polynomial at the reduced
-// input.
-func (d *implData) evalPoly(r float64) float64 {
-	p := &d.pieces[0]
-	for i := 1; i < len(d.pieces); i++ {
-		if r >= d.pieces[i].lo {
-			p = &d.pieces[i]
-		}
-	}
-	switch d.scheme {
-	case SchemeHorner:
-		return poly.EvalHorner(p.coeffs, r)
-	case SchemeEstrin:
-		return poly.EvalEstrin(p.coeffs, r)
-	case SchemeEstrinFMA:
-		return poly.EvalEstrinFMA(p.coeffs, r)
-	case SchemeKnuth:
-		switch {
-		case p.a4 != nil:
-			return poly.EvalAdapted4(p.a4, r)
-		case p.a5 != nil:
-			return poly.EvalAdapted5(p.a5, r)
-		case p.a6 != nil:
-			return poly.EvalAdapted6(p.a6, r)
-		default:
-			return poly.EvalHorner(p.coeffs, r)
-		}
-	}
-	panic("libm: unknown scheme")
-}
-
-// special looks x up in the variant's special-case table.
-func (d *implData) special(x float64) (float64, bool) {
-	b := math.Float64bits(x)
-	for i, sb := range d.specialBits {
-		if sb == b {
-			return d.specialVals[i], true
-		}
-	}
-	return 0, false
-}
-
-// expFamily64 is the shared double path of e^x, 2^x and 10^x.
-func expFamily64(x float64, fd *funcData, s Scheme,
-	reduce func(float64) (float64, rangered.Key)) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	case math.IsInf(x, -1):
-		return 0
-	case x == 0:
-		return 1
-	case x <= fd.domLo:
-		return fd.loVal
-	case x >= fd.domHi:
-		return fd.hiVal
-	case x < 0 && x >= fd.tinyLo:
-		return fd.tinyLoVal
-	case x > 0 && x <= fd.tinyHi:
-		return fd.tinyHiVal
-	}
-	d := &fd.impls[s]
-	if y, ok := d.special(x); ok {
-		return y
-	}
-	r, k := reduce(x)
-	if r == 0 {
-		// Exact reduced input: the table entry alone is the correctly
-		// rounded information (p = 2^0 = 1).
-		return rangered.CompensateExpFamily(1, k)
-	}
-	return rangered.CompensateExpFamily(d.evalPoly(r), k)
-}
-
-// logFamily64 is the shared double path of ln, log2 and log10.
-func logFamily64(x float64, fd *funcData, s Scheme,
-	compensate func(float64, rangered.Key) float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x < 0 || math.IsInf(x, -1):
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return math.Inf(1)
-	}
-	d := &fd.impls[s]
-	if y, ok := d.special(x); ok {
-		return y
-	}
-	f, k := rangered.ReduceLog(x)
-	if f == 0 {
-		// Exact reduced input: log(F) comes straight from the table
-		// (p = log(1) = 0).
-		return compensate(0, k)
-	}
-	return compensate(d.evalPoly(f), k)
-}
-
-// RoundTo rounds a raw double result to an arbitrary format and rounding
-// mode. Formats from 10 to 32 bits with an 8-bit exponent receive correctly
-// rounded results (the RLibm-ALL guarantee).
-func RoundTo(d float64, t fp.Format, m fp.Mode) float64 {
-	return t.Round(d, m)
-}
+// FuncNames lists the library's functions in the paper's order, the order
+// the generated files keep them in. GeneratedFuncs and its companions are
+// keyed by "name/scheme".
+var FuncNames = []string{"exp", "exp2", "exp10", "log", "log2", "log10"}

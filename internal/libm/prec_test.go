@@ -119,8 +119,8 @@ func TestNarrowExhaustiveOracle(t *testing.T) {
 		t.Skip("exhaustive sweep; skipped with -short")
 	}
 	tf32, _ := PrecSpecByName("tf32")
-	for _, f := range Funcs {
-		ofn := fnOracle[f.Name]
+	for _, name := range FuncNames {
+		ofn := fnOracle[name]
 		wrong := 0
 		var val oracle.Value
 		for b := uint32(0); b < 1<<19; b++ {
@@ -134,13 +134,13 @@ func TestNarrowExhaustiveOracle(t *testing.T) {
 			if bits&0xffff != 0 {
 				specs = []PrecSpec{tf32}
 			}
-			wrong += checkNarrow(t, f.Name, &val, x, specs)
+			wrong += checkNarrow(t, name, &val, x, specs)
 			if wrong >= 10 {
 				break
 			}
 		}
 		if wrong > 0 {
-			t.Fatalf("%s: %d on-grid narrow results wrong", f.Name, wrong)
+			t.Fatalf("%s: %d on-grid narrow results wrong", name, wrong)
 		}
 	}
 }
@@ -156,13 +156,13 @@ func TestNarrowOffGridOracle(t *testing.T) {
 		n = 5000
 	}
 	rng := rand.New(rand.NewSource(26))
-	for _, f := range Funcs {
-		ofn := fnOracle[f.Name]
+	for _, name := range FuncNames {
+		ofn := fnOracle[name]
 		wrong := 0
 		var val oracle.Value
 		inputs := []float32{math.Float32frombits(0x3f838611)}
 		for len(inputs) < n {
-			x := randInput(rng, f.Name)
+			x := randInput(rng, name)
 			if math.Float32bits(x)&0x1fff == 0 {
 				continue // on the tf32 grid
 			}
@@ -174,10 +174,10 @@ func TestNarrowOffGridOracle(t *testing.T) {
 				continue
 			}
 			val.Reset(ofn, fx)
-			wrong += checkNarrow(t, f.Name, &val, fx, PrecSpecs)
+			wrong += checkNarrow(t, name, &val, fx, PrecSpecs)
 		}
 		if wrong > 0 {
-			t.Fatalf("%s: %d off-grid narrow results wrong", f.Name, wrong)
+			t.Fatalf("%s: %d off-grid narrow results wrong", name, wrong)
 		}
 	}
 }

@@ -118,29 +118,19 @@ func jsonEval(t *testing.T, base, fn, scheme string, src []float32) ([]float32, 
 	return got, resp
 }
 
-// wantFor computes the reference result straight from internal/libm.
+// wantFor computes the reference result straight from the shipped scalar
+// kernel in internal/libm.
 func wantFor(t *testing.T, fn string, scheme string, x float32) float32 {
 	t.Helper()
-	var schemeIdx = -1
-	for i, s := range libm.Schemes {
-		if s.String() == scheme {
-			schemeIdx = i
-		}
+	k := libm.GeneratedFuncs[fn+"/"+scheme]
+	if k == nil {
+		t.Fatalf("unknown func/scheme %s/%s", fn, scheme)
 	}
-	if schemeIdx < 0 {
-		t.Fatalf("unknown scheme %q", scheme)
-	}
-	for _, f := range libm.Funcs {
-		if f.Name == fn {
-			return float32(f.Double(x, libm.Schemes[schemeIdx]))
-		}
-	}
-	t.Fatalf("unknown func %q", fn)
-	return 0
+	return float32(k(float64(x)))
 }
 
 // TestEndpointsBitIdentical: for every function and scheme, both endpoints
-// return exactly float32(libm.<Fn>Double(x, scheme)) — the server adds
+// return exactly float32(libm.GeneratedFuncs[fn/scheme](x)) — the server adds
 // transport, not rounding. Both endpoints carry specials: the binary frame
 // natively, JSON via the "NaN"/"Inf"/"-Inf" string spellings.
 func TestEndpointsBitIdentical(t *testing.T) {
