@@ -160,7 +160,7 @@ func TestRunReport(t *testing.T) {
 		}
 	}
 	for _, fn := range []string{"exp2", "log2"} {
-		// The double-double rung answers almost every query; the Ziv
+		// The float64 rung answers almost every query; the Ziv
 		// escalation histogram counts the big.Float path only, so the
 		// oracle's work shows up as rung hits plus Ziv-path rounds.
 		h, ok := back.Metrics.Histograms["oracle/"+fn+"/ziv_depth"]
@@ -187,7 +187,7 @@ func TestRunReport(t *testing.T) {
 }
 
 // TestRunReportCacheRung: the cache section carries the oracle's
-// double-double rung totals and their hit rate.
+// float64 rung totals and their hit rate.
 func TestRunReportCacheRung(t *testing.T) {
 	oracle.Correct(oracle.Exp, 0.5, fp.FP34, fp.RTO) // a query the rung answers
 	rep := NewRunReport("core-test")
@@ -249,7 +249,7 @@ func TestRunReportCacheSection(t *testing.T) {
 	}
 }
 
-// TestRungAnswersGenerationSet: the oracle's double-double rung answers at
+// TestRungAnswersGenerationSet: the oracle's float64 rung answers at
 // least 99.9% of the rounding queries of the benchmark's generation set
 // (exp2@14, log2@16, log@15, log10@15 at stride 1), per its counters. The
 // counters are process-wide, so the test runs the set alone and takes

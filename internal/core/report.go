@@ -28,7 +28,7 @@ type RunReport struct {
 	// they finished being recorded.
 	Results []SchemeReport `json:"results"`
 	// Cache carries the oracle values the run computed (as misses; hits
-	// are 0) and the double-double rung's share of the roundings. CI prints
+	// are 0) and the float64 rung's share of the roundings. CI prints
 	// this section.
 	Cache *oracle.CacheReport `json:"cache"`
 	// Metrics is the merged snapshot of every registry the run recorded into

@@ -16,7 +16,7 @@ func NewCache(shards int) *Cache { return &Cache{} }
 // CacheReport is the "cache" section of the rlibm-gen and rlibm-check run
 // reports: the oracle values the run computed (misses; hits stay 0, as no
 // memo answers queries), and how many of the oracle's non-exact roundings
-// the double-double rung settled without big.Float (process-wide, see
+// the float64 rung settled without big.Float (process-wide, see
 // RungTotals).
 type CacheReport struct {
 	OracleHits   int64   `json:"oracle_hits"`

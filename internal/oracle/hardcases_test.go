@@ -106,7 +106,7 @@ func TestRegenerateHardCases(t *testing.T) {
 // from a fresh ladder. The result bits catch any change that alters what
 // the oracle computes; the terminal precision catches changes to how hard
 // the Ziv loop had to work (a silent Ziv regression would show up here
-// long before it shows up in wall clock). The double-double rung must
+// long before it shows up in wall clock). The float64 rung must
 // either decline each case or agree with it.
 func TestHardCaseVectors(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "hardcases_*.json"))

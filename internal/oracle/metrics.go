@@ -32,8 +32,8 @@ type fnMetrics struct {
 	// it shows how often the fast path skips escalations. Like zivDepth and
 	// zivPrec it covers the big.Float path only.
 	ladderStart *obs.Histogram
-	// rungHits / rungDeclines count non-exact Round calls the double-double
-	// rung answered vs passed to the Ziv loop (input outside the rung's
+	// rungHits / rungDeclines count non-exact Round calls the float64 rung
+	// answered vs passed to the Ziv loop (input outside the rung's
 	// domain, or an enclosure straddling a rounding boundary).
 	rungHits, rungDeclines *obs.Counter
 }
@@ -97,7 +97,7 @@ func (m *fnMetrics) observeRung(hit bool) {
 	}
 }
 
-// RungTotals returns the process-wide double-double rung hit and decline
+// RungTotals returns the process-wide float64 rung hit and decline
 // counts summed over every function (the fast_rung_hits and
 // fast_rung_declines counters).
 func RungTotals() (hits, declines int64) {

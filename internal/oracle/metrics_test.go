@@ -8,7 +8,7 @@ import (
 
 // TestZivMetricsRecorded: Ziv-path rounds populate the per-function depth
 // and terminal-precision histograms in obs.Default(); rounds the
-// double-double rung answers count as rung hits and leave the Ziv
+// float64 rung answers count as rung hits and leave the Ziv
 // histograms alone; exact-path rounds count separately. Metrics are
 // process-global and monotonic, so the test asserts deltas.
 func TestZivMetricsRecorded(t *testing.T) {

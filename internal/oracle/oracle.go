@@ -6,8 +6,8 @@
 // The paper's prototype uses MPFR; this package plays that role with a
 // Ziv-style loop: evaluate with a bounded relative error, check whether the
 // error interval rounds unambiguously, and retry with more precision
-// otherwise. The first rung is a double-double evaluation in float64
-// arithmetic (rung.go) that settles almost every query; the rest run on
+// otherwise. The first rung is one plain float64 evaluation with a written
+// error bound (rung.go) that settles almost every query; the rest run on
 // math/big from 80 bits up. Inputs whose exact result is a rational number
 // (exp2 of an integer, log2 of a power of two, ...) are detected
 // algebraically and rounded exactly, which is what makes the loop terminate
@@ -240,7 +240,7 @@ func ratPow(base int64, n int) *big.Rat {
 
 // Value is a reusable oracle result for one (function, input) pair: the
 // evaluation happens once, and Round answers any number of (format, mode)
-// questions against it. Round first tries the double-double rung's
+// questions against it. Round first tries the float64 rung's
 // enclosure and falls back, lazily and only for the (format, mode) pairs
 // the enclosure cannot settle, to the big.Float Ziv loop, refining its
 // precision in the rare ambiguous cases. Not safe for concurrent use.
@@ -249,7 +249,7 @@ type Value struct {
 	x        float64
 	exact    *big.Rat // non-nil when f(x) is exactly rational
 	symbolic int      // +1 far overflow, -1 far underflow, 0 normal
-	// rung reports that the double-double rung evaluated f(x) into enc.
+	// rung reports that the float64 rung evaluated f(x) into enc.
 	rung bool
 	enc  enclosure
 	prec uint       // big.Float working precision; 0 before the Ziv path runs
@@ -308,7 +308,7 @@ func ladderRecord(f Func, terminal uint, depth int) {
 
 // Compute evaluates f(x) once for later rounding. The domain restrictions
 // of Correct apply. After the exact and symbolic checks it tries the
-// double-double rung and evaluates with big.Float only when the rung
+// float64 rung and evaluates with big.Float only when the rung
 // declines the input (outside its domain, or sinpi/cospi).
 func Compute(f Func, x float64) *Value {
 	return compute(f, x, true)
@@ -361,8 +361,8 @@ func (v *Value) evalBig() {
 }
 
 // Round returns the correctly rounded value of f(x) in format t under mode
-// m. It accepts the double-double rung's answer when both ends of the
-// rung's enclosure round to the same value; otherwise it runs the Ziv
+// m. It accepts the float64 rung's answer when the rung's enclosure
+// rounds to one value (enclosure.round); otherwise it runs the Ziv
 // loop, evaluating with big.Float on first need and raising the working
 // precision until rounding is unambiguous.
 //
@@ -409,7 +409,7 @@ func (v *Value) Round(t fp.Format, m fp.Mode) float64 {
 // TerminalPrec returns the big.Float working precision the last Round (or
 // the initial Compute) left the value at. It is 0 when no big.Float
 // evaluation has run: for exact and symbolic results, and for values whose
-// every Round so far the double-double rung answered. The golden hard-case
+// every Round so far the float64 rung answered. The golden hard-case
 // vectors pin it on the big.Float path so ladder or evaluation changes
 // cannot silently deepen the escalations.
 func (v *Value) TerminalPrec() uint { return v.prec }
