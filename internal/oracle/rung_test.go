@@ -75,10 +75,11 @@ func rungSample(f Func, n int, seed int64) []float64 {
 }
 
 // TestRungErrorBound measures the rung's relative error against the
-// double-word reference of rung_ref_test.go over a million seeded inputs
-// per function (64k under -short) and asserts that every error is below
-// the enclosure's bound and the largest is at most half the written bound.
-// For the exponentials at n = 0 the error is relative to f(x) - 1.
+// double-word reference of rung_ref_test.go (which TestRungReference checks
+// against big.Float) over a million seeded inputs per function (64k under
+// -short) and asserts that every error is below the enclosure's bound and
+// the largest is at most half the written bound. For the exponentials at
+// n = 0 the error is relative to f(x) - 1.
 func TestRungErrorBound(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
@@ -176,29 +177,54 @@ func TestRungDifferential(t *testing.T) {
 	}
 }
 
-// TestRungNearOne: next to an exponential result of 1 the rung bounds its
-// error relative to f(x) - 1 and settles every (format, mode), round-to-odd
-// included, through the float64 round-to-odd of the open enclosure. The
-// answers equal the big.Float path's, which needs over 1000 bits here.
+// TestRungNearOne pins the two regions a bound relative to f(x) alone
+// cannot settle. Next to an exponential result of 1 (x = ±2^-k) the rung
+// bounds its error relative to f(x) - 1 and settles every (format, mode),
+// round-to-odd included, through the float64 round-to-odd of the open
+// enclosure; the big.Float path needs over 1000 bits there. At
+// x = 1 ± k·2^-23 and 1 - k·2^-24, ln x lies 2^-49.6 (relative) from the
+// FP34 grid for the smallest k, inside the logarithms' bounds. The rung
+// settles every query, and its answers equal the big.Float path's.
 func TestRungNearOne(t *testing.T) {
-	formats := append([]fp.Format{fp.Float16}, rungFormats...)
+	type input struct {
+		f Func
+		x float64
+	}
+	var ins []input
 	for _, f := range []Func{Exp, Exp2, Exp10} {
 		for _, k := range []int{30, 61, 100, 149, 300, 1000, 1060} {
-			for _, x := range []float64{math.Ldexp(1.375, -k), -math.Ldexp(1, -k)} {
-				e, ok := rung(f, x)
-				if !ok {
-					t.Fatalf("%v(%g): rung declined", f, x)
+			ins = append(ins, input{f, math.Ldexp(1.375, -k)})
+		}
+		for k := 26; k <= 149; k++ {
+			ins = append(ins, input{f, math.Ldexp(1, -k)}, input{f, -math.Ldexp(1, -k)})
+		}
+		for _, k := range []int{300, 1000, 1060} {
+			ins = append(ins, input{f, -math.Ldexp(1, -k)})
+		}
+	}
+	for _, f := range []Func{Log, Log2, Log10} {
+		for k := 1; k <= 64; k++ {
+			d := float64(k)
+			ins = append(ins, input{f, 1 + d*0x1p-23}, input{f, 1 - d*0x1p-23}, input{f, 1 - d*0x1p-24})
+		}
+	}
+	formats := append([]fp.Format{fp.Float16}, rungFormats...)
+	for _, in := range ins {
+		if _, exact := exactResult(in.f, in.x); exact {
+			continue
+		}
+		e, ok := rung(in.f, in.x)
+		if !ok {
+			t.Fatalf("%v(%g): rung declined", in.f, in.x)
+		}
+		v, ref := Compute(in.f, in.x), compute(in.f, in.x, false)
+		for _, tf := range formats {
+			for _, m := range fp.AllModes {
+				if _, ok := e.round(tf, m); !ok {
+					t.Errorf("%v(%g) in %v/%v: rung declined", in.f, in.x, tf, m)
 				}
-				v, ref := Compute(f, x), compute(f, x, false)
-				for _, tf := range formats {
-					for _, m := range fp.AllModes {
-						if _, ok := e.round(tf, m); !ok {
-							t.Errorf("%v(%g) in %v/%v: rung declined", f, x, tf, m)
-						}
-						if got, want := v.Round(tf, m), ref.Round(tf, m); !sameFloat(got, want) {
-							t.Errorf("%v(%g) in %v/%v: rung path %v, big.Float %v", f, x, tf, m, got, want)
-						}
-					}
+				if got, want := v.Round(tf, m), ref.Round(tf, m); !sameFloat(got, want) {
+					t.Errorf("%v(%g) in %v/%v: rung path %v, big.Float %v", in.f, in.x, tf, m, got, want)
 				}
 			}
 		}
@@ -231,41 +257,6 @@ func TestRungHitRate(t *testing.T) {
 		if float64(ro34) < 0.9999*float64(n) {
 			t.Errorf("%v: rung settled only %d of %d FP34/RTO queries", f, ro34, n)
 		}
-	}
-}
-
-// TestRungHardRegions pins the two regions a bound relative to f(x) alone
-// cannot settle: the exponentials at ±2^-k, where f(x) rounds next to 1,
-// and the logarithms at 1 ± k·2^-23 and 1 - k·2^-24, where ln x lies
-// 2^-49.6 (relative) from the FP34 grid for the smallest k. Every answer
-// equals the forced big.Float answer, whether or not the rung settles it.
-func TestRungHardRegions(t *testing.T) {
-	cases := rungCases()
-	type input struct {
-		f Func
-		x float64
-	}
-	var ins []input
-	for _, f := range []Func{Exp, Exp2, Exp10} {
-		for k := 26; k <= 149; k++ {
-			ins = append(ins, input{f, math.Ldexp(1, -k)}, input{f, -math.Ldexp(1, -k)})
-		}
-	}
-	for _, f := range []Func{Log, Log2, Log10} {
-		for k := 1; k <= 64; k++ {
-			d := float64(k)
-			ins = append(ins, input{f, 1 + d*0x1p-23}, input{f, 1 - d*0x1p-23}, input{f, 1 - d*0x1p-24})
-		}
-	}
-	hits := map[Func]int{}
-	for _, in := range ins {
-		if _, exact := exactResult(in.f, in.x); exact {
-			continue
-		}
-		hits[in.f] += checkRungAgrees(t, in.f, in.x, cases)
-	}
-	for _, f := range Funcs {
-		t.Logf("%v: rung settled %d (format, mode) queries", f, hits[f])
 	}
 }
 
